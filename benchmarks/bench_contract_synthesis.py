@@ -3,15 +3,14 @@
 The synthesizer (``python -m repro synthesize``) is a fuzzing fleet:
 per plug-in it runs ``budget`` generated cases x two cohorts (control
 and plug-in) x four secret variants.  This bench times the full sweep
-over every contracted plug-in under the serial and lockstep backends
-and checks the layer's contracts:
+over every contracted plug-in under the serial and pool backends and
+checks the layer's contracts:
 
 * every plug-in comes back SOUND and non-vacuous — the declared
   ``LINT_CONTRACT``\\ s explain all observed divergence and the trigger
   templates actually fire;
 * the learned contracts and full reports are bitwise identical across
-  backends (the cohort shape is lockstep's native unit of work, so
-  this exercises its grouping on the real workload);
+  backends;
 * the sweep stays interactive — the CI smoke leg runs it on every
   push, so a budget-10 sweep must finish in seconds, not minutes.
 """
@@ -27,16 +26,16 @@ from repro.lint.synthesize import (
 SEED = 0
 
 
-def timed_sweep(backend):
+def timed_sweep(workers):
     start = time.perf_counter()
     results = synthesize_all(budget=DEFAULT_BUDGET, seed=SEED,
-                             backend=backend)
+                             workers=workers)
     return results, time.perf_counter() - start
 
 
 def run_synthesis():
-    serial, serial_s = timed_sweep("serial")
-    lockstep, lockstep_s = timed_sweep("lockstep")
+    serial, serial_s = timed_sweep(workers=1)
+    pooled, pooled_s = timed_sweep(workers=4)
     plugins = {}
     for name, result in sorted(serial.items()):
         plugins[name] = {
@@ -53,13 +52,13 @@ def run_synthesis():
         "budget": DEFAULT_BUDGET,
         "seed": SEED,
         "serial_s": serial_s,
-        "lockstep_s": lockstep_s,
+        "pooled_s": pooled_s,
         "plugins": plugins,
         "all_sound": all(row["ok"] for row in plugins.values()),
         "none_vacuous": not any(row["vacuous"]
                                 for row in plugins.values()),
         "identical_reports": (report_json(serial)
-                              == report_json(lockstep)),
+                              == report_json(pooled)),
     }
 
 
@@ -68,8 +67,8 @@ def test_contract_synthesis(once):
     lines = [
         f"contract synthesis sweep: budget={row['budget']} "
         f"seed={row['seed']}",
-        f"  serial:   {row['serial_s']:8.3f} s",
-        f"  lockstep: {row['lockstep_s']:8.3f} s",
+        f"  workers=1: {row['serial_s']:8.3f} s",
+        f"  workers=4: {row['pooled_s']:8.3f} s",
         f"  {'plugin':30s} {'decl':>5s} {'learn':>6s} {'wit':>4s} "
         f"{'gaps':>5s}",
     ]

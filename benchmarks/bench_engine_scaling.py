@@ -3,9 +3,8 @@
 Replay attacks are embarrassingly parallel: every trial is an
 independent simulator run fully described by its spec.  This bench
 times a Figure-6-sized batch (200 BSAES gadget trials) through
-``run_batch`` at ``workers=1`` (in-process), ``workers=4`` (process
-pool) and under the lockstep cohort backend, and checks the engine's
-contract:
+``run_batch`` at ``workers=1`` (in-process) and ``workers=4`` (process
+pool), and checks the engine's contract:
 
 * the aggregated observations are bitwise identical — fan-out must
   never change results;
@@ -35,10 +34,10 @@ def build_specs():
                                   target_slot=4)
 
 
-def timed_batch(specs, workers, backend=None):
+def timed_batch(specs, workers):
     from repro.engine import run_batch
     start = time.perf_counter()
-    results = run_batch(specs, workers=workers, backend=backend)
+    results = run_batch(specs, workers=workers)
     return results, time.perf_counter() - start
 
 
@@ -46,23 +45,17 @@ def run_scaling():
     specs = build_specs()
     serial, serial_s = timed_batch(specs, workers=1)
     pooled, pooled_s = timed_batch(specs, workers=4)
-    lockstep, lockstep_s = timed_batch(specs, workers=1,
-                                       backend="lockstep")
     return {
         "trials": len(specs),
         "serial_s": serial_s,
         "pooled_s": pooled_s,
-        "lockstep_s": lockstep_s,
         "speedup": serial_s / pooled_s if pooled_s else float("inf"),
         "identical_cycles": ([r.cycles for r in serial]
-                             == [r.cycles for r in pooled]
-                             == [r.cycles for r in lockstep]),
+                             == [r.cycles for r in pooled]),
         "identical_observations": (
             [(r.fingerprint, r.stats, r.observations) for r in serial]
             == [(r.fingerprint, r.stats, r.observations)
-                for r in pooled]
-            == [(r.fingerprint, r.stats, r.observations)
-                for r in lockstep]),
+                for r in pooled]),
         "cpu_count": os.cpu_count() or 1,
     }
 
@@ -74,7 +67,6 @@ def test_engine_scaling(once):
         f"(machine: {row['cpu_count']} cores)",
         f"  workers=1: {row['serial_s']:8.3f} s",
         f"  workers=4: {row['pooled_s']:8.3f} s",
-        f"  lockstep:  {row['lockstep_s']:8.3f} s",
         f"  speedup:   {row['speedup']:8.2f}x",
         f"  identical cycles:       {row['identical_cycles']}",
         f"  identical observations: {row['identical_observations']}",

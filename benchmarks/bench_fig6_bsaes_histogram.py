@@ -23,20 +23,16 @@ VICTIM_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 ATTACKER_KEY = bytes(range(16, 32))
 
 
-def run_histogram(runs_per_type=20, cache=None, batch_stats=None):
+def run_histogram(runs_per_type=20, cache=None):
     server = BSAESVictimServer(VICTIM_KEY, b"public-header-00")
     attack = BSAESSilentStoreAttack(server, ATTACKER_KEY)
     samples = attack.histogram_runs(runs_per_type=runs_per_type,
-                                    target_slot=4, cache=cache,
-                                    batch_stats=batch_stats)
+                                    target_slot=4, cache=cache)
     return samples, attack.last_histogram_stats
 
 
 def test_fig6_bsaes_histogram(once, results_cache):
-    from repro.engine import SimStats
-    batch_stats = SimStats()
-    samples, run_stats = once(run_histogram, cache=results_cache,
-                              batch_stats=batch_stats)
+    samples, run_stats = once(run_histogram, cache=results_cache)
     histogram = TimingHistogram()
     histogram.extend("correct", samples["correct"])
     histogram.extend("incorrect", samples["incorrect"])
@@ -66,8 +62,7 @@ def test_fig6_bsaes_histogram(once, results_cache):
                    "correct", "incorrect"),
                "misclassified_noisy": noisy.overlap_count(
                    "correct", "incorrect"),
-               "stats": run_stats,
-               "engine_stats": batch_stats.as_dict()})
+               "stats": run_stats})
 
     assert separation > 100
     assert histogram.overlap_count("correct", "incorrect") == 0

@@ -40,8 +40,6 @@ Commands
              prints the learned-vs-declared status table (or the JSON
              report CI archives); exits 1 on any learned-but-
              undeclared clause
-``backends`` list the registered trial-execution backends and their
-             capability flags
 ``serve-metrics`` expose the process telemetry registry over HTTP
              (``GET /metrics`` Prometheus text, ``GET /healthz``):
              ``python -m repro serve-metrics [--port N] [--host H]
@@ -57,12 +55,44 @@ Commands
 
 Every command accepts a global ``--backend NAME`` flag (equivalent to
 setting ``REPRO_BACKEND=NAME``) that selects the execution backend —
-``serial``, ``pool``, or ``lockstep`` — for every engine batch the
-command runs.  Results are bitwise identical across backends; only
-scheduling and wall-clock change.
+``serial`` or ``pool`` — for every engine batch the command runs.
+Results are bitwise identical across backends; only scheduling and
+wall-clock change.
+
+Bad input — an unknown command, a flag without its value, a malformed
+number, a missing file — prints a message and exits 2.
 """
 
 import sys
+
+
+class UsageError(Exception):
+    """Bad command-line input; :func:`main` prints it and exits 2."""
+
+
+def flag_value(args, name, usage):
+    """Remove ``name VALUE`` from ``args`` and return ``VALUE`` (None
+    when the flag is absent); a flag without a value is a
+    :class:`UsageError` carrying ``usage``."""
+    if name not in args:
+        return None
+    flag = args.index(name)
+    if flag + 1 == len(args):
+        raise UsageError(usage)
+    value = args[flag + 1]
+    del args[flag:flag + 2]
+    return value
+
+
+def int_value(text, default, usage):
+    """``int(text)``, ``default`` when ``text`` is None; a malformed
+    number is a :class:`UsageError` carrying ``usage``."""
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(usage) from None
 
 
 def cmd_tables():
@@ -131,8 +161,11 @@ def cmd_stats(*paths):
         return
     shown = 0
     for path in paths:
-        with open(path) as handle:
-            payload = json.load(handle)
+        try:
+            with open(path) as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError) as error:
+            raise UsageError(f"stats: {path}: {error}") from None
         name = os.path.splitext(os.path.basename(path))[0]
         for label, block in extract_stats_blocks(payload, source=name):
             print(render_stats(block, title=label))
@@ -158,16 +191,11 @@ def cmd_trace(*args):
         chrome_document, render_timeline, run_trace_events,
         write_chrome_trace,
     )
-    out = None
+    usage = "usage: python -m repro trace [--out PATH]"
     args = list(args)
-    if "--out" in args:
-        flag = args.index("--out")
-        try:
-            out = args[flag + 1]
-        except IndexError:
-            print("usage: python -m repro trace [--out PATH]")
-            return
-        del args[flag:flag + 2]
+    out = flag_value(args, "--out", usage)
+    if args:
+        raise UsageError(usage)
     if out is None:
         out = os.path.join(os.path.dirname(__file__), os.pardir,
                            os.pardir, "benchmarks", "results",
@@ -208,17 +236,12 @@ def cmd_bench(*args):
         REPORT_NAME, render_backend_table, render_table, run_suite,
         write_report,
     )
+    usage = "usage: python -m repro bench [--out PATH] [--quick]"
     args = list(args)
-    out = REPORT_NAME
-    if "--out" in args:
-        flag = args.index("--out")
-        try:
-            out = args[flag + 1]
-        except IndexError:
-            print("usage: python -m repro bench [--out PATH] [--quick]")
-            return
-        del args[flag:flag + 2]
+    out = flag_value(args, "--out", usage) or REPORT_NAME
     quick = "--quick" in args
+    if set(args) - {"--quick"}:
+        raise UsageError(usage)
     report = run_suite(runs_per_type=4 if quick else 12,
                        secret=b"Pan!" if quick else b"Pandora!",
                        best_of=1 if quick else 5)
@@ -235,21 +258,6 @@ def cmd_bench(*args):
     if not report.get("backends", {}).get("identical", True):
         print("ERROR: execution backends produced divergent results")
         raise SystemExit(1)
-
-
-def cmd_backends():
-    """List the registered execution backends and their capabilities."""
-    from repro.engine import REPRO_BACKEND_ENV, backend_from_name, \
-        backend_names
-    print(f"{'backend':10s} {'parallel':>8s} {'in-process':>10s} "
-          f"{'shared-decode':>13s}")
-    for name in backend_names():
-        backend = backend_from_name(name)
-        print(f"{name:10s} {str(backend.parallel):>8s} "
-              f"{str(backend.in_process):>10s} "
-              f"{str(backend.shares_decode_state):>13s}")
-    print(f"\nselect with --backend NAME or {REPRO_BACKEND_ENV}=NAME "
-          "(or per-call: run_batch(..., backend=NAME))")
 
 
 def cmd_lint(*args):
@@ -278,40 +286,22 @@ def cmd_lint(*args):
     path_sensitive = "--sticky" not in args
     if not path_sensitive:
         args.remove("--sticky")
-    out = None
-    if "--out" in args:
-        flag = args.index("--out")
-        try:
-            out = args[flag + 1]
-        except IndexError:
-            print(usage)
-            return 2
-        del args[flag:flag + 2]
-    opts = contracted_plugin_names()
-    if "--opts" in args:
-        flag = args.index("--opts")
-        try:
-            opts = tuple(name for name in args[flag + 1].split(",")
-                         if name)
-        except IndexError:
-            print(usage)
-            return 2
-        del args[flag:flag + 2]
+    out = flag_value(args, "--out", usage)
+    opts = flag_value(args, "--opts", usage)
+    opts = contracted_plugin_names() if opts is None \
+        else tuple(name for name in opts.split(",") if name)
     if not args:
-        print(usage)
-        return 2
+        raise UsageError(usage)
     try:
         contracts = rows_for_names(opts)
     except Exception as error:
-        print(f"lint: bad --opts: {error}")
-        return 2
+        raise UsageError(f"lint: bad --opts: {error}") from None
     reports = []
     for path in args:
         try:
             program = assemble_file(path)
         except (OSError, AssemblyError) as error:
-            print(f"lint: {error}")
-            return 2
+            raise UsageError(f"lint: {error}") from None
         reports.append(lint_program(program, contracts=contracts,
                                     program_name=path,
                                     path_sensitive=path_sensitive))
@@ -340,12 +330,13 @@ def cmd_synthesize(*args):
     is every registered optimization with a contract.  ``--json``
     prints (or with ``--out`` writes) the machine-readable contract-
     diff report the CI job archives.  Returns 1 if synthesis learned
-    any clause the declared contract misses.
+    any clause the declared contract misses, 2 on bad input.
     """
     import json
     from repro.engine import ResultCache
     from repro.lint import contracted_plugin_names, render_report, \
         report_json, synthesize_all
+    from repro.lint.synthesize import DEFAULT_BUDGET
     usage = ("usage: python -m repro synthesize [--opt a,b] "
              "[--budget N] [--seed N] [--no-minimize] [--json] "
              "[--out PATH]")
@@ -356,39 +347,19 @@ def cmd_synthesize(*args):
     minimize = "--no-minimize" not in args
     if not minimize:
         args.remove("--no-minimize")
-
-    def flag_value(name):
-        if name not in args:
-            return None
-        flag = args.index(name)
-        try:
-            value = args[flag + 1]
-        except IndexError:
-            raise SystemExit(usage)
-        del args[flag:flag + 2]
-        return value
-
-    out = flag_value("--out")
-    opts = flag_value("--opt")
-    budget = flag_value("--budget")
-    seed = flag_value("--seed")
+    out = flag_value(args, "--out", usage)
+    opts = flag_value(args, "--opt", usage)
+    budget = int_value(flag_value(args, "--budget", usage),
+                       DEFAULT_BUDGET, usage)
+    seed = int_value(flag_value(args, "--seed", usage), 0, usage)
     if args:
-        print(usage)
-        return 1
-    try:
-        from repro.lint.synthesize import DEFAULT_BUDGET
-        budget = DEFAULT_BUDGET if budget is None else int(budget)
-        seed = 0 if seed is None else int(seed)
-    except ValueError:
-        print(usage)
-        return 1
+        raise UsageError(usage)
     names = contracted_plugin_names() if opts is None \
         else tuple(name for name in opts.split(",") if name)
     unknown = set(names) - set(contracted_plugin_names())
     if unknown:
-        print(f"synthesize: no contract for {sorted(unknown)}; "
-              f"known: {list(contracted_plugin_names())}")
-        return 1
+        raise UsageError(f"synthesize: no contract for {sorted(unknown)}; "
+                         f"known: {list(contracted_plugin_names())}")
     results = synthesize_all(opts=names, budget=budget, seed=seed,
                              cache=ResultCache(), minimize=minimize)
     payload = report_json(results, budget=budget, seed=seed)
@@ -429,41 +400,23 @@ def cmd_precision(*args):
     as_json = "--json" in args
     if as_json:
         args.remove("--json")
-
-    def flag_value(name):
-        if name not in args:
-            return None
-        flag = args.index(name)
-        try:
-            value = args[flag + 1]
-        except IndexError:
-            raise SystemExit(usage)
-        del args[flag:flag + 2]
-        return value
-
-    out = flag_value("--out")
-    opts = flag_value("--opt")
-    budget = flag_value("--budget")
-    seed = flag_value("--seed")
-    max_fp = flag_value("--max-false-positives")
+    out = flag_value(args, "--out", usage)
+    opts = flag_value(args, "--opt", usage)
+    budget = int_value(flag_value(args, "--budget", usage),
+                       DEFAULT_BUDGET, usage)
+    seed = int_value(flag_value(args, "--seed", usage), 0, usage)
+    max_fp = int_value(flag_value(args, "--max-false-positives", usage),
+                       None, usage)
     if args:
-        print(usage)
-        return 2
-    try:
-        budget = DEFAULT_BUDGET if budget is None else int(budget)
-        seed = 0 if seed is None else int(seed)
-        max_fp = None if max_fp is None else int(max_fp)
-    except ValueError:
-        print(usage)
-        return 2
+        raise UsageError(usage)
     names = None if opts is None \
         else tuple(name for name in opts.split(",") if name)
     if names is not None:
         unknown = set(names) - set(contracted_plugin_names())
         if unknown:
-            print(f"precision: no contract for {sorted(unknown)}; "
-                  f"known: {list(contracted_plugin_names())}")
-            return 2
+            raise UsageError(
+                f"precision: no contract for {sorted(unknown)}; "
+                f"known: {list(contracted_plugin_names())}")
     report = check_precision(budget=budget, seed=seed, opts=names,
                              cache=ResultCache())
     if as_json or out:
@@ -507,28 +460,11 @@ def cmd_serve_metrics(*args):
     once = "--once" in args
     if once:
         args.remove("--once")
-
-    def flag_value(name):
-        if name not in args:
-            return None
-        flag = args.index(name)
-        try:
-            value = args[flag + 1]
-        except IndexError:
-            raise SystemExit(usage)
-        del args[flag:flag + 2]
-        return value
-
-    host = flag_value("--host") or "127.0.0.1"
-    port = flag_value("--port")
+    host = flag_value(args, "--host", usage) or "127.0.0.1"
+    port = int_value(flag_value(args, "--port", usage), DEFAULT_PORT,
+                     usage)
     if args:
-        print(usage)
-        return 1
-    try:
-        port = DEFAULT_PORT if port is None else int(port)
-    except ValueError:
-        print(usage)
-        return 1
+        raise UsageError(usage)
     if not telemetry.enabled():
         print("note: telemetry is disabled (REPRO_TELEMETRY=0); "
               "/metrics will be empty")
@@ -568,23 +504,10 @@ def cmd_report(*args):
     as_json = "--json" in args
     if as_json:
         args.remove("--json")
-
-    def flag_value(name):
-        if name not in args:
-            return None
-        flag = args.index(name)
-        try:
-            value = args[flag + 1]
-        except IndexError:
-            raise SystemExit(usage)
-        del args[flag:flag + 2]
-        return value
-
-    out = flag_value("--out")
-    perf_path = flag_value("--perf") or REPORT_NAME
+    out = flag_value(args, "--out", usage)
+    perf_path = flag_value(args, "--perf", usage) or REPORT_NAME
     if args:
-        print(usage)
-        return 1
+        raise UsageError(usage)
     snapshot, simulated = run_demo_fleet()
     report = build_report(snapshot=snapshot, simulated=simulated,
                           perf=load_perf(perf_path))
@@ -605,35 +528,36 @@ COMMANDS = {"tables": cmd_tables, "urg": cmd_urg, "fig6": cmd_fig6,
             "audit": cmd_audit, "stats": cmd_stats, "trace": cmd_trace,
             "bench": cmd_bench, "lint": cmd_lint,
             "synthesize": cmd_synthesize, "precision": cmd_precision,
-            "backends": cmd_backends,
             "serve-metrics": cmd_serve_metrics, "report": cmd_report}
+
+
+def _route_backend(argv):
+    """Apply the global ``--backend NAME`` flag: route every engine
+    batch this command runs through the named execution backend (same
+    effect as setting ``REPRO_BACKEND`` in the environment)."""
+    import os
+    from repro.engine import BACKEND_NAMES, REPRO_BACKEND_ENV
+    name = flag_value(argv, "--backend",
+                      "usage: python -m repro [command] --backend "
+                      + "|".join(BACKEND_NAMES))
+    if name not in BACKEND_NAMES:
+        raise UsageError(f"unknown backend {name!r}; known: "
+                         f"{list(BACKEND_NAMES)}")
+    os.environ[REPRO_BACKEND_ENV] = name
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--backend" in argv:
-        # Global flag: route every engine batch this command runs
-        # through the named execution backend (same effect as setting
-        # REPRO_BACKEND in the environment).
-        import os
-        from repro.engine import REPRO_BACKEND_ENV, backend_names
-        flag = argv.index("--backend")
-        try:
-            name = argv[flag + 1]
-        except IndexError:
-            print("usage: python -m repro [command] --backend "
-                  + "|".join(backend_names()))
-            return 1
-        if name not in backend_names():
-            print(f"unknown backend {name!r}; known: {backend_names()}")
-            return 1
-        del argv[flag:flag + 2]
-        os.environ[REPRO_BACKEND_ENV] = name
-    command = argv[0] if argv else "tables"
-    if command not in COMMANDS:
-        print(__doc__)
-        return 1
-    rc = COMMANDS[command](*argv[1:])
+    try:
+        if "--backend" in argv:
+            _route_backend(argv)
+        command = argv[0] if argv else "tables"
+        if command not in COMMANDS:
+            raise UsageError(__doc__)
+        rc = COMMANDS[command](*argv[1:])
+    except UsageError as error:
+        print(error)
+        return 2
     return int(rc or 0)
 
 

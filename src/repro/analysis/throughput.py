@@ -37,7 +37,7 @@ __all__ = [
 WORKLOADS = ("fig5", "fig6", "fig7")
 
 #: Execution backends the per-backend KIPS comparison covers.
-BACKENDS = ("serial", "pool", "lockstep")
+BACKENDS = ("serial", "pool")
 
 REPORT_NAME = "BENCH_PERF.json"
 
@@ -184,9 +184,7 @@ def _soundness_batches():
     One probe spec per attack module (mirroring the test catalog),
     each expanded to its secret-XOR variants — and kept as one batch
     per spec, because that is exactly the per-spec ``run_batch`` shape
-    :func:`repro.lint.soundness.check_soundness` issues.  Many small
-    batches of tiny same-program trials is the workload the lockstep
-    backend exists for.
+    :func:`repro.lint.soundness.check_soundness` issues.
     """
     from repro.attacks.amplification import amplified_probe_spec
     from repro.attacks.bsaes_attack import (
@@ -225,9 +223,6 @@ def measure_backends(backends=BACKENDS, workers=4, best_of=3):
     cost exactly as ``check_soundness(workers=4)`` does today) and the
     serialized results are cross-checked — the backend contract is
     bitwise equivalence, so ``identical`` must come back True.
-    ``lockstep_vs_pool`` is the headline: the lockstep backend's
-    wall-clock advantage over the process pool on this
-    many-small-batches shape.
     """
     from repro.engine import run_batch
     batches = _soundness_batches()
@@ -272,11 +267,6 @@ def measure_backends(backends=BACKENDS, workers=4, best_of=3):
     first = signatures[backends[0]]
     section["identical"] = all(signatures[name] == first
                                for name in backends)
-    if "pool" in section and "lockstep" in section:
-        lockstep_wall = section["lockstep"]["wall_s"]
-        section["lockstep_vs_pool"] = (
-            section["pool"]["wall_s"] / lockstep_wall
-            if lockstep_wall else 0.0)
     return section
 
 
@@ -394,7 +384,5 @@ def render_backend_table(report):
             continue
         lines.append(f"{name:10s} {entry['runs']:5d} "
                      f"{entry['wall_s']:8.3f} {entry['kips']:9.1f}")
-    lines.append(
-        f"lockstep vs pool: {section.get('lockstep_vs_pool', 0.0):.2f}x"
-        f"   identical: {section.get('identical')}")
+    lines.append(f"identical: {section.get('identical')}")
     return "\n".join(lines)

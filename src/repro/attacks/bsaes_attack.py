@@ -302,25 +302,22 @@ class BSAESSilentStoreAttack:
         return specs
 
     def histogram_runs(self, runs_per_type=30, target_slot=4, seed=7,
-                       workers=1, cache=None, batch_stats=None):
+                       workers=1, cache=None):
         """Timed runs for correct vs incorrect guesses (Figure 6).
 
         Returns ``{"correct": [cycles...], "incorrect": [cycles...]}``.
         The trials are independent replays, so ``workers > 1`` fans
         them across processes with identical aggregated results.
 
-        ``batch_stats`` receives the engine's scheduling telemetry (see
-        :func:`repro.engine.run_batch`).  The per-guess-type simulator
-        metrics, merged across trials, land in
-        :attr:`last_histogram_stats` as ``{"correct": ..., "incorrect":
-        ...}`` ``as_dict`` payloads — the Figure 6 bench persists them
-        so the amplification mechanism (store-queue head-of-line stall
-        cycles) is auditable from the results JSON.
+        The per-guess-type simulator metrics, merged across trials, land
+        in :attr:`last_histogram_stats` as ``{"correct": ...,
+        "incorrect": ...}`` ``as_dict`` payloads — the Figure 6 bench
+        persists them so the amplification mechanism (store-queue
+        head-of-line stall cycles) is auditable from the results JSON.
         """
         specs = self.histogram_specs(runs_per_type=runs_per_type,
                                      target_slot=target_slot, seed=seed)
-        outcomes = run_batch(specs, workers=workers, cache=cache,
-                             batch_stats=batch_stats)
+        outcomes = run_batch(specs, workers=workers, cache=cache)
         self.timed_queries += len(outcomes)
         results = {"correct": [], "incorrect": []}
         merged = {"correct": SimStats(), "incorrect": SimStats()}

@@ -14,14 +14,12 @@ Four layers (Section II-2's replay-attack structure, industrialized):
   trial jobs keyed by the spec fingerprint, bulk-probes the optional
   content-addressed :class:`ResultCache`, and hands only misses to the
   selected execution backend.
-* **Backends** (:mod:`repro.engine.backends`) — the pluggable
+* **Backends** (:mod:`repro.engine.backends`) — the
   *how-trials-execute* layer behind the :class:`ExecutionBackend`
-  protocol: :class:`SerialBackend` (in-process, trace-friendly),
-  :class:`PoolBackend` (process-pool fan-out), and
-  :class:`LockstepBatchBackend` (interleaved same-program cohorts with
-  shared decode state).  All backends are bitwise-equivalent; pick one
-  per call (``backend="lockstep"``), per environment
-  (``REPRO_BACKEND=lockstep``), or per spec (``SimSpec.backend``).
+  protocol: :class:`SerialBackend` (in-process, trace-friendly) and
+  :class:`PoolBackend` (process-pool fan-out).  Both are
+  bitwise-equivalent; pick one per call (``backend="pool"``), per
+  environment (``REPRO_BACKEND=pool``), or through ``workers``.
 
 Typical use::
 
@@ -33,14 +31,12 @@ Typical use::
                      label=f"guess={guess:#x}")
              for guess in range(256)]
     results = run_batch(specs, workers=4)          # pool backend
-    variants = run_batch(specs, backend="lockstep")  # shared-state cohorts
     cycles = [result.cycles for result in results]
 """
 
 from repro.engine.backends import (
-    ExecutedTrial, ExecutionBackend, LockstepBatchBackend, PoolBackend,
-    REPRO_BACKEND_ENV, SerialBackend, TrialJob, backend_from_name,
-    backend_names, register_backend, resolve_backend,
+    BACKEND_NAMES, ExecutedTrial, ExecutionBackend, PoolBackend,
+    REPRO_BACKEND_ENV, SerialBackend, TrialJob, resolve_backend,
 )
 from repro.engine.cache import ResultCache
 from repro.engine.runner import (
@@ -52,15 +48,13 @@ from repro.engine.specs import (
     SpecError, TaintSpec, TLBSpec, TraceSpec, register_plugin,
 )
 from repro.stats import SimStats, merge_all
-from repro.trace import BatchTrace
 
 __all__ = [
-    "BatchTrace", "CacheSpec", "ExecutedTrial", "ExecutionBackend",
-    "HierarchySpec", "LatencySpec", "LockstepBatchBackend",
-    "PluginSpec", "PoolBackend", "REPRO_BACKEND_ENV", "ResultCache",
-    "RunResult", "SerialBackend", "Session", "SimSpec", "SimStats",
-    "SpecError", "TLBSpec", "TaintSpec", "TraceSpec", "TrialJob",
-    "backend_from_name", "backend_names", "derive_seed",
-    "execute_spec", "merge_all", "register_backend", "register_plugin",
-    "resolve_backend", "run_batch", "run_spec", "run_trials",
+    "BACKEND_NAMES", "CacheSpec", "ExecutedTrial", "ExecutionBackend",
+    "HierarchySpec", "LatencySpec", "PluginSpec", "PoolBackend",
+    "REPRO_BACKEND_ENV", "ResultCache", "RunResult", "SerialBackend",
+    "Session", "SimSpec", "SimStats", "SpecError", "TLBSpec",
+    "TaintSpec", "TraceSpec", "TrialJob", "derive_seed",
+    "execute_spec", "merge_all", "register_plugin", "resolve_backend",
+    "run_batch", "run_spec", "run_trials",
 ]

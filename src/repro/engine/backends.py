@@ -1,4 +1,4 @@
-"""Pluggable trial-execution backends for the engine runner.
+"""Trial-execution backends for the engine runner.
 
 The runner's job is *what* to run — building idempotent
 :class:`TrialJob` descriptors, probing the result cache, depositing
@@ -7,35 +7,24 @@ small :class:`ExecutionBackend` protocol:
 
 * :class:`SerialBackend` — everything in the submitting process, in
   input order.  Debugger- and trace-friendly; the reference scheduling
-  every other backend must match bitwise.
-* :class:`PoolBackend` — today's ``ProcessPoolExecutor`` fan-out,
-  behavior-preserving: an ephemeral pool per submit unless the caller
-  :meth:`~ExecutionBackend.open`\\ s the backend to keep one warm
-  across batches.
-* :class:`LockstepBatchBackend` — runs cohorts of trials of the same
-  program *interleaved in lockstep* in one process: every core in a
-  cohort shares the process-wide decoded-template cache and interned
-  operand keys from the first trial onward, and per-trial setup
-  (process spawn, spec pickling, cold caches) is amortized away.  This
-  is the shape of the lint soundness harness and the channel-capacity
-  bench — N secret-variant trials of one program — and the substrate a
-  future structure-of-arrays batched kernel plugs into.
+  the pool must match bitwise.
+* :class:`PoolBackend` — ``ProcessPoolExecutor`` fan-out: an ephemeral
+  pool per submit unless the caller :meth:`~ExecutionBackend.open`\\ s
+  the backend to keep one warm across batches.
 
-Every backend obeys the same contract: ``submit(jobs)`` returns one
+Both obey the same contract: ``submit(jobs)`` returns one
 :class:`ExecutedTrial` per job, in input order, with results **bitwise
 identical** across backends (every randomness source in a spec is
-seeded, and cores never share mutable simulation state).  Scheduling
-telemetry — wall-clock spans, worker ids — lives in the
-:class:`ExecutedTrial` envelope and never inside a
-:class:`~repro.engine.session.RunResult`.
+seeded, and cores never share mutable simulation state).  The trial's
+wall time rides in the :class:`ExecutedTrial` envelope and never inside
+a :class:`~repro.engine.session.RunResult`.
 
-Selection is threaded, in priority order: an explicit ``backend=``
-argument to :func:`repro.engine.runner.run_batch` (name or instance),
-the ``REPRO_BACKEND`` environment variable (the CI lockstep leg, the
-``python -m repro --backend`` flag), a unanimous
-:attr:`~repro.engine.specs.SimSpec.backend` hint on the submitted
-specs, and finally the legacy ``workers`` heuristic (serial for
-``workers <= 1`` or singleton batches, pool otherwise).
+Selection, in priority order: an explicit ``backend=`` argument to
+:func:`repro.engine.runner.run_batch` (``"serial"``, ``"pool"`` or a
+:class:`PoolBackend` the caller opened), the ``REPRO_BACKEND``
+environment variable (the ``python -m repro --backend`` flag), and
+finally the ``workers`` heuristic (serial for ``workers <= 1`` or
+singleton batches, pool otherwise).
 """
 
 import os
@@ -50,6 +39,9 @@ from repro import telemetry
 #: :func:`repro.engine.runner.run_batch` call that doesn't pass one
 #: explicitly.  Empty or unset means "no override".
 REPRO_BACKEND_ENV = "REPRO_BACKEND"
+
+#: The backends ``backend=`` and ``REPRO_BACKEND`` select by name.
+BACKEND_NAMES = ("serial", "pool")
 
 #: Worker count used when a pool backend is forced by name without an
 #: explicit ``workers`` (e.g. ``REPRO_BACKEND=pool`` on a serial call).
@@ -72,9 +64,8 @@ class TrialJob:
     submitting the same job twice (to any backend, in any process)
     yields byte-identical results, which is what lets the runner probe
     the cache once up front and hand only misses to the backend.
-    ``index`` is the job's position in the submitting batch, carried so
-    backends that reorder internally (cohort grouping) can report
-    results against the caller's order.
+    ``index`` is the job's position in the submitting batch, where the
+    runner deposits its result.
     """
 
     index: int
@@ -84,22 +75,16 @@ class TrialJob:
 
 @dataclass
 class ExecutedTrial:
-    """One finished trial plus its scheduling telemetry.
+    """One finished trial plus its wall time.
 
-    ``start_us``/``elapsed_us``/``worker`` feed the caller-owned
-    ``batch_stats`` and :class:`repro.trace.BatchTrace` records; they
-    are scheduling-dependent and never enter the
+    ``elapsed_us`` feeds the ``repro_trial_seconds`` histogram; it is
+    scheduling-dependent and never enters the
     :class:`~repro.engine.session.RunResult`.  Untimed submissions
-    carry zeros (and ``worker = None`` when the executing process id is
-    unknowable, e.g. an untimed pool map).  For lockstep trials
-    ``elapsed_us`` is the trial's accumulated busy time across its
-    interleaved quanta, not a contiguous wall-clock span.
+    carry zero.
     """
 
     result: object
-    start_us: int = 0
     elapsed_us: int = 0
-    worker: object = None
 
 
 def execute_spec(spec, fingerprint=None):
@@ -121,19 +106,16 @@ def _execute_job(job):
 
 
 def _timed_execute(job):
-    """Like :func:`_execute_job`, plus wall-clock + worker telemetry.
+    """Like :func:`_execute_job`, plus the wall clock.
 
-    Returns ``(result, start_us, elapsed_us, pid)``.  The telemetry
-    never enters the :class:`RunResult` — wall time and pids are
-    scheduling-dependent, and results must stay bitwise identical
-    across backends; it feeds ``batch_stats`` and the caller-owned
-    :class:`repro.trace.BatchTrace` instead.
+    Returns ``(result, start_us, elapsed_us)``.  The timing never enters
+    the :class:`RunResult` — wall time is scheduling-dependent, and
+    results must stay bitwise identical across backends.
     """
     spec, fingerprint = job
     start_us = _now_us()
     result = execute_spec(spec, fingerprint)
-    elapsed_us = max(1, _now_us() - start_us)
-    return result, start_us, elapsed_us, os.getpid()
+    return result, start_us, max(1, _now_us() - start_us)
 
 
 def _pool_begin_job():
@@ -165,8 +147,8 @@ def _pool_execute_job(job):
 def _pool_timed_execute(job):
     """Timed pool target, likewise snapshot-shipping."""
     _pool_begin_job()
-    result, start_us, elapsed_us, pid = _timed_execute(job)
-    return result, start_us, elapsed_us, pid, _pool_finish_job()
+    result, start_us, elapsed_us = _timed_execute(job)
+    return result, start_us, elapsed_us, _pool_finish_job()
 
 
 # ----------------------------------------------------------------------
@@ -175,16 +157,6 @@ def _pool_timed_execute(job):
 
 class ExecutionBackend:
     """How a batch of cache-missing :class:`TrialJob`\\ s executes.
-
-    Capability flags (class attributes) let callers pick without
-    isinstance checks:
-
-    * ``parallel`` — trials may run concurrently in other processes;
-    * ``in_process`` — trials run inside the submitting process (so
-      in-process state like a debugger, coverage, or the warm template
-      cache is visible to them);
-    * ``shares_decode_state`` — trials of one program share decoded
-      templates/interned keys *within a submit* by construction.
 
     Lifecycle: :meth:`open` acquires long-lived resources (a warm
     process pool), :meth:`close` releases them; both are optional and
@@ -195,9 +167,6 @@ class ExecutionBackend:
     """
 
     name = "abstract"
-    parallel = False
-    in_process = True
-    shares_decode_state = False
 
     def open(self):
         return self
@@ -213,7 +182,7 @@ class ExecutionBackend:
 
     def submit(self, jobs, timed=False):
         """Execute ``jobs``; one :class:`ExecutedTrial` each, in input
-        order.  ``timed`` asks for per-trial wall telemetry (skipped
+        order.  ``timed`` asks for per-trial wall time (skipped
         otherwise — the clock reads are measurable on micro-trials)."""
         raise NotImplementedError
 
@@ -222,38 +191,28 @@ class SerialBackend(ExecutionBackend):
     """In-process, in-order execution — the reference scheduling."""
 
     name = "serial"
-    parallel = False
-    in_process = True
-    shares_decode_state = False
 
     def submit(self, jobs, timed=False):
         out = []
         for job in jobs:
             payload = (job.spec, job.fingerprint)
             if timed:
-                result, start_us, elapsed_us, pid = _timed_execute(payload)
-                out.append(ExecutedTrial(result, start_us, elapsed_us,
-                                         pid))
+                result, _, elapsed_us = _timed_execute(payload)
+                out.append(ExecutedTrial(result, elapsed_us))
             else:
-                out.append(ExecutedTrial(_execute_job(payload),
-                                         worker=os.getpid()))
+                out.append(ExecutedTrial(_execute_job(payload)))
         return out
 
 
 class PoolBackend(ExecutionBackend):
-    """Process-pool fan-out (the engine's historical ``workers > 1``).
+    """Process-pool fan-out (the engine's ``workers > 1``).
 
     Without :meth:`open`, every submit builds and tears down its own
-    ``ProcessPoolExecutor`` — exactly the pre-backend ``run_batch``
-    behaviour, preserved so existing callers see identical scheduling.
-    :meth:`open` keeps one pool warm across submits for callers with
-    many batches (the future audit service's worker fleet).
+    ``ProcessPoolExecutor``.  :meth:`open` keeps one pool warm across
+    submits for callers with many batches.
     """
 
     name = "pool"
-    parallel = True
-    in_process = False
-    shares_decode_state = False
 
     def __init__(self, workers=DEFAULT_POOL_WORKERS, chunksize=None):
         self.workers = max(2, int(workers))
@@ -285,7 +244,7 @@ class PoolBackend(ExecutionBackend):
             if snapshot:
                 tel.merge(snapshot)
             if timed:
-                result, start_us, elapsed_us, pid, _ = item
+                result, start_us, elapsed_us, _ = item
                 # Time from batch submission until the worker picked
                 # the job up: the pool's queueing delay (includes pool
                 # spawn for ephemeral pools, amortized for warm ones).
@@ -294,8 +253,7 @@ class PoolBackend(ExecutionBackend):
                             help="Seconds a trial waited between "
                                  "batch submit and worker pickup",
                             backend=self.name)
-                out.append(ExecutedTrial(result, start_us, elapsed_us,
-                                         pid))
+                out.append(ExecutedTrial(result, elapsed_us))
             else:
                 out.append(ExecutedTrial(item[0]))
         return out
@@ -307,194 +265,33 @@ class PoolBackend(ExecutionBackend):
             return self._map(pool, jobs, timed)
 
 
-class _Lane(object):
-    """One trial's seat in a lockstep cohort."""
-
-    __slots__ = ("pos", "session", "limit", "start_us", "busy_us",
-                 "result")
-
-    def __init__(self, pos, session, limit, start_us, busy_us):
-        self.pos = pos
-        self.session = session
-        self.limit = limit
-        self.start_us = start_us
-        self.busy_us = busy_us
-        self.result = None
-
-
-class LockstepBatchBackend(ExecutionBackend):
-    """Interleaved in-process cohorts with shared decode state.
-
-    Jobs are grouped by program identity, each group split into cohorts
-    of at most ``cohort`` trials; a cohort's sessions are all built up
-    front and their cores advanced round-robin, ``quantum`` cooperative
-    steps per turn (``cpu.advance`` — one cycle, or one fast-forward
-    jump on the fast-path kernel).  Interleaving is pure scheduling:
-    cores never share mutable simulation state, so results are bitwise
-    identical to serial execution — the process-wide decoded-template
-    cache and operand interning they *do* share are content-keyed and
-    append-only.
-
-    What this buys over :class:`PoolBackend` on the secret-variant
-    workloads (lint soundness, channel capacity, future fuzzing
-    fleets): no process spawn or spec/result pickling per batch, and
-    every trial after the first runs against warm per-program decode
-    state.  A trial that raises (e.g. :class:`SimulationError` at its
-    cycle limit) propagates, as it does from every backend.
-    """
-
-    name = "lockstep"
-    parallel = False
-    in_process = True
-    shares_decode_state = True
-
-    def __init__(self, cohort=16, quantum=64):
-        self.cohort = max(1, int(cohort))
-        self.quantum = max(1, int(quantum))
-
-    def _cohorts(self, jobs):
-        """Positions grouped by program identity, capped at ``cohort``.
-
-        Secret-variant specs share one :class:`Program` object (the
-        soundness harness perturbs only the memory image), so identity
-        grouping puts exactly those trials in one cohort.
-        """
-        groups = {}
-        order = []
-        for pos, job in enumerate(jobs):
-            key = id(job.spec.program)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(pos)
-        for key in order:
-            positions = groups[key]
-            for start in range(0, len(positions), self.cohort):
-                yield positions[start:start + self.cohort]
-
-    def _run_cohort(self, jobs, positions, timed, out):
-        from repro.engine.session import Session
-        lanes = []
-        for pos in positions:
-            job = jobs[pos]
-            start_us = _now_us() if timed else 0
-            session = Session.from_spec(job.spec,
-                                        fingerprint=job.fingerprint)
-            busy_us = (_now_us() - start_us) if timed else 0
-            lanes.append(_Lane(pos, session, session.resolve_limit(),
-                               start_us, busy_us))
-        live = list(lanes)
-        quantum = self.quantum
-        quanta_turns = 0
-        while live:
-            still = []
-            for lane in live:
-                turn_us = _now_us() if timed else 0
-                advance = lane.session.cpu.advance
-                limit = lane.limit
-                running = True
-                for _ in range(quantum):
-                    if not advance(limit):
-                        running = False
-                        break
-                quanta_turns += 1
-                if running:
-                    still.append(lane)
-                else:
-                    lane.result = lane.session.finish()
-                if timed:
-                    lane.busy_us += _now_us() - turn_us
-            live = still
-        pid = os.getpid()
-        for lane in lanes:
-            out[lane.pos] = ExecutedTrial(
-                lane.result, start_us=lane.start_us,
-                elapsed_us=max(1, lane.busy_us) if timed else 0,
-                worker=pid)
-        return quanta_turns
-
-    def submit(self, jobs, timed=False):
-        jobs = list(jobs)
-        out = [None] * len(jobs)
-        cohorts = 0
-        quanta_turns = 0
-        for positions in self._cohorts(jobs):
-            quanta_turns += self._run_cohort(jobs, positions, timed, out)
-            cohorts += 1
-        tel = telemetry.REGISTRY
-        if tel.enabled and cohorts:
-            tel.inc("repro_lockstep_cohorts_total", cohorts,
-                    help="Same-program cohorts the lockstep backend "
-                         "interleaved")
-            tel.inc("repro_lockstep_quanta_total", quanta_turns,
-                    help="Cooperative advance quanta granted across "
-                         "lockstep lanes")
-        return out
-
-
 # ----------------------------------------------------------------------
-# registry and resolution
+# selection
 # ----------------------------------------------------------------------
 
-#: name -> factory(workers, chunksize) for name-based selection.
-_BACKEND_REGISTRY = {
-    "serial": lambda workers, chunksize: SerialBackend(),
-    "pool": lambda workers, chunksize: PoolBackend(
-        workers=workers if workers and workers > 1
-        else DEFAULT_POOL_WORKERS,
-        chunksize=chunksize),
-    "lockstep": lambda workers, chunksize: LockstepBatchBackend(),
-}
-
-
-def register_backend(name, factory):
-    """Register an out-of-tree backend: ``factory(workers, chunksize)``
-    must return an :class:`ExecutionBackend`."""
-    _BACKEND_REGISTRY[name] = factory
-
-
-def backend_names():
-    """Every registered backend name, sorted."""
-    return sorted(_BACKEND_REGISTRY)
-
-
-def backend_from_name(name, workers=1, chunksize=None):
-    """Instantiate a registered backend by name."""
-    try:
-        factory = _BACKEND_REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown execution backend {name!r}; known: "
-            f"{backend_names()}") from None
-    return factory(workers, chunksize)
-
-
-def resolve_backend(backend=None, workers=1, chunksize=None,
-                    pending=None, specs=()):
-    """The backend a batch should use (see module docstring for the
+def resolve_backend(backend=None, workers=1, chunksize=None, pending=0):
+    """The backend a batch should use (see the module docstring for the
     priority order).  ``pending`` is the number of cache-missing jobs;
-    the legacy heuristic keeps singleton batches in process exactly as
-    the pre-backend runner did."""
+    the ``workers`` heuristic keeps singleton batches in process."""
     if isinstance(backend, ExecutionBackend):
         return backend
-    name = backend
+    name = backend or os.environ.get(REPRO_BACKEND_ENV) or None
     if name is None:
-        name = os.environ.get(REPRO_BACKEND_ENV) or None
-    if name is None:
-        hints = {getattr(spec, "backend", "") for spec in specs}
-        if len(hints) == 1:
-            name = hints.pop() or None
-    if name is None or name == "auto":
-        count = len(specs) if pending is None else pending
-        if workers <= 1 or count <= 1:
+        if workers <= 1 or pending <= 1:
             return SerialBackend()
         return PoolBackend(workers=workers, chunksize=chunksize)
-    return backend_from_name(name, workers=workers, chunksize=chunksize)
+    if name == "serial":
+        return SerialBackend()
+    if name == "pool":
+        return PoolBackend(
+            workers=workers if workers > 1 else DEFAULT_POOL_WORKERS,
+            chunksize=chunksize)
+    raise ValueError(f"unknown execution backend {name!r}; known: "
+                     f"{list(BACKEND_NAMES)}")
 
 
 __all__ = [
-    "DEFAULT_POOL_WORKERS", "ExecutedTrial", "ExecutionBackend",
-    "LockstepBatchBackend", "PoolBackend", "REPRO_BACKEND_ENV",
-    "SerialBackend", "TrialJob", "backend_from_name", "backend_names",
-    "execute_spec", "register_backend", "resolve_backend",
+    "BACKEND_NAMES", "DEFAULT_POOL_WORKERS", "ExecutedTrial",
+    "ExecutionBackend", "PoolBackend", "REPRO_BACKEND_ENV",
+    "SerialBackend", "TrialJob", "execute_spec", "resolve_backend",
 ]

@@ -4,8 +4,7 @@ The paper's experiments are embarrassingly parallel — Figure 6 needs
 many encryption calls per guess type, replay narrowing issues hundreds
 of oracle queries, key recovery budgets up to 524,288 of them — and
 every trial is an independent simulator run.  :func:`run_batch` is the
-one fan-out point, and since the backend refactor it does exactly
-three things:
+one fan-out point, and it does exactly three things:
 
 1. build one idempotent :class:`~repro.engine.backends.TrialJob` per
    spec, keyed by the spec's content fingerprint (derived once and
@@ -15,14 +14,14 @@ three things:
    in bulk (:meth:`~repro.engine.cache.ResultCache.probe_many`), so
    the store is scanned per batch, not stat'ed per trial;
 3. hand only the misses to the selected
-   :class:`~repro.engine.backends.ExecutionBackend` — serial, process
-   pool, or lockstep cohorts — and deposit the fresh results back.
+   :class:`~repro.engine.backends.ExecutionBackend` — serial or process
+   pool — and deposit the fresh results back.
 
-Results come back in input order, bitwise identical across every
-backend, because every randomness source in a spec is seeded.
-Backend selection priority: the explicit ``backend=`` argument (name
-or instance), the ``REPRO_BACKEND`` environment variable, a unanimous
-``SimSpec.backend`` hint, then the legacy ``workers`` heuristic.
+Results come back in input order, bitwise identical across backends,
+because every randomness source in a spec is seeded.  Backend
+selection priority: the explicit ``backend=`` argument (name or
+instance), the ``REPRO_BACKEND`` environment variable, then the
+``workers`` heuristic.
 
 :func:`derive_seed` gives deterministic per-trial seeds: hash the base
 seed with the trial index, so trial *i* sees the same perturbation no
@@ -35,15 +34,11 @@ from repro import telemetry
 from repro.engine.backends import (
     TrialJob, execute_spec, resolve_backend,
 )
-from repro.trace.batch import record_executed_trial
 
 __all__ = [
     "derive_seed", "execute_spec", "run_batch", "run_spec",
     "run_trials",
 ]
-
-#: Bin width (microseconds) of the ``engine.trial_wall_us`` histogram.
-_WALL_BIN_US = 10_000
 
 
 def derive_seed(base_seed, index):
@@ -82,37 +77,27 @@ def _probe(cache, fingerprints, bypass_cache):
 
 
 def run_batch(specs, workers=1, cache=None, bypass_cache=False,
-              chunksize=None, batch_stats=None, batch_trace=None,
-              backend=None):
+              chunksize=None, backend=None):
     """Run ``specs`` and return their results in input order.
 
     ``backend`` selects the execution backend by name (``"serial"``,
-    ``"pool"``, ``"lockstep"``) or as a ready
+    ``"pool"``) or as a ready
     :class:`~repro.engine.backends.ExecutionBackend` instance (which
     the caller owns — the runner never opens or closes it).  With no
-    explicit backend the historical behaviour is preserved exactly:
-    ``workers > 1`` fans cache misses across that many pooled worker
-    processes, ``workers <= 1`` (the default) runs everything in
-    process.  Results are identical whichever backend runs them.
+    explicit backend, ``workers > 1`` fans cache misses across that
+    many pooled worker processes and ``workers <= 1`` (the default)
+    runs everything in process.  Results are identical whichever
+    backend runs them.
 
-    ``batch_stats`` (an optional :class:`~repro.stats.SimStats`)
-    receives *engine-level* scheduling counters: cache hits/misses,
-    executed trial count, a per-trial wall-time histogram, and the
-    number of distinct workers used.  ``batch_trace`` (an optional
-    :class:`repro.trace.BatchTrace`) receives the event-level view of
-    the same story: one wall-clock span per executed trial tagged with
-    its worker pid, and one instant per cache hit — exportable to a
-    Perfetto-loadable Chrome trace.  These quantities depend on
-    scheduling, which is exactly why they live here and never in a
+    The process-wide :data:`repro.telemetry.REGISTRY` (when enabled)
+    records every batch: per-backend batch/trial counters
+    (``repro_backend_batches_total{backend=...}``), the per-trial
+    wall-clock histogram ``repro_trial_seconds``, the cache's hit/miss
+    counters, and a phase profile of this function's four steps — job
+    build, cache probe, backend submit, result merge — under
+    ``repro_phase_seconds{layer="engine.runner"}``.  These quantities
+    depend on scheduling, which is why they live there and never in a
     :class:`RunResult`.
-
-    Independently of both, the process-wide
-    :data:`repro.telemetry.REGISTRY` (when enabled) accumulates the
-    fleet view across *every* batch: per-backend batch/trial counters
-    (``repro_backend_batches_total{backend=...}``), per-trial
-    wall-clock histograms, and a phase profile of this function's four
-    steps — job build, cache probe, backend submit, result merge —
-    under ``repro_phase_seconds{layer="engine.runner"}``.
     """
     tel = telemetry.REGISTRY
     with tel.phase("engine.runner", "build"):
@@ -122,8 +107,6 @@ def run_batch(specs, workers=1, cache=None, bypass_cache=False,
         # result.
         fingerprints = [spec.fingerprint() for spec in specs]
     results = [None] * len(specs)
-    track = batch_stats is not None and batch_stats.enabled
-    timed = track or batch_trace is not None or tel.enabled
 
     with tel.phase("engine.runner", "probe"):
         hits = _probe(cache, fingerprints, bypass_cache)
@@ -132,17 +115,12 @@ def run_batch(specs, workers=1, cache=None, bypass_cache=False,
             hit = hits[index] if hits is not None else None
             if hit is not None:
                 results[index] = hit
-                if track:
-                    batch_stats.inc("engine.cache_hits")
-                if batch_trace is not None:
-                    batch_trace.record_cache_hit(spec.label, index)
                 continue
             jobs.append(TrialJob(index=index, spec=spec,
                                  fingerprint=fingerprints[index]))
 
     chosen = resolve_backend(backend, workers=workers,
-                             chunksize=chunksize, pending=len(jobs),
-                             specs=specs)
+                             chunksize=chunksize, pending=len(jobs))
     tel.inc("repro_backend_batches_total",
             help="Batches submitted per execution backend",
             backend=chosen.name)
@@ -150,35 +128,15 @@ def run_batch(specs, workers=1, cache=None, bypass_cache=False,
         tel.inc("repro_backend_trials_total", len(jobs),
                 help="Cache-missing trials executed per backend",
                 backend=chosen.name)
-    if track:
-        batch_stats.inc("engine.batches")
-        batch_stats.inc("engine.trials_executed", len(jobs))
-        if cache is not None and not bypass_cache:
-            batch_stats.inc("engine.cache_misses", len(jobs))
-
-    if jobs:
         with tel.phase("engine.runner", "submit"):
-            executed = chosen.submit(jobs, timed=timed)
+            executed = chosen.submit(jobs, timed=tel.enabled)
         with tel.phase("engine.runner", "merge"):
-            workers_used = set()
             for job, trial in zip(jobs, executed):
                 results[job.index] = trial.result
-                if track:
-                    batch_stats.observe("engine.trial_wall_us",
-                                        trial.elapsed_us,
-                                        bin_width=_WALL_BIN_US)
                 tel.observe("repro_trial_seconds",
                             trial.elapsed_us / 1e6,
                             help="Wall-clock seconds per executed "
                                  "trial", backend=chosen.name)
-                record_executed_trial(batch_trace, job.spec.label,
-                                      job.index, trial.start_us,
-                                      trial.elapsed_us, trial.worker)
-                if trial.worker is not None:
-                    workers_used.add(trial.worker)
-            if track:
-                batch_stats.peak("engine.workers_used",
-                                 max(1, len(workers_used)))
 
     if cache is not None:
         with tel.phase("engine.runner", "merge"):
@@ -188,8 +146,7 @@ def run_batch(specs, workers=1, cache=None, bypass_cache=False,
 
 
 def run_trials(make_spec, trials, workers=1, cache=None,
-               bypass_cache=False, batch_stats=None, batch_trace=None,
-               backend=None):
+               bypass_cache=False, backend=None):
     """Map ``make_spec(trial) -> SimSpec`` over ``trials`` and run all.
 
     Convenience wrapper for replay loops: the caller supplies a spec
@@ -198,5 +155,4 @@ def run_trials(make_spec, trials, workers=1, cache=None,
     """
     return run_batch([make_spec(trial) for trial in trials],
                      workers=workers, cache=cache,
-                     bypass_cache=bypass_cache, batch_stats=batch_stats,
-                     batch_trace=batch_trace, backend=backend)
+                     bypass_cache=bypass_cache, backend=backend)

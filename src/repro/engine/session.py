@@ -42,8 +42,8 @@ class RunResult:
     :class:`~repro.engine.specs.TraceSpec` (``{}`` otherwise).  Like
     ``metrics`` it is purely simulation-derived — event cycles, never
     wall time — so traced results obey the same bitwise-determinism
-    contract; engine wall-clock telemetry lives in the caller-owned
-    :class:`repro.trace.BatchTrace` instead.
+    contract; engine wall-clock telemetry lives in the
+    :mod:`repro.telemetry` registry instead.
     """
 
     fingerprint: str
@@ -136,36 +136,16 @@ class Session:
 
     # -- running -------------------------------------------------------
 
-    def resolve_limit(self, max_cycles=None):
-        """The run's effective cycle limit: explicit argument, then the
-        spec's ``max_cycles``, then the core config's default — the
-        same resolution order :meth:`run` has always used, exposed so
-        execution backends driving cores through ``cpu.advance`` apply
-        the identical limit."""
-        if max_cycles is None and self.spec is not None:
-            max_cycles = self.spec.max_cycles
-        if max_cycles is None:
-            max_cycles = self.cpu.config.max_cycles
-        return max_cycles
-
     def run(self, max_cycles=None):
-        """Run to completion and package a :class:`RunResult`."""
-        limit = self.resolve_limit(max_cycles)
-        while self.cpu.advance(limit):
-            pass
-        return self.finish()
+        """Run to completion and package a :class:`RunResult`.
 
-    def finish(self):
-        """Package the (halted) core's outcome as a :class:`RunResult`.
-
-        Split out of :meth:`run` so execution backends that drive the
-        core themselves (the lockstep backend interleaves many cores
-        through ``cpu.advance``) produce byte-identical results through
-        the same packaging path.
+        The cycle limit is ``max_cycles``, else the spec's
+        ``max_cycles``, else the core config's default.
         """
         spec = self.spec
-        self.cpu.stats.cycles = self.cpu.cycle
-        stats = self.cpu.stats
+        if max_cycles is None and spec is not None:
+            max_cycles = spec.max_cycles
+        stats = self.cpu.run(max_cycles=max_cycles)
         observations = {
             "hierarchy": dict(self.hierarchy.stats),
             "plugins": {plugin.name: dict(plugin.stats)

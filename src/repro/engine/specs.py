@@ -282,12 +282,7 @@ class SimSpec:
     ``taint`` optionally attaches a :class:`TaintSpec` for the static
     leakage checker; like ``fastpath`` it is lint metadata about the
     run, never changes (or re-fingerprints) the simulation, and
-    existing cache entries survive its addition.  ``backend`` is a
-    scheduling *hint* naming the execution backend
-    (:mod:`repro.engine.backends`) a batch of such specs prefers
-    (``""`` means no preference); every backend is bitwise-equivalent
-    by contract, so — exactly like ``fastpath`` — the hint never
-    enters the fingerprint and all backends share cached results.
+    existing cache entries survive its addition.
     """
 
     program: Program
@@ -306,7 +301,6 @@ class SimSpec:
     trace: object = None              # TraceSpec or None (tracing off)
     fastpath: bool = True             # fast-path kernel (bitwise-equal)
     taint: object = None              # TaintSpec or None (lint metadata)
-    backend: str = ""                 # execution-backend hint ("" = any)
 
     def replace(self, **changes):
         return dataclasses.replace(self, **changes)
@@ -369,7 +363,6 @@ class SimSpec:
             "fastpath": self.fastpath,
             "taint": (None if self.taint is None
                       else _canonical(self.taint)),
-            "backend": self.backend,
         }
 
     def to_json(self, **kwargs):
@@ -377,7 +370,11 @@ class SimSpec:
 
     @classmethod
     def from_json_dict(cls, data):
-        """Rebuild a spec from :meth:`to_json_dict` output."""
+        """Rebuild a spec from :meth:`to_json_dict` output.
+
+        Keys this version no longer writes (the retired ``backend``
+        scheduling hint) are ignored, so older spec JSON still loads.
+        """
         instructions = [
             Instruction(op=Op(op), rd=rd, rs1=rs1, rs2=rs2, imm=imm,
                         width=width,
@@ -408,8 +405,7 @@ class SimSpec:
             collect_stats=data.get("collect_stats", True),
             trace=_from_canonical(data.get("trace")),
             fastpath=data.get("fastpath", True),
-            taint=_from_canonical(data.get("taint")),
-            backend=data.get("backend", ""))
+            taint=_from_canonical(data.get("taint")))
 
     @classmethod
     def from_json(cls, text):
@@ -438,11 +434,7 @@ class SimSpec:
         across kernels at all.  ``taint`` likewise never enters the
         hash: it only seeds the static checker, so annotating a spec
         with lint metadata keeps every previously cached result (and
-        golden-fingerprint pin) valid.  ``backend`` is a scheduling
-        hint with the same bitwise-equivalence contract as ``fastpath``
-        (enforced by ``tests/test_engine_backends.py``), so it stays
-        outside the hash too and every backend shares one cache entry
-        per simulation.
+        golden-fingerprint pin) valid.
 
         The digest is memoized on the (frozen) instance: sweeps and
         repeated batches fingerprint the same spec object many times,

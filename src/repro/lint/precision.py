@@ -244,7 +244,6 @@ def check_precision(budget: int = DEFAULT_BUDGET, seed: int = 0,
                     opts: Iterable[str] | None = None,
                     patterns: tuple = DEFAULT_PATTERNS,
                     workers: int = 1, cache: object = None,
-                    backend: str | None = None,
                     examples: str | None = None) -> PrecisionReport:
     """Classify every static LEAKS verdict over the corpus.
 
@@ -301,8 +300,7 @@ def check_precision(budget: int = DEFAULT_BUDGET, seed: int = 0,
     tel.inc("repro_precision_trials_total", len(trials),
             help="Differential precision trials run")
     with tel.phase("lint.precision", "fleet"):
-        results = run_batch(fleet, workers=workers, cache=cache,
-                            backend=backend)
+        results = run_batch(fleet, workers=workers, cache=cache)
     control_div = {}
     cursor = 0
     for name, specs in controls.items():

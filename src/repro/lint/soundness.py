@@ -90,22 +90,15 @@ def check_soundness(spec: SimSpec,
                     patterns: Sequence[int] = DEFAULT_PATTERNS,
                     workers: int = 1,
                     cache: ResultCache | None = None,
-                    report: LintReport | None = None,
-                    backend: object = None) -> SoundnessResult:
+                    report: LintReport | None = None) -> SoundnessResult:
     """Differential no-false-negatives check for one spec.
 
     Runs the secret-pair variants through the engine, diffs every
     variant against the baseline, and compares the dynamically
     divergent plug-in set against the statically flagged one.  Pass a
     precomputed ``report`` (from :func:`~repro.lint.checker.lint_spec`)
-    to skip re-linting.
-
-    ``backend`` selects the execution backend
-    (:mod:`repro.engine.backends`).  The variant batch is the lockstep
-    backend's native shape — N secret-perturbed trials of one program
-    — so ``backend="lockstep"`` runs the whole differential in one
-    shared-decode cohort with no per-trial process setup; results are
-    bitwise identical whichever backend runs them.
+    to skip re-linting.  ``workers`` picks the serial or pool backend;
+    results are bitwise identical either way.
     """
     tel = telemetry.REGISTRY
     report = report if report is not None else lint_spec(spec)
@@ -116,8 +109,7 @@ def check_soundness(spec: SimSpec,
     tel.inc("repro_soundness_variants_total", max(0, len(variants) - 1),
             help="Secret-perturbed variants executed by soundness checks")
     with tel.phase("lint.soundness", "variants"):
-        results = run_batch(variants, workers=workers, cache=cache,
-                            backend=backend)
+        results = run_batch(variants, workers=workers, cache=cache)
     baseline, rest = results[0], results[1:]
     enabled = tuple(plugin.name for plugin in spec.plugins)
     divergent: set[str] = set()

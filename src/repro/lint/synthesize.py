@@ -61,8 +61,7 @@ Diff
 ``check_synthesis`` mirrors ``soundness.check_soundness`` (one
 plug-in), ``synthesize_all`` sweeps every contracted plug-in, and the
 ``python -m repro synthesize`` CLI renders or archives the report.
-All batches go through :func:`repro.engine.runner.run_batch`; the
-secret-variant cohorts are the lockstep backend's native shape, and
+All batches go through :func:`repro.engine.runner.run_batch`, and
 results — hence learned contracts and witnesses — are bitwise
 identical across backends.
 """
@@ -480,7 +479,6 @@ def check_synthesis(plugin: str, budget: int = DEFAULT_BUDGET,
                     seed: int = 0,
                     patterns: tuple = DEFAULT_PATTERNS,
                     workers: int = 1, cache: object = None,
-                    backend: str | None = None,
                     declared_rows: tuple[ContractRow, ...]
                     | None = None,
                     minimize: bool = True,
@@ -488,9 +486,9 @@ def check_synthesis(plugin: str, budget: int = DEFAULT_BUDGET,
     """Differential contract synthesis for one plug-in.
 
     Generates ``budget`` cases, runs control + plug-in secret-pair
-    cohorts through the engine in one batch (the lockstep backend's
-    native shape), abstracts every attributable divergence to its
-    static leakage signature, and diffs learned vs declared pairs.
+    cohorts through the engine in one batch, abstracts every
+    attributable divergence to its static leakage signature, and diffs
+    learned vs declared pairs.
     Explained divergences are then re-fuzzed under the descriptor's
     ``"domains"`` ablations to learn minimal ``when`` conditions
     (``learn_when=False`` skips that study).
@@ -525,12 +523,10 @@ def check_synthesis(plugin: str, budget: int = DEFAULT_BUDGET,
             help="Generated differential cases per plug-in",
             plugin=plugin)
     with tel.phase("lint.synthesize", "fleet"):
-        results = run_batch(fleet, workers=workers, cache=cache,
-                            backend=backend)
+        results = run_batch(fleet, workers=workers, cache=cache)
 
     def runner(specs: Sequence[SimSpec]) -> Sequence:
-        return run_batch(specs, workers=workers, cache=cache,
-                         backend=backend)
+        return run_batch(specs, workers=workers, cache=cache)
 
     observations = []
     witnessed = set()
@@ -614,8 +610,7 @@ def synthesize_all(opts: Iterable[str] | None = None,
                    budget: int = DEFAULT_BUDGET, seed: int = 0,
                    patterns: tuple = DEFAULT_PATTERNS,
                    workers: int = 1, cache: object = None,
-                   backend: str | None = None, minimize: bool = True,
-                   learn_when: bool = True,
+                   minimize: bool = True, learn_when: bool = True,
                    ) -> dict[str, SynthesisResult]:
     """Contract synthesis for every contracted plug-in (or ``opts``).
 
@@ -625,8 +620,8 @@ def synthesize_all(opts: Iterable[str] | None = None,
         else contracted_plugin_names()
     return {name: check_synthesis(
         name, budget=budget, seed=seed, patterns=patterns,
-        workers=workers, cache=cache, backend=backend,
-        minimize=minimize, learn_when=learn_when)
+        workers=workers, cache=cache, minimize=minimize,
+        learn_when=learn_when)
         for name in sorted(names)}
 
 

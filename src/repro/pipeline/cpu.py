@@ -206,27 +206,13 @@ class CPU:
     def run(self, max_cycles=None):
         """Run to HALT (or end of program); returns :class:`CPUStats`."""
         limit = max_cycles if max_cycles is not None else self.config.max_cycles
-        while self.advance(limit):
-            pass
+        while not self.halted:
+            if self.cycle >= limit:
+                raise SimulationError(
+                    f"exceeded {limit} cycles without halting")
+            self.step()
         self.stats.cycles = self.cycle
         return self.stats
-
-    def advance(self, limit):
-        """One cooperative scheduling quantum; True while still running.
-
-        The unit the lockstep execution backend interleaves: a core that
-        has halted returns False immediately, one at ``limit`` raises
-        exactly as :meth:`run` would, anything else ticks one cycle.
-        ``run`` is a plain loop over this, so driving a core through
-        ``advance`` is bitwise identical to ``run``.
-        """
-        if self.halted:
-            return False
-        if self.cycle >= limit:
-            raise SimulationError(
-                f"exceeded {limit} cycles without halting")
-        self.step()
-        return not self.halted
 
     def step(self):
         """Advance one cycle."""

@@ -505,24 +505,15 @@ class FastPathCPU(CPU):
     def run(self, max_cycles=None):
         limit = (max_cycles if max_cycles is not None
                  else self.config.max_cycles)
-        while self.advance(limit):
-            pass
+        while not self.halted:
+            if self.cycle >= limit:
+                raise SimulationError(
+                    f"exceeded {limit} cycles without halting")
+            self.step()
+            if self._quiet:
+                self._fast_forward(limit)
         self.stats.cycles = self.cycle
         return self.stats
-
-    def advance(self, limit):
-        """The cooperative quantum (see :meth:`CPU.advance`), with the
-        quiet-cycle fast-forward folded in so a lockstep driver skips
-        idle spans exactly like :meth:`run` does."""
-        if self.halted:
-            return False
-        if self.cycle >= limit:
-            raise SimulationError(
-                f"exceeded {limit} cycles without halting")
-        self.step()
-        if self._quiet:
-            self._fast_forward(limit)
-        return not self.halted
 
     def _fast_forward(self, limit):
         """Jump over the provably-inactive span after a quiet cycle.

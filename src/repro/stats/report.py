@@ -83,10 +83,9 @@ def extract_stats_blocks(payload, source=""):
 
     Recognizes a serialized :class:`RunResult` (``metrics`` field —
     checked first, because a RunResult also carries a legacy ``stats``
-    dict of plain core counters), a bench payload whose ``stats`` /
-    ``engine_stats`` blocks hold one merged record or a ``{label:
-    record}`` mapping, or a bare ``SimStats.as_dict`` payload.
-    Returns ``[(label, dict)]``.
+    dict of plain core counters), a bench payload whose ``stats`` block
+    holds one merged record or a ``{label: record}`` mapping, or a bare
+    ``SimStats.as_dict`` payload.  Returns ``[(label, dict)]``.
     """
     if not isinstance(payload, dict):
         return []
@@ -94,15 +93,14 @@ def extract_stats_blocks(payload, source=""):
         label = payload.get("label") or source or "run"
         return [(label, payload["metrics"])]
     blocks = []
-    for key in ("stats", "engine_stats"):
-        block = payload.get(key)
-        if _is_record(block):
-            blocks.append((f"{source}:{key}" if source else key, block))
-        elif isinstance(block, dict):
-            blocks.extend(
-                (f"{source}:{label}" if source else label, sub)
-                for label, sub in sorted(block.items())
-                if _is_record(sub))
+    block = payload.get("stats")
+    if _is_record(block):
+        blocks.append((f"{source}:stats" if source else "stats", block))
+    elif isinstance(block, dict):
+        blocks.extend(
+            (f"{source}:{label}" if source else label, sub)
+            for label, sub in sorted(block.items())
+            if _is_record(sub))
     if blocks:
         return blocks
     if _is_record(payload):

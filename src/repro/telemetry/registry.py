@@ -24,14 +24,16 @@ Three metric kinds with Prometheus-compatible semantics:
   long-running fleet's registry never grows with the data; snapshots
   merge by summing per-bucket counts.
 
-Every metric family may carry labels (``backend="lockstep"``,
+Every metric family may carry labels (``backend="pool"``,
 ``phase="probe"``), giving one naming scheme across the fleet instead
-of ad-hoc dotted counters per subsystem.
+of ad-hoc dotted counters per subsystem.  It is the engine's only
+wall-clock recorder: per-backend batch and trial counts, per-trial
+seconds, cache hits and misses, and per-pid worker trial counts.
 
 Process model: one module-level :data:`~repro.telemetry.REGISTRY` per
-process.  In-process backends (serial, lockstep) record straight into
-it; pool workers record into their own (forked) registry, which the
-pool target resets per job and ships back as a picklable
+process.  The serial backend records straight into it; pool workers
+record into their own (forked) registry, which the pool target resets
+per job and ships back as a picklable
 :meth:`MetricsRegistry.drain` snapshot that the parent
 :meth:`MetricsRegistry.merge`\\ s — merging is associative and
 commutative, so a 4-worker fan-out aggregates to the same totals as a

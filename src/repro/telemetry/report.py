@@ -41,7 +41,7 @@ def run_demo_fleet(registry=None, backend=None):
     from repro.attacks.amplification import amplified_probe_spec
     from repro.engine.cache import ResultCache
     from repro.engine.runner import run_batch
-    from repro.stats import SimStats, merge_all
+    from repro.stats import merge_all
     if registry is None:
         from repro.telemetry import REGISTRY as registry
     secret = 0x1234
@@ -56,13 +56,9 @@ def run_demo_fleet(registry=None, backend=None):
                              label="report_plain_nonsilent"),
     ]
     cache = ResultCache()
-    batch_stats = SimStats()
-    results = run_batch(specs, cache=cache, batch_stats=batch_stats,
-                        backend=backend)
-    run_batch(specs, cache=cache, batch_stats=batch_stats,
-              backend=backend)
+    results = run_batch(specs, cache=cache, backend=backend)
+    run_batch(specs, cache=cache, backend=backend)
     simulated = merge_all(result.metrics for result in results)
-    simulated.merge(batch_stats)
     return registry.snapshot(), simulated.as_dict()
 
 
@@ -143,10 +139,8 @@ def _render_perf(perf, lines):
     from repro.analysis.throughput import render_table
     lines.extend("  " + line for line in render_table(perf).splitlines())
     backends = perf.get("backends") or {}
-    if "lockstep_vs_pool" in backends:
-        lines.append(f"  lockstep vs pool: "
-                     f"{backends['lockstep_vs_pool']:.2f}x "
-                     f"(identical: {backends.get('identical')})")
+    if "identical" in backends:
+        lines.append(f"  backends identical: {backends['identical']}")
 
 
 def render_report(report):

@@ -7,15 +7,12 @@
   (Perfetto / ``chrome://tracing`` loadable).
 * :mod:`repro.trace.timeline` — gem5-pipeview/Konata-style ASCII
   timeline rendering for terminals.
-* :mod:`repro.trace.batch` — :class:`BatchTrace`, the caller-owned
-  wall-clock engine telemetry record (per-worker tracks, cache hits).
 
 Enable per-spec with ``SimSpec(trace=TraceSpec(), ...)``; drive from
 the shell with ``python -m repro trace``.  See DESIGN.md ("The trace
 layer") for the event taxonomy and the determinism boundary.
 """
 
-from repro.trace.batch import BatchTrace
 from repro.trace.buffer import (
     CATEGORIES, NULL_TRACE, NullTraceBuffer, PIPELINE_CATEGORIES,
     TraceBuffer, TraceError, events_of,
@@ -26,7 +23,7 @@ from repro.trace.perfetto import (
 from repro.trace.timeline import render_timeline
 
 __all__ = [
-    "BatchTrace", "CATEGORIES", "NULL_TRACE", "NullTraceBuffer",
+    "CATEGORIES", "NULL_TRACE", "NullTraceBuffer",
     "PIPELINE_CATEGORIES", "TraceBuffer", "TraceError",
     "chrome_document", "events_of", "render_timeline",
     "run_trace_events", "write_chrome_trace",

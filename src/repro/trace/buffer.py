@@ -25,8 +25,7 @@ Everything recorded here is derived from simulated state only (cycle
 numbers, addresses, sequence numbers), so a trace payload is bitwise
 deterministic across serial and pooled execution — the same contract
 as :class:`~repro.stats.SimStats`.  Wall-clock engine telemetry lives
-in :class:`~repro.trace.batch.BatchTrace` instead, mirroring the
-``batch_stats`` split.
+in the :mod:`repro.telemetry` registry instead.
 
 Disabled mode: :data:`NULL_TRACE` (a :class:`NullTraceBuffer`) accepts
 every ``emit`` as a no-op; hot paths additionally guard on
@@ -50,9 +49,7 @@ from repro.stats import NULL_STATS
 #:   l1_evict/l2_evict, tlb_walk, prefetch.
 #: * ``opt``    — optimization-plug-in firings, tagged with their MLD
 #:   outcome in ``info`` (e.g. ``case_a_silent``, ``mispredict_squash``).
-#: * ``engine`` — engine-level spans (rendered from
-#:   :class:`~repro.trace.batch.BatchTrace`, never emitted in-run).
-CATEGORIES = ("fetch", "inst", "sq", "mem", "opt", "engine")
+CATEGORIES = ("fetch", "inst", "sq", "mem", "opt")
 
 #: What the Figure-4 :class:`~repro.pipeline.trace.PipelineTracer`
 #: consumes: instruction lifecycle plus store-queue events.

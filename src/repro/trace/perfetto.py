@@ -11,10 +11,7 @@ instants and ``"M"`` metadata records that both Perfetto and
   (the classic pipeline-diagram view);
 * store-queue, memory and optimization events become instants on
   dedicated tracks, so a Figure-5 head-of-line stall reads as a burst
-  of ``hol_stall`` marks under the blocked store's span;
-* an engine batch (:class:`~repro.trace.batch.BatchTrace`) becomes one
-  process with a track per worker pid carrying trial spans, plus a
-  cache track of hit instants.
+  of ``hol_stall`` marks under the blocked store's span.
 
 Timestamps are cycles reported as microseconds (one cycle == 1 "us"):
 the units are nominal, the *shape* is what the viewer is for.

@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line surface."""
 
+import pytest
+
 from repro.__main__ import COMMANDS, main
 
 
@@ -12,9 +14,26 @@ def test_default_prints_tables(capsys):
 
 
 def test_unknown_command_shows_usage(capsys):
-    assert main(["nope"]) == 1
+    assert main(["nope"]) == 2
     out = capsys.readouterr().out
     assert "Commands" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["nope"],
+    ["--backend"],
+    ["tables", "--backend", "lockstep"],
+    ["trace", "--out"],
+    ["bench", "--out"],
+    ["synthesize", "--budget", "x"],
+    ["report", "--out"],
+    ["stats", "/nonexistent.json"],
+], ids=" ".join)
+def test_bad_input_exits_2_with_a_message(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out.strip()
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_fig6_command(capsys):
@@ -32,29 +51,22 @@ def test_urg_command(capsys):
 def test_command_registry_complete():
     assert set(COMMANDS) == {"tables", "urg", "fig6", "audit", "stats",
                              "trace", "bench", "lint", "synthesize",
-                             "precision", "backends", "serve-metrics",
-                             "report"}
-
-
-def test_backends_command(capsys):
-    assert main(["backends"]) == 0
-    out = capsys.readouterr().out
-    for name in ("serial", "pool", "lockstep", "REPRO_BACKEND"):
-        assert name in out
+                             "precision", "serve-metrics", "report"}
 
 
 def test_global_backend_flag(capsys, monkeypatch):
     import os
     from repro.engine import REPRO_BACKEND_ENV
     monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
-    assert main(["backends", "--backend", "lockstep"]) == 0
-    assert os.environ.get(REPRO_BACKEND_ENV) == "lockstep"
+    assert main(["tables", "--backend", "pool"]) == 0
+    assert os.environ.get(REPRO_BACKEND_ENV) == "pool"
     # Drop the value main() just exported directly — a second
-    # monkeypatch.delenv would record "lockstep" as the state to
-    # restore and re-export it at teardown, polluting later tests.
+    # monkeypatch.delenv would record "pool" as the state to restore
+    # and re-export it at teardown, polluting later tests.
     os.environ.pop(REPRO_BACKEND_ENV, None)
-    assert main(["backends", "--backend", "warp-drive"]) == 1
+    assert main(["tables", "--backend", "warp-drive"]) == 2
     assert "unknown backend" in capsys.readouterr().out
+    assert REPRO_BACKEND_ENV not in os.environ
 
 
 def test_bench_command(tmp_path, capsys):
@@ -217,9 +229,9 @@ def test_serve_metrics_once(capsys):
 
 def test_serve_metrics_rejects_bad_flags(capsys):
     assert main(["serve-metrics", "--port", "not-a-port",
-                 "--once"]) == 1
+                 "--once"]) == 2
     assert "usage" in capsys.readouterr().out
-    assert main(["serve-metrics", "--bogus"]) == 1
+    assert main(["serve-metrics", "--bogus"]) == 2
     assert "usage" in capsys.readouterr().out
 
 

@@ -1,30 +1,28 @@
 """Differential + unit suite for the execution-backend layer.
 
 The backend contract (:mod:`repro.engine.backends`) is that *how*
-cache-missing trials execute — in process, across a pool, or
-interleaved in lockstep cohorts — is pure scheduling: every backend
-must return bitwise-identical :class:`RunResult`\\ s, in input order,
-for every spec.  This suite pins that three ways:
+cache-missing trials execute — in process or across a pool — is pure
+scheduling: both backends must return bitwise-identical
+:class:`RunResult`\\ s, in input order, for every spec.  This suite
+pins that three ways:
 
-* the full attack-spec catalog runs under serial, pool and lockstep
-  and the serialized results must match byte for byte (plain and with
-  event tracing on — lockstep's interleaving must not perturb traces);
+* the full attack-spec catalog runs under serial and pool and the
+  serialized results must match byte for byte (plain, with event
+  tracing on, and as secret-variant cohorts);
 * backend *selection* is deterministic and follows the documented
-  priority: explicit instance > explicit name > ``REPRO_BACKEND`` env
-  > unanimous ``SimSpec.backend`` hint > legacy ``workers`` heuristic;
-* the mechanics underneath — bulk cache probes, job descriptors, the
-  registry, pool lifecycle, cohort grouping — behave as documented.
+  priority: explicit instance or name > ``REPRO_BACKEND`` env >
+  ``workers`` heuristic;
+* the mechanics underneath — bulk cache probes, job descriptors, pool
+  lifecycle — behave as documented.
 """
 
 import pytest
 
 from repro.engine import (
-    LockstepBatchBackend, PoolBackend, REPRO_BACKEND_ENV, ResultCache,
-    SerialBackend, TraceSpec, TrialJob, backend_from_name,
-    backend_names, derive_seed, register_backend, resolve_backend,
-    run_batch,
+    BACKEND_NAMES, PoolBackend, REPRO_BACKEND_ENV, ResultCache, SimSpec,
+    TraceSpec, TrialJob, derive_seed, resolve_backend, run_batch,
 )
-from repro.engine.backends import ExecutedTrial, _BACKEND_REGISTRY
+from repro.engine.backends import ExecutedTrial
 from repro.engine.runner import execute_spec, run_spec
 from repro.lint.soundness import secret_variants
 from tests.spec_catalog import attack_specs
@@ -51,46 +49,34 @@ def test_catalog_bitwise_identical_across_backends():
     specs = _catalog_specs()
     serial = run_batch(specs, backend="serial")
     pooled = run_batch(specs, backend="pool")
-    lockstep = run_batch(specs, backend="lockstep")
     assert len(serial) == len(specs)
-    for spec, ref, pool, lock in zip(specs, serial, pooled, lockstep):
+    for spec, ref, pool in zip(specs, serial, pooled):
         assert ref.to_json() == pool.to_json(), spec.label
-        assert ref.to_json() == lock.to_json(), spec.label
         # Sanity: the comparison is not vacuous.
         assert ref.cycles > 0, spec.label
         assert ref.stats["retired"] > 0, spec.label
 
 
 def test_traced_catalog_identical_across_backends():
-    """Interleaved lockstep execution must not perturb event traces —
-    every per-cycle event a serially-run core emits must come back
-    verbatim from a cohort-scheduled one."""
+    """Every per-cycle event a serially-run core emits must come back
+    verbatim from a pooled one."""
     specs = _catalog_specs(trace=TraceSpec())
     serial = run_batch(specs, backend="serial")
-    lockstep = run_batch(specs, backend="lockstep")
-    for spec, ref, lock in zip(specs, serial, lockstep):
-        assert ref.to_json() == lock.to_json(), spec.label
+    pooled = run_batch(specs, backend="pool")
+    for spec, ref, pool in zip(specs, serial, pooled):
+        assert ref.to_json() == pool.to_json(), spec.label
         assert ref.trace["events"], spec.label
 
 
 def test_secret_variant_cohorts_identical_across_backends():
-    """The lockstep backend's native shape: N secret variants of one
-    program, grouped into a single shared-decode cohort."""
-    for name, spec in sorted(attack_specs().items()):
-        variants = secret_variants(spec)
-        serial = run_batch(variants, backend="serial")
-        lockstep = run_batch(variants, backend="lockstep")
-        assert _serialized(serial) == _serialized(lockstep), name
-
-
-def test_lockstep_quantum_is_invisible():
-    """The interleaving granularity is pure scheduling: a 1-step
-    quantum (maximum interleaving) changes nothing."""
-    specs = _catalog_specs()[:3]
-    reference = run_batch(specs, backend="serial")
-    fine = run_batch(specs,
-                     backend=LockstepBatchBackend(cohort=2, quantum=1))
-    assert _serialized(reference) == _serialized(fine)
+    """The soundness harness's shape: N secret variants of one program
+    per batch, many batches through one warm pool."""
+    with PoolBackend(workers=2) as pool:
+        for name, spec in sorted(attack_specs().items()):
+            variants = secret_variants(spec)
+            serial = run_batch(variants, backend="serial")
+            pooled = run_batch(variants, backend=pool)
+            assert _serialized(serial) == _serialized(pooled), name
 
 
 # ----------------------------------------------------------------------
@@ -98,104 +84,60 @@ def test_lockstep_quantum_is_invisible():
 # ----------------------------------------------------------------------
 
 def test_resolve_explicit_instance_wins(monkeypatch):
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "pool")
-    mine = LockstepBatchBackend()
-    assert resolve_backend(mine, workers=8) is mine
+    monkeypatch.setenv(REPRO_BACKEND_ENV, "serial")
+    mine = PoolBackend(workers=2)
+    assert resolve_backend(mine, workers=1) is mine
 
 
 def test_resolve_explicit_name_beats_env(monkeypatch):
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "lockstep")
+    monkeypatch.setenv(REPRO_BACKEND_ENV, "pool")
     assert resolve_backend("serial", workers=8).name == "serial"
-
-
-def test_resolve_env_beats_spec_hint(monkeypatch):
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "lockstep")
-    specs = [spec.replace(backend="pool")
-             for spec in _catalog_specs()[:2]]
-    chosen = resolve_backend(None, workers=1, specs=specs)
-    assert chosen.name == "lockstep"
-
-
-def test_resolve_unanimous_spec_hint(monkeypatch):
-    monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
-    specs = [spec.replace(backend="lockstep")
-             for spec in _catalog_specs()[:2]]
-    assert resolve_backend(None, specs=specs).name == "lockstep"
-    # A split vote falls through to the workers heuristic.
-    mixed = [specs[0], specs[1].replace(backend="")]
-    assert resolve_backend(None, workers=1, specs=mixed).name == "serial"
+    # ... and the environment beats the workers heuristic.
+    assert resolve_backend(None, workers=1, pending=2).name == "pool"
 
 
 def test_resolve_legacy_workers_heuristic(monkeypatch):
     monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
-    specs = _catalog_specs()[:2]
-    assert resolve_backend(None, workers=1, specs=specs).name == "serial"
-    assert resolve_backend(None, workers=4, specs=specs).name == "pool"
+    assert resolve_backend(None, workers=1, pending=2).name == "serial"
+    assert resolve_backend(None, workers=4, pending=2).name == "pool"
     # Singleton batches stay in process whatever ``workers`` says.
-    assert resolve_backend(None, workers=4, specs=specs,
-                           pending=1).name == "serial"
+    assert resolve_backend(None, workers=4, pending=1).name == "serial"
+
+
+def test_registry_names_and_unknown(monkeypatch):
+    assert BACKEND_NAMES == ("serial", "pool")
+    with pytest.raises(ValueError, match="unknown execution backend"):
+        resolve_backend("lockstep")
+    monkeypatch.setenv(REPRO_BACKEND_ENV, "gpu")
+    with pytest.raises(ValueError, match="unknown execution backend"):
+        resolve_backend(None)
 
 
 def test_env_override_drives_run_batch(monkeypatch):
-    """``REPRO_BACKEND`` (the CI lockstep leg) reroutes batches that
-    pass no explicit backend — bitwise-identically."""
+    """``REPRO_BACKEND`` reroutes batches that pass no explicit
+    backend — bitwise-identically."""
     specs = _catalog_specs()[:3]
     monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
     reference = run_batch(specs)
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "lockstep")
+    monkeypatch.setenv(REPRO_BACKEND_ENV, "pool")
     rerouted = run_batch(specs)
     assert _serialized(reference) == _serialized(rerouted)
 
 
 def test_backend_hint_stays_outside_fingerprint():
-    """Like ``fastpath``: the hint changes scheduling, never identity,
-    so all backends share cache entries."""
+    """Spec JSON written while ``SimSpec`` still carried a ``backend``
+    scheduling hint keeps loading, to the same simulation."""
     spec = _catalog_specs()[0]
-    hinted = spec.replace(backend="lockstep")
-    assert hinted.backend == "lockstep"
-    assert spec.fingerprint() == hinted.fingerprint()
-    roundtrip = type(spec).from_json_dict(hinted.to_json_dict())
-    assert roundtrip.backend == "lockstep"
+    plain = spec.to_json_dict()
+    assert "backend" not in plain
+    hinted = SimSpec.from_json_dict(dict(plain, backend="lockstep"))
+    assert hinted.fingerprint() == spec.fingerprint()
+    assert hinted.fingerprint() == SimSpec.from_json_dict(
+        plain).fingerprint()
 
 
 # ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-
-def test_registry_names_and_unknown():
-    assert backend_names() == ["lockstep", "pool", "serial"]
-    with pytest.raises(ValueError, match="unknown execution backend"):
-        backend_from_name("gpu")
-
-
-def test_register_out_of_tree_backend():
-    class TracingSerial(SerialBackend):
-        name = "tracing-serial"
-
-    register_backend("tracing-serial",
-                     lambda workers, chunksize: TracingSerial())
-    try:
-        chosen = resolve_backend("tracing-serial")
-        assert chosen.name == "tracing-serial"
-        spec = _catalog_specs()[0]
-        assert (run_batch([spec], backend="tracing-serial")[0].to_json()
-                == run_batch([spec], backend="serial")[0].to_json())
-    finally:
-        del _BACKEND_REGISTRY["tracing-serial"]
-
-
-def test_capability_flags():
-    assert not SerialBackend.parallel and SerialBackend.in_process
-    assert PoolBackend.parallel and not PoolBackend.in_process
-    assert not LockstepBatchBackend.parallel
-    assert LockstepBatchBackend.in_process
-    assert LockstepBatchBackend.shares_decode_state
-    assert not SerialBackend.shares_decode_state
-    assert not PoolBackend.shares_decode_state
-
-
-# ----------------------------------------------------------------------
-# mechanics: jobs, pool lifecycle, cohorts, bulk cache probes
+# mechanics: jobs, pool lifecycle, bulk cache probes
 # ----------------------------------------------------------------------
 
 def test_trial_job_is_frozen():
@@ -204,7 +146,6 @@ def test_trial_job_is_frozen():
     with pytest.raises(AttributeError):
         job.index = 1
     assert ExecutedTrial(result=None).elapsed_us == 0
-    assert ExecutedTrial(result=None).worker is None
 
 
 def test_pool_backend_lifecycle():
@@ -222,20 +163,8 @@ def test_pool_backend_lifecycle():
     pool.close()                       # idempotent
     assert first[0].result.to_json() == expected
     assert second[0].result.to_json() == expected
+    assert first[0].elapsed_us == 0
     assert second[0].elapsed_us >= 1
-    assert second[0].worker is not None
-
-
-def test_lockstep_cohort_grouping():
-    """Grouping is by program identity, capped at ``cohort``; cohort
-    boundaries preserve submission order within a program."""
-    specs = _catalog_specs()[:2]
-    same = [specs[0].replace(seed=derive_seed(7, i)) for i in range(5)]
-    jobs = [TrialJob(index=i, spec=spec, fingerprint="")
-            for i, spec in enumerate(same + [specs[1]])]
-    backend = LockstepBatchBackend(cohort=2)
-    cohorts = list(backend._cohorts(jobs))
-    assert cohorts == [[0, 1], [2, 3], [4], [5]]
 
 
 def test_probe_many_matches_get_semantics(tmp_path):

@@ -5,6 +5,8 @@ its run: building the same spec twice — in this process or across a
 worker pool — must produce identical statistics and observations.
 """
 
+import pytest
+
 from repro.engine import (
     HierarchySpec, LatencySpec, PluginSpec, ResultCache, Session,
     SimSpec, derive_seed, run_batch, run_trials,
@@ -13,6 +15,7 @@ from repro.isa.assembler import Assembler
 from repro.memory.cache import Cache
 from repro.memory.flatmem import FlatMemory
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.pipeline import SimulationError
 from repro.pipeline.config import CPUConfig
 
 
@@ -125,6 +128,40 @@ def test_from_parts_session_is_not_content_addressed():
     cache = ResultCache()
     cache.put(result)
     assert len(cache) == 0
+
+
+def _spin_spec(spec_limit, config_limit, fastpath):
+    """A program that never halts, under both cycle-limit sources."""
+    asm = Assembler()
+    asm.label("spin")
+    asm.addi(1, 1, 1)
+    asm.jmp("spin")
+    return SimSpec(program=asm.assemble(),
+                   config=CPUConfig(max_cycles=config_limit),
+                   hierarchy=HierarchySpec(memory_size=1 << 12),
+                   max_cycles=spec_limit, fastpath=fastpath)
+
+
+def _limit_reached(spec, max_cycles=None):
+    """``(cycle, message)`` at which ``Session.run`` gives up."""
+    session = Session.from_spec(spec)
+    with pytest.raises(SimulationError) as caught:
+        session.run(max_cycles)
+    return session.cpu.cycle, str(caught.value)
+
+
+@pytest.mark.parametrize("max_cycles, spec_limit, expected", [
+    (200, 300, 200),       # the explicit argument wins
+    (None, 300, 300),      # then the spec's limit
+    (None, None, 500),     # then the core config's
+])
+def test_cycle_limit_resolution(max_cycles, spec_limit, expected):
+    """Both kernels stop at the resolved limit, with the same message."""
+    outcomes = {_limit_reached(_spin_spec(spec_limit, 500, fastpath),
+                               max_cycles)
+                for fastpath in (False, True)}
+    assert outcomes == {
+        (expected, f"exceeded {expected} cycles without halting")}
 
 
 def test_run_replay_accepts_specs():

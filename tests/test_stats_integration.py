@@ -147,30 +147,34 @@ def test_merged_worker_stats_equal_serial_stats():
         merge_all(r.metrics for r in pooled)
 
 
-def test_batch_stats_telemetry(tmp_path):
-    cache = ResultCache(path=str(tmp_path / "cache"))
-    specs = [amp_spec(False).replace(seed=trial) for trial in range(3)]
-    batch_stats = SimStats()
-    run_batch(specs, cache=cache, batch_stats=batch_stats)
-    assert batch_stats.counters["engine.trials_executed"] == 3
-    assert batch_stats.counters["engine.cache_misses"] == 3
-    assert "engine.cache_hits" not in batch_stats.counters
-    assert batch_stats.histograms["engine.trial_wall_us"].count == 3
-    assert batch_stats.maxima["engine.workers_used"] == 1
+def test_batch_telemetry_counts(tmp_path, monkeypatch):
+    """The telemetry registry records each batch once: batches, trials
+    executed, cache traffic and per-trial wall time."""
+    from repro import telemetry
+    from repro.engine import REPRO_BACKEND_ENV
+    monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
+    registry = telemetry.REGISTRY
+    saved = registry.enabled
+    registry.reset()
+    registry.set_enabled(True)
+    try:
+        cache = ResultCache(path=str(tmp_path / "cache"))
+        specs = [amp_spec(False).replace(seed=trial)
+                 for trial in range(3)]
+        run_batch(specs, cache=cache)
+        assert registry.total("repro_backend_trials_total") == 3
+        assert registry.total("repro_cache_misses_total") == 3
+        assert registry.total("repro_cache_hits_total") == 0
 
-    run_batch(specs, cache=cache, batch_stats=batch_stats)
-    assert batch_stats.counters["engine.cache_hits"] == 3
-    assert batch_stats.counters["engine.trials_executed"] == 3
-    assert batch_stats.counters["engine.batches"] == 2
-
-
-def test_batch_stats_never_leak_into_results():
-    spec = amp_spec(False)
-    with_stats = run_batch([spec], batch_stats=SimStats())[0]
-    without = run_batch([spec])[0]
-    assert with_stats.to_json() == without.to_json()
-    assert "engine.trial_wall_us" not in with_stats.metrics.get(
-        "histograms", {})
+        run_batch(specs, cache=cache)
+        assert registry.total("repro_backend_batches_total") == 2
+        assert registry.total("repro_backend_trials_total") == 3
+        assert registry.total("repro_cache_hits_total") == 3
+        assert registry.value("repro_trial_seconds",
+                              backend="serial")["count"] == 3
+    finally:
+        registry.set_enabled(saved)
+        registry.reset()
 
 
 # ----------------------------------------------------------------------

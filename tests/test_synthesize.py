@@ -6,7 +6,7 @@ Pins the pieces :mod:`repro.lint.synthesize` is assembled from — the
 (:func:`tainted_tap_pairs`), control-cohort filtering, witness
 minimization — and the cross-backend determinism contract: the same
 seed and budget must produce bitwise-identical learned contracts and
-witnesses whether the fleet executes serially or in lockstep cohorts.
+witnesses whether the fleet executes serially or across a pool.
 """
 
 import random
@@ -210,11 +210,9 @@ def test_minimize_witness_deletes_junk_and_keeps_halt():
 @pytest.mark.parametrize("plugin", [
     "silent-stores", "early-terminating-multiplier"])
 def test_learned_contracts_identical_across_backends(plugin):
-    serial = check_synthesis(plugin, budget=4, seed=1,
-                             backend="serial")
-    lockstep = check_synthesis(plugin, budget=4, seed=1,
-                               backend="lockstep")
-    assert serial.to_json_dict() == lockstep.to_json_dict()
+    serial = check_synthesis(plugin, budget=4, seed=1, workers=1)
+    pooled = check_synthesis(plugin, budget=4, seed=1, workers=2)
+    assert serial.to_json_dict() == pooled.to_json_dict()
     assert serial.ok and not serial.vacuous
 
 

@@ -72,8 +72,7 @@ def test_computation_reuse_learned_contract_is_pinned():
 
 
 def test_all_plugins_sound_at_default_budget():
-    results = synthesize_all(budget=DEFAULT_BUDGET, seed=GOLDEN_SEED,
-                             backend="lockstep")
+    results = synthesize_all(budget=DEFAULT_BUDGET, seed=GOLDEN_SEED)
     assert sorted(results) == sorted(contracted_plugin_names())
     for name, result in results.items():
         assert result.ok, (name, result.undeclared)

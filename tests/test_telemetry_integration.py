@@ -8,7 +8,7 @@ Three contracts:
   labels may differ.
 * **isolation** — telemetry on vs off changes *nothing* simulated:
   fingerprints and serialized results are bitwise identical, on the
-  serial and the lockstep backend alike.
+  serial and the pool backend alike.
 * **self-healing cache** — a corrupted persisted entry is a counted
   miss, never an exception mid-batch, and the re-executed result
   overwrites it.
@@ -29,7 +29,7 @@ from repro.telemetry import PHASE_METRIC
 def registry(monkeypatch):
     """The process registry, clean before and after the test.
 
-    Also neutralizes ``REPRO_BACKEND`` (the CI lockstep leg sets it
+    Also neutralizes ``REPRO_BACKEND`` (a caller may set it
     suite-wide): these tests assert on per-backend labels, so they
     must control backend selection themselves.
     """
@@ -124,7 +124,7 @@ def test_pool_workers_ship_heartbeats_and_queue_wait(registry):
     assert value["count"] == specs
 
 
-@pytest.mark.parametrize("backend", ["serial", "lockstep"])
+@pytest.mark.parametrize("backend", ["serial", "pool"])
 def test_telemetry_never_changes_simulated_outcomes(registry, backend):
     specs = list(attack_specs().values())
     fingerprints = [spec.fingerprint() for spec in specs]

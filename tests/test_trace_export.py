@@ -10,7 +10,7 @@ document is JSON-serializable with the ``traceEvents`` wrapper.
 import json
 
 from repro.attacks.amplification import amplified_probe_spec
-from repro.engine import BatchTrace, TraceSpec, execute_spec, run_batch
+from repro.engine import TraceSpec, execute_spec
 from repro.trace import (
     chrome_document, render_timeline, run_trace_events,
 )
@@ -86,41 +86,3 @@ def test_timeline_truncation_is_reported():
     result = _fig5_result(0x1111, 0x1111, "fig5 silent")
     art = render_timeline(result.trace, max_rows=3)
     assert "more instructions not shown" in art
-
-
-def test_batch_trace_records_and_exports():
-    batch_trace = BatchTrace(label="fig5 batch")
-    specs = [amplified_probe_spec(0x1111, 0x1111, label="silent"),
-             amplified_probe_spec(0x2222, 0x1111, label="non-silent")]
-    results = run_batch(specs, workers=1, batch_trace=batch_trace)
-    assert len(results) == 2
-    assert len(batch_trace.trials) == 2
-    events = batch_trace.to_chrome_trace()
-    _validate_chrome_events(events)
-    json.dumps(chrome_document(events))
-    span_names = {event["name"] for event in events
-                  if event["ph"] == "X"}
-    assert span_names == {"silent", "non-silent"}
-
-
-def test_batch_trace_records_cache_hits():
-    class OneShotCache:
-        def __init__(self):
-            self.store = {}
-
-        def get(self, fingerprint):
-            return self.store.get(fingerprint)
-
-        def put(self, result):
-            self.store[result.fingerprint] = result
-
-    cache = OneShotCache()
-    batch_trace = BatchTrace()
-    spec = amplified_probe_spec(0x1111, 0x1111, label="probe")
-    run_batch([spec], cache=cache, batch_trace=batch_trace)
-    run_batch([spec], cache=cache, batch_trace=batch_trace)
-    assert len(batch_trace.trials) == 1
-    assert len(batch_trace.cache_hits) == 1
-    events = batch_trace.to_chrome_trace()
-    _validate_chrome_events(events)
-    assert any(event["ph"] == "i" for event in events)
