@@ -69,18 +69,20 @@ class ResultCache:
         next :meth:`put` of the re-executed trial.
         """
         try:
-            with open(self._file_for(fingerprint)) as handle:
-                text = handle.read()
+            with open(self._file_for(fingerprint), "rb") as handle:
+                data = handle.read()
         except FileNotFoundError:
             return None
         except OSError:
             self._count_corrupt()
             return None
         try:
+            text = data.decode()
             result = RunResult.from_json(text)
         except (KeyError, TypeError, ValueError):
-            # Truncated JSON, a non-dict payload, or missing required
-            # fields: the entry is unusable — treat it as a miss.
+            # Bytes that are not UTF-8, truncated JSON, a non-dict
+            # payload, or missing required fields: the entry is
+            # unusable — treat it as a miss.
             self._count_corrupt()
             return None
         telemetry.REGISTRY.inc(

@@ -480,10 +480,13 @@ def _fp_canonical(obj):
     """:func:`_canonical`, memoized for hashable spec components.
 
     Trial batches re-fingerprint thousands of specs that share one
-    config and hierarchy description; canonicalizing those nested
-    dataclasses dominates the hash cost.  Cached values are shared, so
-    this variant is only for :meth:`SimSpec.fingerprint`, which
-    serializes the result without mutating it.
+    hierarchy description and plug-in set; canonicalizing those nested
+    dataclasses dominates the hash cost.  Only hashable components hit
+    the memo: a :class:`CPUConfig` is a mutable, unhashable dataclass,
+    so configs were never memoized and always take the plain
+    :func:`_canonical` path.  Cached values are shared, so this variant
+    is only for :meth:`SimSpec.fingerprint`, which serializes the
+    result without mutating it.
     """
     try:
         cached = _FP_CANONICAL_CACHE.get(obj)
@@ -495,13 +498,33 @@ def _fp_canonical(obj):
     return cached
 
 
+#: Exact types :func:`_canonical` returns unchanged (subclasses such as
+#: ``IntEnum`` members take the general path below).
+_SCALAR_TYPES = frozenset((type(None), bool, int, float, str))
+
+#: Public field names per dataclass type, looked up once per process.
+_FIELD_NAMES = {}
+
+
 def _canonical(obj):
-    """Canonical JSON-able form for fingerprinting nested specs."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = {f.name: _canonical(getattr(obj, f.name))
-                  for f in dataclasses.fields(obj)
-                  if not f.name.startswith("_")}
-        return {"__type__": type(obj).__name__, **fields}
+    """Canonical JSON-able form for fingerprinting nested specs.
+
+    Scalars and int tuples, which make up nearly every spec field, are
+    answered first.
+    """
+    cls = type(obj)
+    if cls in _SCALAR_TYPES:
+        return obj
+    if cls is tuple and all(type(item) is int for item in obj):
+        return list(obj)
+    names = _FIELD_NAMES.get(cls)
+    if names is None and dataclasses.is_dataclass(cls):
+        names = _FIELD_NAMES[cls] = tuple(
+            f.name for f in dataclasses.fields(cls)
+            if not f.name.startswith("_"))
+    if names is not None:
+        fields = {name: _canonical(getattr(obj, name)) for name in names}
+        return {"__type__": cls.__name__, **fields}
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, dict):
@@ -510,7 +533,7 @@ def _canonical(obj):
         return [_canonical(item) for item in obj]
     if isinstance(obj, (bytes, bytearray)):
         return bytes(obj).hex()
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if isinstance(obj, (int, float, str)):
         return obj
     raise SpecError(f"cannot fingerprint {type(obj).__name__}: {obj!r}")
 

@@ -84,6 +84,7 @@ class Program:
         self.labels = dict(labels)
         self.secret_regions = normalize_regions(secret_regions, ".secret")
         self.public_regions = normalize_regions(public_regions, ".public")
+        self._encoding = None
         for inst in instructions:
             inst.intern_key()
 
@@ -105,17 +106,24 @@ class Program:
         directives append ``.secret,start,end`` / ``.public,start,end``
         records *after* the instruction stream — absent directives the
         encoding is byte-identical to historical builds.
+
+        A program is immutable once assembled, so the encoding is built
+        on the first call and shared by every later one (the secret
+        variants of one spec all fingerprint the same program).
         """
-        records = []
-        for inst in self.instructions:
-            target = -1 if inst.target is None else int(inst.target)
-            records.append(f"{inst.op.value},{inst.rd},{inst.rs1},"
-                           f"{inst.rs2},{inst.imm},{inst.width},{target}")
-        for start, end in self.secret_regions:
-            records.append(f".secret,{start},{end}")
-        for start, end in self.public_regions:
-            records.append(f".public,{start},{end}")
-        return "\n".join(records).encode()
+        if self._encoding is None:
+            records = []
+            for inst in self.instructions:
+                target = -1 if inst.target is None else int(inst.target)
+                records.append(f"{inst.op.value},{inst.rd},{inst.rs1},"
+                               f"{inst.rs2},{inst.imm},{inst.width},"
+                               f"{target}")
+            for start, end in self.secret_regions:
+                records.append(f".secret,{start},{end}")
+            for start, end in self.public_regions:
+                records.append(f".public,{start},{end}")
+            self._encoding = "\n".join(records).encode()
+        return self._encoding
 
     def listing(self):
         """Human-readable disassembly, one line per instruction."""

@@ -110,6 +110,30 @@ def build_cfg(program: Sequence[Instruction]) -> tuple[list[BasicBlock], dict[in
 # post-dominators
 # ----------------------------------------------------------------------
 
+def _exit_postorder(size: int, succs: SuccMap) -> list[int]:
+    """Depth-first post-order of the reverse CFG from the exit node:
+    exactly the exit-reaching pcs, with the exit itself last."""
+    preds: list[list[int]] = [[] for _ in range(size + 1)]
+    for pc in range(size):
+        for succ in succs.get(pc, ()):
+            preds[succ].append(pc)
+    seen = [False] * (size + 1)
+    seen[size] = True
+    order: list[int] = []
+    stack = [(size, iter(preds[size]))]
+    while stack:
+        node, pending = stack[-1]
+        for pred in pending:
+            if not seen[pred]:
+                seen[pred] = True
+                stack.append((pred, iter(preds[pred])))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+
+
 def exit_reaching(size: int, succs: SuccMap) -> frozenset[int]:
     """Pcs from which the exit node ``size`` is reachable over ``succs``.
 
@@ -118,56 +142,7 @@ def exit_reaching(size: int, succs: SuccMap) -> frozenset[int]:
     branch with such a pc on one arm must keep sticky control taint —
     whether the *other* arm ever executes again is itself the secret.
     """
-    preds: dict[int, list[int]] = {node: [] for node in range(size + 1)}
-    for pc in range(size):
-        for succ in succs.get(pc, ()):
-            preds[succ].append(pc)
-    reached = {size}
-    frontier = [size]
-    while frontier:
-        node = frontier.pop()
-        for pred in preds[node]:
-            if pred not in reached:
-                reached.add(pred)
-                frontier.append(pred)
-    return frozenset(reached)
-
-
-def postdominator_sets(program: Sequence[Instruction],
-                       succs: SuccMap | None = None,
-                       ) -> dict[int, frozenset[int]]:
-    """Per-pc post-dominator sets over the instruction-level CFG.
-
-    ``pdom[pc]`` contains every node (including ``pc`` itself) that
-    lies on *all* paths from ``pc`` to the exit node ``len(program)``.
-    Pass ``succs`` to compute over a pruned (feasible-edge) graph; the
-    default is the full static CFG.  A pc that cannot reach the exit
-    gets the singleton ``{pc}`` — post-dominance is undefined there,
-    and the singleton keeps any branch into such a region sticky
-    (its arms never produce a common post-dominator).
-    """
-    size = len(program)
-    if succs is None:
-        succs = static_successors(program)
-    can_exit = exit_reaching(size, succs)
-    universe = frozenset(range(size + 1))
-    pdom: dict[int, frozenset[int]] = {size: frozenset((size,))}
-    for pc in range(size):
-        pdom[pc] = universe if pc in can_exit else frozenset((pc,))
-    changed = True
-    while changed:
-        changed = False
-        for pc in reversed(range(size)):
-            if pc not in can_exit:
-                continue
-            meet: frozenset[int] | None = None
-            for succ in succs.get(pc, ()):
-                meet = pdom[succ] if meet is None else meet & pdom[succ]
-            new = frozenset((pc,)) if meet is None else meet | {pc}
-            if new != pdom[pc]:
-                pdom[pc] = new
-                changed = True
-    return pdom
+    return frozenset(_exit_postorder(size, succs))
 
 
 def immediate_postdominators(program: Sequence[Instruction],
@@ -177,22 +152,83 @@ def immediate_postdominators(program: Sequence[Instruction],
 
     ``ipdom[pc]`` is the strict post-dominator of ``pc`` closest to it
     — the join point where all paths out of ``pc`` reconverge — or
-    ``None`` when ``pc`` cannot reach the exit (no join exists; control
-    taint raised there must stay sticky).  The strict post-dominators
-    of a node form a chain towards the exit, so the immediate one is
-    the chain element with the largest post-dominator set.
+    ``None`` when no join exists: ``pc`` cannot reach the exit, or one
+    of its arms leads into a region that cannot (control taint raised
+    there must stay sticky).  Pass ``succs`` to compute over a pruned
+    (feasible-edge) graph; the default is the full static CFG.
+
+    The tree is built directly with the Cooper–Harvey–Kennedy
+    iteration over the reverse CFG.  Its root is a virtual sink joined
+    to the exit node and to every pc that cannot reach the exit, so
+    those pcs are leaves under the root and a pc whose paths meet only
+    at the root has no join point.
     """
     size = len(program)
-    pdom = postdominator_sets(program, succs)
-    ipdom: dict[int, int | None] = {}
-    for pc in range(size):
-        strict = pdom[pc] - {pc}
-        if not strict:
-            ipdom[pc] = None
-            continue
-        ipdom[pc] = max(strict, key=lambda node: (len(pdom[node]), -node))
-    ipdom[size] = None
-    return ipdom
+    if succs is None:
+        succs = static_successors(program)
+    root = size + 1
+    order = _exit_postorder(size, succs)
+    # Intersection climbs from the lower rank: post-order rank for the
+    # exit-reaching pcs, distinct negative ranks for the others (whose
+    # parent is the root), the root above everything.
+    rank = [-1 - node for node in range(size + 2)]
+    for index, node in enumerate(order):
+        rank[node] = index
+    rank[root] = len(order)
+    unset = -1                          # parent of a pc not yet processed
+    parent = [root] * (size + 2)
+    for node in order[:-1]:
+        parent[node] = unset
+
+    def intersect(a: int, b: int) -> int:
+        while a != b:
+            while rank[a] < rank[b]:
+                a = parent[a]
+            while rank[b] < rank[a]:
+                b = parent[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for node in reversed(order[:-1]):
+            new = unset
+            for succ in succs.get(node, ()):
+                if parent[succ] != unset:
+                    new = succ if new == unset else intersect(succ, new)
+            if parent[node] != new:
+                parent[node] = new
+                changed = True
+    return {node: None if parent[node] == root else parent[node]
+            for node in range(size + 1)}
+
+
+def postdominator_sets(program: Sequence[Instruction],
+                       succs: SuccMap | None = None,
+                       ) -> dict[int, frozenset[int]]:
+    """Per-pc post-dominator sets over the instruction-level CFG.
+
+    ``pdom[pc]`` contains every node (including ``pc`` itself) that
+    lies on *all* paths from ``pc`` to the exit node ``len(program)``:
+    its ancestor chain in the :func:`immediate_postdominators` tree.
+    A pc that cannot reach the exit gets the singleton ``{pc}`` —
+    post-dominance is undefined there, and the singleton keeps any
+    branch into such a region sticky (its arms never produce a common
+    post-dominator).
+    """
+    ipdom = immediate_postdominators(program, succs)
+    pdom: dict[int, frozenset[int]] = {}
+    for start in ipdom:
+        path: list[int] = []
+        node: int | None = start
+        while node is not None and node not in pdom:
+            path.append(node)
+            node = ipdom[node]
+        chain: frozenset[int] = frozenset() if node is None else pdom[node]
+        for pc in reversed(path):
+            chain = chain | {pc}
+            pdom[pc] = chain
+    return pdom
 
 
 def reaching_definitions(program: Sequence[Instruction]) -> dict[int, dict]:

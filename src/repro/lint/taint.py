@@ -469,17 +469,19 @@ def _feasible_map(program: Sequence[Instruction], states: Mapping[int, State],
 
     Unreachable pcs get no out-edges, and exactly-folded branches keep
     only their real successor — this is the pruned graph the next
-    post-dominator round runs on.
+    post-dominator round runs on.  A branch's fold is read from its
+    fixpoint in-state, the same test :func:`_transfer` applies.
     """
     feasible: dict[int, tuple[int, ...]] = {}
-    for pc in range(len(program)):
+    for pc, inst in enumerate(program):
         state = states.get(pc)
         if state is None:
             feasible[pc] = ()
             continue
-        size = len(program)
-        edges = _transfer(program[pc], state, pc, size)
-        feasible[pc] = tuple(sorted({succ for succ, _ in edges}))
+        folded = _folded_target(inst, state, pc) \
+            if is_branch(inst.op) else None
+        feasible[pc] = (folded,) if folded is not None \
+            else tuple(sorted(successors(program, pc)))
     return feasible
 
 
@@ -526,6 +528,18 @@ def _fixpoint(program: Sequence[Instruction], init: State,
     return states, exit_state
 
 
+def _folded_target(inst: Instruction, state: State, pc: int) -> int | None:
+    """The one real successor of a branch whose operands are exact
+    untainted constants (via the simulator's own branch test), else
+    ``None``."""
+    a_av, b_av = state.reg(inst.rs1), state.reg(inst.rs2)
+    if a_av.const is None or b_av.const is None \
+            or a_av.tainted or b_av.tainted:
+        return None
+    taken = branch_taken(inst.op, a_av.const, b_av.const)
+    return inst.target if taken else pc + 1
+
+
 def _transfer(inst: Instruction, state: State, pc: int,
               size: int) -> tuple[tuple[int, State], ...]:
     """Successor states of executing ``inst`` in ``state``."""
@@ -545,11 +559,9 @@ def _transfer(inst: Instruction, state: State, pc: int,
             origins.setdefault(pc, origin)
             out = State(state.regs, state.mem,
                         state.control | {pc}, origins)
-        if a_av.const is not None and b_av.const is not None \
-                and not (a_av.tainted or b_av.tainted):
-            # Exact fold: only the real successor is reachable.
-            taken = branch_taken(op, a_av.const, b_av.const)
-            return ((inst.target if taken else pc + 1, out),)
+        folded = _folded_target(inst, state, pc)
+        if folded is not None:
+            return ((folded, out),)
         fall, taken = pc + 1, inst.target
         if fall == taken:
             return ((fall, out),)

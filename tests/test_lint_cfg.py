@@ -3,20 +3,29 @@
 The taint analysis clears control taint at each branch's immediate
 post-dominator, so a malformed post-dominator tree is a *soundness*
 bug, not just a precision bug.  These tests pin the edge cases the
-iterative solver must get right — unreachable blocks, self-loop
-branches, branches to the exit node, infinite loops — and
-property-check well-formedness over the full random-program vocabulary
-(including back-edge-heavy shapes) against a brute-force oracle.
+tree solver must get right — unreachable blocks, self-loop branches,
+branches to the exit node, infinite loops — property-check
+well-formedness over the full random-program vocabulary (including
+back-edge-heavy shapes) against a brute-force oracle, and compare the
+solver with the iterative-intersection solver it replaced on programs
+far too large for that oracle.
 """
 
+import glob
+import os
+import random
+
+import pytest
 from hypothesis import given, settings
 
 from repro.isa.assembler import Assembler
+from repro.isa.text import assemble_file
 from repro.lint.cfg import (
     build_cfg, exit_reaching, immediate_postdominators,
     postdominator_sets, static_successors,
 )
 from repro.lint.progen import programs
+from tests.spec_catalog import attack_specs
 
 
 def asm_program(build):
@@ -276,3 +285,149 @@ def test_pruned_graphs_stay_well_formed(program):
         if len(targets) == 2:
             succs[pc] = targets[:1]     # fold every branch one way
     assert_well_formed(program, succs)
+
+
+# ----------------------------------------------------------------------
+# reference: the iterative-intersection solver the tree replaced
+# ----------------------------------------------------------------------
+
+def reference_pdom(program, succs):
+    """Post-dominator sets by iterated set intersection, from a full
+    universe down to the maximal fixpoint.  Quadratic, but exact on the
+    same sink semantics as the oracle, so it can check the tree on
+    programs the path-enumeration oracle is too slow for."""
+    size = len(program)
+    preds = {node: [] for node in range(size + 1)}
+    for pc in range(size):
+        for succ in succs.get(pc, ()):
+            preds[succ].append(pc)
+    can_exit = {size}
+    frontier = [size]
+    while frontier:
+        for pred in preds[frontier.pop()]:
+            if pred not in can_exit:
+                can_exit.add(pred)
+                frontier.append(pred)
+    universe = frozenset(range(size + 1))
+    pdom = {size: frozenset((size,))}
+    for pc in range(size):
+        pdom[pc] = universe if pc in can_exit else frozenset((pc,))
+    changed = True
+    while changed:
+        changed = False
+        for pc in reversed(range(size)):
+            if pc not in can_exit:
+                continue
+            meet = None
+            for succ in succs.get(pc, ()):
+                meet = pdom[succ] if meet is None else meet & pdom[succ]
+            new = frozenset((pc,)) if meet is None else meet | {pc}
+            if new != pdom[pc]:
+                pdom[pc] = new
+                changed = True
+    return pdom
+
+
+def reference_ipdom(pdom, size):
+    """The strict post-dominators form a chain, so the immediate one
+    is the chain element with the largest post-dominator set."""
+    ipdom = {size: None}
+    for pc in range(size):
+        strict = pdom[pc] - {pc}
+        ipdom[pc] = max(strict, key=lambda node: (len(pdom[node]), -node)) \
+            if strict else None
+    return ipdom
+
+
+def large_program(length=1200, seed=13):
+    """At least ``length`` instructions of forward-branch diamonds,
+    if/else arms, counted loops (back edges, some with a diamond
+    inside) and straight-line ALU traffic; halfway through, a branch
+    whose taken arm enters a non-terminating loop."""
+    rng = random.Random(seed)
+    asm = Assembler()
+    asm.li(1, 4)
+    spin_branch_placed = False
+    while len(asm) < length:
+        here = len(asm)
+        if not spin_branch_placed and here >= length // 2:
+            asm.beq(3, 4, "spin")
+            spin_branch_placed = True
+        shape = rng.randrange(5)
+        if shape == 0:                  # diamond
+            asm.beq(rng.randrange(1, 8), rng.randrange(1, 8), f"skip{here}")
+            asm.addi(rng.randrange(1, 8), 0, rng.randrange(16))
+            asm.label(f"skip{here}")
+        elif shape == 1:                # if / else
+            asm.bne(rng.randrange(1, 8), rng.randrange(1, 8), f"else{here}")
+            asm.addi(2, 2, 1)
+            asm.jmp(f"join{here}")
+            asm.label(f"else{here}")
+            asm.addi(2, 2, -1)
+            asm.label(f"join{here}")
+        elif shape == 2:                # counted loop, maybe a diamond inside
+            asm.li(8, 3)
+            asm.label(f"loop{here}")
+            if rng.randrange(2):
+                asm.beq(8, 1, f"inner{here}")
+                asm.addi(5, 5, 1)
+                asm.label(f"inner{here}")
+            asm.addi(8, 8, -1)
+            asm.bne(8, 0, f"loop{here}")
+        else:                           # straight-line traffic
+            asm.add(rng.randrange(1, 8), rng.randrange(1, 8),
+                    rng.randrange(1, 8))
+    asm.halt()
+    asm.label("spin")
+    asm.jmp("spin")
+    return asm.assemble()
+
+
+def reference_programs():
+    """Every catalog attack program, the shipped examples and one
+    generated program past a thousand instructions."""
+    cases = [(f"spec-{name}", spec.program)
+             for name, spec in attack_specs().items()]
+    examples = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "examples", "programs")
+    for path in sorted(glob.glob(os.path.join(examples, "*.s"))):
+        cases.append((f"example-{os.path.basename(path)}",
+                      assemble_file(path)))
+    cases.append(("generated", large_program()))
+    return cases
+
+
+REFERENCE_PROGRAMS = reference_programs()
+
+
+def test_reference_corpus_covers_the_required_shapes():
+    names = [name for name, _ in REFERENCE_PROGRAMS]
+    assert "spec-packing" in names
+    assert len([name for name in names if name.startswith("example-")]) == 4
+    program = dict(REFERENCE_PROGRAMS)["generated"]
+    succs = static_successors(program)
+    assert len(program) >= 1000
+    assert any(target < pc for pc, targets in succs.items()
+               for target in targets)                  # a back edge
+    can_exit = exit_reaching(len(program), succs)
+    assert any(pc in can_exit and any(t not in can_exit for t in targets)
+               for pc, targets in succs.items())       # into a spin loop
+
+
+@pytest.mark.parametrize("folded", [False, True],
+                         ids=["static", "folded"])
+@pytest.mark.parametrize("program", [program for _, program in
+                                     REFERENCE_PROGRAMS],
+                         ids=[name for name, _ in REFERENCE_PROGRAMS])
+def test_tree_matches_reference_solver(program, folded):
+    """Identical sets and immediate post-dominators, over the static
+    successor map and over one with every branch folded one way."""
+    succs = dict(static_successors(program))
+    if folded:
+        for pc, targets in succs.items():
+            if len(targets) == 2:
+                succs[pc] = targets[:1]
+    pdom = reference_pdom(program, succs)
+    assert postdominator_sets(program, succs) == pdom
+    assert immediate_postdominators(program, succs) == \
+        reference_ipdom(pdom, len(program))

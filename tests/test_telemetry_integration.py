@@ -154,12 +154,17 @@ def test_corrupt_cache_entry_is_a_counted_miss(registry, tmp_path):
     cache = ResultCache(path=store)
     first = run_batch(specs, cache=cache)
 
-    # Corrupt one persisted entry three ways across re-runs: truncated
-    # JSON, non-JSON garbage, and valid JSON that is not a RunResult.
+    # Corrupt one persisted entry four ways across re-runs: truncated
+    # JSON, non-JSON garbage, valid JSON that is not a RunResult, and
+    # bytes that are not UTF-8 at all.
     victim = os.path.join(store, f"{specs[0].fingerprint()}.json")
-    for garbage in ('{"label": "trunc', "not json at all", '{"a": 1}'):
-        with open(victim, "w") as handle:
+    for garbage in (b'{"label": "trunc', b"not json at all", b'{"a": 1}',
+                    b"\xff\xfe\x00garbage\x80"):
+        with open(victim, "wb") as handle:
             handle.write(garbage)
+        probe = ResultCache(path=store)
+        assert probe.get(specs[0].fingerprint()) is None
+        assert probe.corrupt == 1
         telemetry.REGISTRY.reset()
         fresh = ResultCache(path=store)
         results = run_batch(specs, cache=fresh)
