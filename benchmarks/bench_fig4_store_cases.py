@@ -9,15 +9,19 @@ outcome bookkeeping plus run time:
 * Case D — SS-Load would return after the store performed (cold line,
   no-allocate port steal) → no candidacy.
 
-Each case is a declarative engine spec; the tracer rides along as a
-registered plug-in so the session exposes its Figure-4 timelines.
+Each case is a declarative engine spec that traces the pipeline
+categories; :func:`~repro.trace.store_timelines` reads the Figure 4
+timelines off the run's trace payload.
 """
 
 from conftest import emit, emit_json
 
-from repro.engine import HierarchySpec, PluginSpec, Session, SimSpec
+from repro.engine import (
+    HierarchySpec, PluginSpec, SimSpec, TraceSpec, execute_spec,
+)
 from repro.isa.assembler import Assembler
 from repro.pipeline.config import CPUConfig
+from repro.trace import PIPELINE_CATEGORIES, store_timelines
 
 
 def case_spec(case):
@@ -48,24 +52,22 @@ def case_spec(case):
     return SimSpec(
         program=asm.assemble(), config=config,
         hierarchy=HierarchySpec(memory_size=1 << 16),
-        plugins=(PluginSpec.of("silent-stores"),
-                 PluginSpec.of("pipeline-tracer")),
+        plugins=(PluginSpec.of("silent-stores"),),
+        trace=TraceSpec(categories=PIPELINE_CATEGORIES),
         mem_writes=((0x1000, 42, 8),), label=case)
 
 
 def run_all_cases():
     results = {}
     for case in "ABCD":
-        session = Session.from_spec(case_spec(case))
-        run = session.run()
+        run = execute_spec(case_spec(case))
         results[case] = {
             "cycles": run.cycles,
             "silent": run.stats["silent_stores"],
             "performed": run.stats["stores_performed"],
             "stats": run.observations["plugins"]["silent-stores"],
             "metrics": run.metrics,
-            "timelines": session.plugin(
-                "pipeline-tracer").store_timelines(),
+            "timelines": store_timelines(run.trace),
         }
     return results
 

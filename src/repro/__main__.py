@@ -60,7 +60,8 @@ Results are bitwise identical across backends; only scheduling and
 wall-clock change.
 
 Bad input — an unknown command, a flag without its value, a malformed
-number, a missing file — prints a message and exits 2.
+or out-of-range number, a plug-in list naming no contracted
+optimization, a missing file — prints a message and exits 2.
 """
 
 import sys
@@ -84,15 +85,40 @@ def flag_value(args, name, usage):
     return value
 
 
-def int_value(text, default, usage):
+def int_value(text, default, usage, minimum=None):
     """``int(text)``, ``default`` when ``text`` is None; a malformed
-    number is a :class:`UsageError` carrying ``usage``."""
+    number, or one below ``minimum``, is a :class:`UsageError` carrying
+    ``usage``."""
     if text is None:
         return default
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise UsageError(usage) from None
+    if minimum is not None and value < minimum:
+        raise UsageError(f"{usage}\nexpected a number of at least "
+                         f"{minimum}, got {value}")
+    return value
+
+
+def contracted_names(text, flag, command):
+    """The plug-in names in a comma-separated ``flag`` value (every
+    plug-in with a lint contract when ``text`` is None).  An empty list
+    or a name without a contract is a :class:`UsageError`: either would
+    leave the command checking nothing."""
+    from repro.lint import contracted_plugin_names
+    known = contracted_plugin_names()
+    if text is None:
+        return known
+    names = tuple(name for name in text.split(",") if name)
+    if not names:
+        raise UsageError(f"{command}: bad {flag}: no plug-in named in "
+                         f"{text!r}")
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        raise UsageError(f"{command}: bad {flag}: no contract for "
+                         f"{unknown}; known: {list(known)}")
+    return names
 
 
 def cmd_tables():
@@ -275,8 +301,7 @@ def cmd_lint(*args):
     import json
     from repro.isa.assembler import AssemblyError
     from repro.isa.text import assemble_file
-    from repro.lint import contracted_plugin_names, lint_program, \
-        rows_for_names
+    from repro.lint import lint_program, rows_for_names
     usage = ("usage: python -m repro lint <prog.s> [--opts a,b] "
              "[--json] [--out PATH] [--sticky]")
     args = list(args)
@@ -287,15 +312,11 @@ def cmd_lint(*args):
     if not path_sensitive:
         args.remove("--sticky")
     out = flag_value(args, "--out", usage)
-    opts = flag_value(args, "--opts", usage)
-    opts = contracted_plugin_names() if opts is None \
-        else tuple(name for name in opts.split(",") if name)
+    opts = contracted_names(flag_value(args, "--opts", usage), "--opts",
+                            "lint")
     if not args:
         raise UsageError(usage)
-    try:
-        contracts = rows_for_names(opts)
-    except Exception as error:
-        raise UsageError(f"lint: bad --opts: {error}") from None
+    contracts = rows_for_names(opts)
     reports = []
     for path in args:
         try:
@@ -334,8 +355,7 @@ def cmd_synthesize(*args):
     """
     import json
     from repro.engine import ResultCache
-    from repro.lint import contracted_plugin_names, render_report, \
-        report_json, synthesize_all
+    from repro.lint import render_report, report_json, synthesize_all
     from repro.lint.synthesize import DEFAULT_BUDGET
     usage = ("usage: python -m repro synthesize [--opt a,b] "
              "[--budget N] [--seed N] [--no-minimize] [--json] "
@@ -348,18 +368,13 @@ def cmd_synthesize(*args):
     if not minimize:
         args.remove("--no-minimize")
     out = flag_value(args, "--out", usage)
-    opts = flag_value(args, "--opt", usage)
+    names = contracted_names(flag_value(args, "--opt", usage), "--opt",
+                             "synthesize")
     budget = int_value(flag_value(args, "--budget", usage),
-                       DEFAULT_BUDGET, usage)
+                       DEFAULT_BUDGET, usage, minimum=1)
     seed = int_value(flag_value(args, "--seed", usage), 0, usage)
     if args:
         raise UsageError(usage)
-    names = contracted_plugin_names() if opts is None \
-        else tuple(name for name in opts.split(",") if name)
-    unknown = set(names) - set(contracted_plugin_names())
-    if unknown:
-        raise UsageError(f"synthesize: no contract for {sorted(unknown)}; "
-                         f"known: {list(contracted_plugin_names())}")
     results = synthesize_all(opts=names, budget=budget, seed=seed,
                              cache=ResultCache(), minimize=minimize)
     payload = report_json(results, budget=budget, seed=seed)
@@ -391,7 +406,6 @@ def cmd_precision(*args):
     """
     import json
     from repro.engine import ResultCache
-    from repro.lint import contracted_plugin_names
     from repro.lint.precision import DEFAULT_BUDGET, check_precision
     usage = ("usage: python -m repro precision [--opt a,b] "
              "[--budget N] [--seed N] [--json] [--out PATH] "
@@ -401,22 +415,15 @@ def cmd_precision(*args):
     if as_json:
         args.remove("--json")
     out = flag_value(args, "--out", usage)
-    opts = flag_value(args, "--opt", usage)
+    names = contracted_names(flag_value(args, "--opt", usage), "--opt",
+                             "precision")
     budget = int_value(flag_value(args, "--budget", usage),
-                       DEFAULT_BUDGET, usage)
+                       DEFAULT_BUDGET, usage, minimum=1)
     seed = int_value(flag_value(args, "--seed", usage), 0, usage)
     max_fp = int_value(flag_value(args, "--max-false-positives", usage),
-                       None, usage)
+                       None, usage, minimum=0)
     if args:
         raise UsageError(usage)
-    names = None if opts is None \
-        else tuple(name for name in opts.split(",") if name)
-    if names is not None:
-        unknown = set(names) - set(contracted_plugin_names())
-        if unknown:
-            raise UsageError(
-                f"precision: no contract for {sorted(unknown)}; "
-                f"known: {list(contracted_plugin_names())}")
     report = check_precision(budget=budget, seed=seed, opts=names,
                              cache=ResultCache())
     if as_json or out:

@@ -26,12 +26,10 @@ import gc
 import json
 import time
 
-from repro import telemetry
-
 __all__ = [
     "BACKENDS", "WORKLOADS", "measure_backends", "measure_workload",
-    "run_suite", "write_report", "render_backend_table", "render_table",
-    "REPORT_NAME",
+    "measurement_conditions", "run_suite", "write_report",
+    "render_backend_table", "render_table", "REPORT_NAME",
 ]
 
 WORKLOADS = ("fig5", "fig6", "fig7")
@@ -54,7 +52,7 @@ def _now():
 
 
 @contextlib.contextmanager
-def _measurement_conditions():
+def measurement_conditions():
     """Stabilize wall-clock timing of short batches.
 
     ``gc.freeze()`` moves every object alive *before* the timed region
@@ -112,7 +110,7 @@ def _measure_batch(specs, repeat=1):
     also checked against the first — a free extra equivalence trial.
     """
     from repro.engine import run_batch
-    with _measurement_conditions():
+    with measurement_conditions():
         start = _now()
         batches = [run_batch(specs) for _ in range(max(1, repeat))]
         wall_s = _now() - start
@@ -159,7 +157,7 @@ def _measure_fig7(fastpath, secret):
         return cpu
 
     attack.runtime.run = counting_run
-    with _measurement_conditions():
+    with measurement_conditions():
         start = _now()
         results = attack.leak_bytes(attack.config.kernel_secret_base,
                                     len(secret))
@@ -232,14 +230,10 @@ def measure_backends(backends=BACKENDS, workers=4, best_of=3):
         "batches": len(batches),
     }
     signatures = {}
-    tel = telemetry.REGISTRY
     for name in backends:
         best = None
-        tel.inc("repro_bench_measurements_total", max(1, best_of),
-                help="Benchmark measurements taken per workload and "
-                     "kernel", workload="soundness", kernel=name)
         for _ in range(max(1, best_of)):
-            with _measurement_conditions():
+            with measurement_conditions():
                 start = _now()
                 outcomes = [run_batch(batch, workers=workers,
                                       backend=name)
@@ -286,20 +280,14 @@ def measure_workload(name, fastpath, runs_per_type=12,
     dict and the simulation-derived outcome signature used for the
     cross-kernel equivalence check.
     """
-    tel = telemetry.REGISTRY
-    kernel = "fastpath" if fastpath else "reference"
-    tel.inc("repro_bench_measurements_total",
-            help="Benchmark measurements taken per workload and kernel",
-            workload=name, kernel=kernel)
-    with tel.phase("analysis.throughput", name):
-        if name == "fig5":
-            # 4 tiny probes: repeat heavily to reach a timeable region.
-            return _measure_batch(_fig5_specs(fastpath), repeat=8)
-        if name == "fig6":
-            return _measure_batch(_fig6_specs(fastpath, runs_per_type),
-                                  repeat=3)
-        if name == "fig7":
-            return _measure_fig7(fastpath, secret)
+    if name == "fig5":
+        # 4 tiny probes: repeat heavily to reach a timeable region.
+        return _measure_batch(_fig5_specs(fastpath), repeat=8)
+    if name == "fig6":
+        return _measure_batch(_fig6_specs(fastpath, runs_per_type),
+                              repeat=3)
+    if name == "fig7":
+        return _measure_fig7(fastpath, secret)
     raise ValueError(f"unknown workload {name!r}; known: {WORKLOADS}")
 
 

@@ -124,13 +124,6 @@ class Session:
     def plugins(self):
         return self.cpu.plugins
 
-    def plugin(self, name):
-        """The attached plug-in with registry ``name`` (or None)."""
-        for plugin in self.cpu.plugins:
-            if plugin.name == name:
-                return plugin
-        return None
-
     def arch_reg(self, index):
         return self.cpu.arch_reg(index)
 
@@ -161,11 +154,7 @@ class Session:
         if metrics.enabled:
             metrics.inc("engine.trials")
             self.hierarchy.snapshot_into(metrics)
-        # The trace payload rides along only when the *spec* asked for
-        # it: a plug-in-installed buffer (e.g. pipeline-tracer) is not
-        # part of the fingerprint, so it must not change the result.
-        traced = (spec is not None and spec.trace is not None
-                  and self.cpu.trace.enabled)
+        traced = spec is not None and spec.trace is not None
         return RunResult(
             fingerprint=self._fingerprint,
             label=(spec.label if spec is not None

@@ -139,9 +139,7 @@ _PLUGIN_REGISTRY = {}
 
 def _builtin_plugins():
     from repro import optimizations as opt
-    from repro.pipeline.trace import PipelineTracer
     return {
-        "pipeline-tracer": PipelineTracer,
         "silent-stores": opt.SilentStorePlugin,
         "computation-reuse": opt.ComputationReusePlugin,
         "computation-simplification": opt.ComputationSimplificationPlugin,

@@ -194,9 +194,9 @@ def when_holds(when: Iterable[tuple[str, object]], kwargs: Mapping,
 def contract_rows(plugin_spec: PluginSpec) -> tuple[ContractRow, ...]:
     """Compile one plug-in's contract into :class:`ContractRow` tuples.
 
-    A plug-in without a ``LINT_CONTRACT`` descriptor (the pipeline
-    tracer, out-of-tree observers) contributes no rows: it asserts no
-    MLD, so the checker has nothing to flag for it.
+    A plug-in without a ``LINT_CONTRACT`` descriptor (an out-of-tree
+    observer) contributes no rows: it asserts no MLD, so the checker has
+    nothing to flag for it.
     """
     factory = plugin_factory(plugin_spec.name)
     descriptor = getattr(factory, "LINT_CONTRACT", None)

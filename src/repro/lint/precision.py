@@ -44,7 +44,7 @@ from repro.lint.checker import lint_program, lint_spec
 from repro.lint.contracts import contracted_plugin_names
 from repro.lint.perturb import DEFAULT_PATTERNS, secret_variants
 from repro.lint.progen import CaseGenerator, GeneratedCase, gated_case
-from repro.lint.soundness import divergent_plugins
+from repro.lint.soundness import control_diverged, plugin_diverged
 
 #: Progen cases per plug-in when no budget is given — small enough for
 #: a CI smoke leg, large enough that every trigger template appears.
@@ -306,23 +306,16 @@ def check_precision(budget: int = DEFAULT_BUDGET, seed: int = 0,
     for name, specs in controls.items():
         batch = results[cursor:cursor + len(specs)]
         cursor += len(specs)
-        control_div[name] = any(
-            batch[0].cycles != result.cycles
-            or batch[0].observations != result.observations
-            for result in batch[1:])
+        control_div[name] = control_diverged(batch)
     outcomes = []
     for (case, plugin, source, scoped, sticky), cohort in \
             zip(trials, cohorts):
         batch = results[cursor:cursor + len(cohort)]
         cursor += len(cohort)
-        confirmed = any(
-            plugin in divergent_plugins(batch[0], result,
-                                        enabled=(plugin,))
-            for result in batch[1:])
         outcome = TrialOutcome(
             case=case.name, plugin=plugin, source=source,
             flagged=scoped, sticky_flagged=sticky,
-            confirmed=confirmed,
+            confirmed=plugin_diverged(batch, plugin),
             baseline_divergent=control_div[case.name])
         if outcome.false_positive:
             tel.inc("repro_precision_false_positives_total",

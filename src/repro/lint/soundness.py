@@ -14,7 +14,9 @@ optimization on the program.  This module closes the loop:
 2. the variants run through :func:`repro.engine.runner.run_batch`
    (cache-friendly, deterministic);
 3. :func:`divergent_plugins` compares per-plug-in observation stats
-   and cycle counts between runs;
+   and cycle counts between runs (:func:`control_diverged` and
+   :func:`plugin_diverged` ask the same of a whole variant cohort, for
+   the precision and synthesis harnesses);
 4. :func:`check_soundness` asserts the divergent set is a subset of
    the statically flagged set.
 
@@ -39,7 +41,8 @@ from repro.lint.perturb import (
 
 __all__ = [
     "DEFAULT_PATTERNS", "SoundnessResult", "check_soundness",
-    "divergent_plugins", "secret_regions_of", "secret_variants",
+    "control_diverged", "divergent_plugins", "plugin_diverged",
+    "secret_regions_of", "secret_variants",
 ]
 
 
@@ -57,12 +60,29 @@ def divergent_plugins(result_a: RunResult, result_b: RunResult,
     stats_a = result_a.observations.get("plugins", {})
     stats_b = result_b.observations.get("plugins", {})
     names = set(stats_a) | set(stats_b) | set(enabled)
-    names.discard("pipeline-tracer")
     divergent = {name for name in names
                  if stats_a.get(name) != stats_b.get(name)}
     if result_a.cycles != result_b.cycles:
         divergent |= {name for name in names}
     return divergent
+
+
+def control_diverged(cohort: Sequence[RunResult]) -> bool:
+    """Whether a plug-in-free control cohort is secret-visible: any
+    variant's cycles or observations differ from ``cohort[0]``, the
+    baseline run."""
+    baseline = cohort[0]
+    return any(baseline.cycles != result.cycles
+               or baseline.observations != result.observations
+               for result in cohort[1:])
+
+
+def plugin_diverged(cohort: Sequence[RunResult], plugin: str) -> bool:
+    """Whether any variant moved ``plugin``'s MLD observably against
+    ``cohort[0]``, the baseline run."""
+    return any(plugin in divergent_plugins(cohort[0], result,
+                                           enabled=(plugin,))
+               for result in cohort[1:])
 
 
 @dataclass

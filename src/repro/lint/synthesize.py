@@ -81,7 +81,7 @@ from repro.lint.contracts import ContractRow, LintError, WhenCandidate, \
     display_value, row_pairs, when_candidates, when_holds
 from repro.lint.perturb import DEFAULT_PATTERNS, secret_variants
 from repro.lint.progen import CaseGenerator, GeneratedCase
-from repro.lint.soundness import divergent_plugins
+from repro.lint.soundness import control_diverged, plugin_diverged
 from repro.pipeline.cpu import SimulationError
 
 #: Cases generated per plug-in when no budget is given — enough for
@@ -90,22 +90,6 @@ DEFAULT_BUDGET = 10
 
 #: A batch runner: specs in, results in the same order out.
 Runner = Callable[[Sequence[SimSpec]], Sequence]
-
-
-def _control_diverged(baseline: object, result: object) -> bool:
-    """Secret-visible divergence of the *plug-in-free* machine."""
-    return baseline.cycles != result.cycles \
-        or baseline.observations != result.observations
-
-
-def _plugin_diverged(baseline: object, results: Iterable,
-                     plugin: str) -> bool:
-    """Whether any variant moved the plug-in's MLD observably."""
-    for result in results:
-        if plugin in divergent_plugins(baseline, result,
-                                       enabled=(plugin,)):
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -281,11 +265,9 @@ def _reproduces(case: GeneratedCase, plugin_spec: PluginSpec,
         return False
     control_res = results[:len(control)]
     cohort_res = results[len(control):]
-    if any(_control_diverged(control_res[0], result)
-           for result in control_res[1:]):
+    if control_diverged(control_res):
         return False
-    return _plugin_diverged(cohort_res[0], cohort_res[1:],
-                            plugin_spec.name)
+    return plugin_diverged(cohort_res, plugin_spec.name)
 
 
 def minimize_witness(case: GeneratedCase, plugin_spec: PluginSpec,
@@ -405,8 +387,7 @@ def _learn_when(plugin: str, plugin_spec: PluginSpec,
         for candidate, ablated_spec, sig, case, cohort in jobs:
             cohort_res = results[cursor:cursor + len(cohort)]
             cursor += len(cohort)
-            if not _plugin_diverged(cohort_res[0], cohort_res[1:],
-                                    plugin):
+            if not plugin_diverged(cohort_res, plugin):
                 conditions.setdefault(sig, []).append(
                     candidate.condition)
                 continue
@@ -539,10 +520,8 @@ def check_synthesis(plugin: str, budget: int = DEFAULT_BUDGET,
         cursor += len(control)
         cohort_res = results[cursor:cursor + len(cohort)]
         cursor += len(cohort)
-        baseline_div = any(_control_diverged(control_res[0], result)
-                           for result in control_res[1:])
-        divergent = _plugin_diverged(cohort_res[0], cohort_res[1:],
-                                     plugin)
+        baseline_div = control_diverged(control_res)
+        divergent = plugin_diverged(cohort_res, plugin)
         spec = cohort[0]
         signature = tainted_tap_pairs(case.program, taint=spec.taint,
                                       reg_consts=dict(spec.regs))

@@ -10,12 +10,10 @@ from repro.pipeline.plugins import (
 )
 from repro.pipeline.presets import PRESETS
 from repro.pipeline.smt import SMTCore
-from repro.pipeline.trace import InstructionTrace, PipelineTracer
 
 __all__ = [
     "BranchPredictor", "CPUConfig", "CPU", "CPUStats", "SimulationError",
     "run_on_cpu", "DynInst", "InstState", "LQEntry", "SilentState",
     "SQEntry", "FastPathCPU", "FastPathStats", "FF_EVERY_CYCLE",
     "FF_PURE", "FF_WAKEUP", "OptimizationPlugin", "PRESETS", "SMTCore",
-    "InstructionTrace", "PipelineTracer",
 ]

@@ -14,8 +14,7 @@ repro.telemetry  the engine fleet      wall-clock seconds, live totals
   (label-aware counters / gauges / bounded wall-clock histograms with
   snapshot-merge semantics and a zero-cost disabled path) and the
   process-wide :data:`REGISTRY` every orchestration layer records into.
-* :mod:`repro.telemetry.expo` — Prometheus text exposition and JSON
-  serializers.
+* :mod:`repro.telemetry.expo` — the Prometheus text exposition.
 * :mod:`repro.telemetry.server` — the stdlib ``/metrics`` +
   ``/healthz`` HTTP endpoint (``python -m repro serve-metrics``).
 * :mod:`repro.telemetry.report` — the merged run report
@@ -26,16 +25,14 @@ Telemetry is invisible to the simulation: it never enters a
 :class:`~repro.engine.session.RunResult`, and simulated outcomes are
 bitwise identical with it enabled or disabled (the differential suite
 pins this).  Disable with ``REPRO_TELEMETRY=0`` or
-:func:`set_enabled`; ``benchmarks/bench_telemetry_overhead.py`` gates
-the disabled path at ≤2% on the fig6 KIPS workload.
+:func:`set_enabled`; ``benchmarks/bench_instrumentation_overhead.py``
+gates the disabled path at ≤2% on the fig6 KIPS workload.
 """
 
 import os
 import time
 
-from repro.telemetry.expo import (
-    CONTENT_TYPE, render_json, render_prometheus,
-)
+from repro.telemetry.expo import CONTENT_TYPE, render_prometheus
 from repro.telemetry.registry import (
     DEFAULT_BUCKETS, Counter, Gauge, MetricsRegistry, PHASE_METRIC,
     REPRO_TELEMETRY_ENV, WallHistogram, _env_enabled,
@@ -45,8 +42,7 @@ __all__ = [
     "CONTENT_TYPE", "Counter", "DEFAULT_BUCKETS", "Gauge",
     "MetricsRegistry", "PHASE_METRIC", "REGISTRY",
     "REPRO_TELEMETRY_ENV", "WallHistogram", "enabled", "phase",
-    "render_json", "render_prometheus", "set_enabled",
-    "worker_heartbeat",
+    "render_prometheus", "set_enabled", "worker_heartbeat",
 ]
 
 #: The process-wide registry.  In-process execution records straight

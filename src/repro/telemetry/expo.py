@@ -1,20 +1,15 @@
-"""Serialize a metrics registry: Prometheus text exposition and JSON.
+"""Serialize a metrics registry as Prometheus text exposition.
 
-Two wire formats over the same :meth:`MetricsRegistry.snapshot`:
-
-* :func:`render_prometheus` — the Prometheus text exposition format
-  (version 0.0.4): ``# HELP``/``# TYPE`` headers, one sample line per
-  label set, histograms as cumulative ``_bucket{le=...}`` series plus
-  ``_sum``/``_count``.  This is what ``GET /metrics`` serves and what
-  ``promtool``/any Prometheus scraper ingests.
-* :func:`render_json` — the snapshot itself under a stable envelope,
-  for artifacts and the ``python -m repro report --json`` output.
-
-Both accept a live registry or a snapshot dict, so pool-worker
-snapshots and the process registry render identically.
+:func:`render_prometheus` writes a :meth:`MetricsRegistry.snapshot` in
+the Prometheus text exposition format (version 0.0.4): ``# HELP``/
+``# TYPE`` headers, one sample line per label set, histograms as
+cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``.  This
+is what ``GET /metrics`` serves and what ``promtool``/any Prometheus
+scraper ingests.  It accepts a live registry or a snapshot dict, so
+pool-worker snapshots and the process registry render identically.
 """
 
-__all__ = ["CONTENT_TYPE", "render_json", "render_prometheus"]
+__all__ = ["CONTENT_TYPE", "render_prometheus"]
 
 #: The content type Prometheus scrapers expect from ``/metrics``.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -81,13 +76,3 @@ def render_prometheus(source):
                 lines.append(f"{name}{_label_text(items)} "
                              f"{_format_value(value)}")
     return "\n".join(lines) + "\n" if lines else "\n"
-
-
-def render_json(source):
-    """The registry/snapshot as a stable JSON-able envelope."""
-    snapshot = _snapshot_of(source)
-    families = sum(1 for _ in snapshot)
-    samples = sum(len(payload["samples"])
-                  for payload in snapshot.values())
-    return {"format": "repro-telemetry-v1", "families": families,
-            "samples": samples, "metrics": snapshot}

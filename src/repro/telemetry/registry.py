@@ -43,8 +43,8 @@ Disabled mode (``REPRO_TELEMETRY=0`` or :func:`set_enabled`): every
 recording call returns immediately after one attribute test, handle
 lookups return shared null metrics, and :meth:`MetricsRegistry.phase`
 returns a no-op context manager without reading the clock —
-``benchmarks/bench_telemetry_overhead.py`` gates the disabled path at
-≤2% of the enabled mode's wall time on the fig6 KIPS workload.
+``benchmarks/bench_instrumentation_overhead.py`` gates the disabled
+path at ≤2% of the enabled mode's wall time on the fig6 KIPS workload.
 """
 
 import bisect
@@ -182,12 +182,6 @@ class _NullMetric:
     __slots__ = ()
     value = 0
 
-    def inc(self, amount=1):
-        pass
-
-    def set(self, value):
-        pass
-
     def observe(self, value):
         pass
 
@@ -303,24 +297,10 @@ class MetricsRegistry:
                 family.help = help
         return family
 
-    def counter(self, name, help="", **labels):
-        """The counter handle for ``name`` + ``labels`` (or a shared
-        null handle when disabled)."""
-        if not self.enabled:
-            return _NULL_METRIC
-        with self._lock:
-            return self._family(name, "counter", help).sample(
-                _label_key(labels))
-
-    def gauge(self, name, help="", **labels):
-        if not self.enabled:
-            return _NULL_METRIC
-        with self._lock:
-            return self._family(name, "gauge", help).sample(
-                _label_key(labels))
-
     def histogram(self, name, help="", bounds=DEFAULT_BUCKETS,
                   **labels):
+        """The histogram handle for ``name`` + ``labels`` (or a shared
+        null handle when disabled)."""
         if not self.enabled:
             return _NULL_METRIC
         with self._lock:

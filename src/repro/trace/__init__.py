@@ -6,7 +6,7 @@
 * :mod:`repro.trace.perfetto` — Chrome trace-event JSON export
   (Perfetto / ``chrome://tracing`` loadable).
 * :mod:`repro.trace.timeline` — gem5-pipeview/Konata-style ASCII
-  timeline rendering for terminals.
+  timeline rendering for terminals, and the Figure 4 store timelines.
 
 Enable per-spec with ``SimSpec(trace=TraceSpec(), ...)``; drive from
 the shell with ``python -m repro trace``.  See DESIGN.md ("The trace
@@ -20,11 +20,11 @@ from repro.trace.buffer import (
 from repro.trace.perfetto import (
     chrome_document, run_trace_events, write_chrome_trace,
 )
-from repro.trace.timeline import render_timeline
+from repro.trace.timeline import render_timeline, store_timelines
 
 __all__ = [
     "CATEGORIES", "NULL_TRACE", "NullTraceBuffer",
     "PIPELINE_CATEGORIES", "TraceBuffer", "TraceError",
     "chrome_document", "events_of", "render_timeline",
-    "run_trace_events", "write_chrome_trace",
+    "run_trace_events", "store_timelines", "write_chrome_trace",
 ]

@@ -51,8 +51,8 @@ from repro.stats import NULL_STATS
 #:   outcome in ``info`` (e.g. ``case_a_silent``, ``mispredict_squash``).
 CATEGORIES = ("fetch", "inst", "sq", "mem", "opt")
 
-#: What the Figure-4 :class:`~repro.pipeline.trace.PipelineTracer`
-#: consumes: instruction lifecycle plus store-queue events.
+#: What the Figure 4 :func:`~repro.trace.timeline.store_timelines`
+#: reader consumes: instruction lifecycle plus store-queue events.
 PIPELINE_CATEGORIES = ("inst", "sq")
 
 

@@ -17,6 +17,10 @@ A dedicated footer row aggregates every ``sq`` head-of-line stall in
 the window, so the Figure 5 amplification — a burst of ``!`` columns
 while the non-silent target store re-fetches its line — is visible
 even when the per-instruction rows are truncated.
+
+:func:`store_timelines` reads the same stream as the paper's Figure 4
+store sequences: one ``#seq text: dispatch@c -> ... -> dequeue@c`` line
+per store.
 """
 
 from repro.trace.buffer import events_of
@@ -196,3 +200,57 @@ def render_timeline(trace, start=None, end=None, width=72, max_rows=40):
     lines.append("")
     lines.append(LEGEND)
     return "\n".join(lines)
+
+
+#: Lifecycle ``inst`` events in Figure 4 order -> their timeline step.
+_LIFECYCLE_STEPS = {"dispatch": "dispatch", "issue": "issue",
+                    "complete": "complete", "retire": "commit"}
+
+#: ``sq`` events -> the Figure 4 steps they mark on a store (``perform``
+#: depends on its outcome tag; see :func:`store_timelines`).
+_STORE_STEPS = {
+    "address_resolved": ("address_resolves",),
+    "ss_load_issued": ("ss_load_issued",),
+    "ss_load_returned": ("ss_load_returned",),
+    "silent_dequeue": ("dequeue", "silent_dequeue"),
+}
+
+
+def store_timelines(trace):
+    """Figure 4 timelines for every traced store, oldest first.
+
+    Reads the ``inst``/``sq`` events of a trace (buffer or payload):
+    each line is ``#seq text: `` then the lifecycle steps (dispatch,
+    issue, complete, commit) and the store-queue steps in cycle order,
+    joined by `` -> ``; a squashed store ends in `` [SQUASHED]``.
+    """
+    texts, lifecycle, steps, squashed = {}, {}, {}, set()
+    for cycle, category, name, seq, _pc, _addr, info in events_of(trace):
+        if seq < 0:
+            continue
+        if category == "inst":
+            if name in _LIFECYCLE_STEPS:
+                lifecycle.setdefault(seq, {})[name] = cycle
+                if name == "dispatch":
+                    texts[seq] = info
+            elif name == "squash":
+                squashed.add(seq)
+        elif category == "sq":
+            marks = _STORE_STEPS.get(name, ())
+            if name == "perform":
+                marks = ("dequeue", "performed_nonsilent"
+                         if info == "nonsilent"
+                         else "performed_no_candidate")
+            for step in marks:
+                steps.setdefault(seq, {})[step] = cycle
+    lines = []
+    for seq in sorted(steps):
+        life = lifecycle.get(seq, {})
+        pairs = [(step, life[name])
+                 for name, step in _LIFECYCLE_STEPS.items() if name in life]
+        pairs += sorted(steps[seq].items(), key=lambda pair: pair[1])
+        flag = " [SQUASHED]" if seq in squashed else ""
+        lines.append(f"#{seq} {texts.get(seq, '?')}: "
+                     + " -> ".join(f"{step}@{cycle}"
+                                   for step, cycle in pairs) + flag)
+    return lines

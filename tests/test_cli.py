@@ -26,6 +26,13 @@ def test_unknown_command_shows_usage(capsys):
     ["trace", "--out"],
     ["bench", "--out"],
     ["synthesize", "--budget", "x"],
+    ["synthesize", "--opt", ","],
+    ["synthesize", "--opt", "silent-stores", "--budget", "0"],
+    ["synthesize", "--opt", "silent-stores", "--budget", "-1"],
+    ["precision", "--opt", ","],
+    ["precision", "--budget", "0"],
+    ["precision", "--budget", "-1"],
+    ["precision", "--budget", "1", "--max-false-positives", "-1"],
     ["report", "--out"],
     ["stats", "/nonexistent.json"],
 ], ids=" ".join)
@@ -142,6 +149,10 @@ def test_lint_command_rejects_bad_input(tmp_path, capsys):
     prog.write_text("    halt\n")
     assert main(["lint", str(prog), "--opts", "not-a-plugin"]) == 2
     assert "bad --opts" in capsys.readouterr().out
+    # An empty list, or the retired tracer, would apply no contract.
+    for opts in (",", "pipeline-tracer"):
+        assert main(["lint", str(prog), "--opts", opts]) == 2
+        assert "bad --opts" in capsys.readouterr().out
     bad = tmp_path / "bad.s"
     bad.write_text("    frobnicate x1, x2\n")
     assert main(["lint", str(bad)]) == 2

@@ -97,10 +97,6 @@ def test_divergent_plugins_attributes_cycle_drift():
     # identical stats but drifted cycles: attribute to enabled plug-ins
     assert divergent_plugins(a, b, enabled=("silent-stores",)) == \
         {"silent-stores"}
-    # tracer never counts as an MLD
-    assert divergent_plugins(
-        a, b, enabled=("silent-stores", "pipeline-tracer")) == \
-        {"silent-stores"}
     c = FakeResult(100, {"silent-stores": {"silent": 2}})
     assert divergent_plugins(a, c) == {"silent-stores"}
     assert divergent_plugins(a, FakeResult(100, dict(same))) == set()

@@ -1,33 +1,30 @@
-"""The pipeline tracer: passive observation, Figure-4-style timelines."""
+"""Figure-4-style store timelines read off the spec-level trace."""
 
+import pytest
+
+from repro.engine import (
+    HierarchySpec, PluginSpec, SimSpec, SpecError, TraceSpec,
+    execute_spec,
+)
 from repro.isa.assembler import Assembler
-from repro.memory.cache import Cache
-from repro.memory.flatmem import FlatMemory
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.optimizations.silent_stores import SilentStorePlugin
-from repro.pipeline.cpu import CPU
-from repro.pipeline.trace import PipelineTracer
+from repro.trace import (
+    PIPELINE_CATEGORIES, events_of, render_timeline, store_timelines,
+)
+
+PIPELINE_TRACE = TraceSpec(categories=PIPELINE_CATEGORIES)
 
 
-def run_traced(asm, init_mem=(), extra_plugins=()):
-    memory = FlatMemory(1 << 16)
-    for addr, value in init_mem:
-        memory.write(addr, value)
-    tracer = PipelineTracer()
-    cpu = CPU(asm.assemble(), MemoryHierarchy(memory, l1=Cache()),
-              plugins=list(extra_plugins) + [tracer])
-    cpu.run()
-    return cpu, tracer
-
-
-def simple_store_program(value):
+def store_spec(value, trace=PIPELINE_TRACE):
     asm = Assembler()
     asm.li(1, 0x1000)
     asm.load(2, 1, 0)
     asm.li(3, value)
     asm.store(3, 1, 0)
     asm.halt()
-    return asm
+    return SimSpec(program=asm.assemble(),
+                   hierarchy=HierarchySpec(memory_size=1 << 16),
+                   plugins=(PluginSpec.of("silent-stores"),),
+                   mem_writes=((0x1000, 42, 8),), trace=trace)
 
 
 def test_event_order_is_causal():
@@ -35,108 +32,81 @@ def test_event_order_is_causal():
     asm.li(1, 7)
     asm.mul(2, 1, 1)
     asm.halt()
-    _cpu, tracer = run_traced(asm)
-    for record in tracer.records.values():
-        events = dict(record.event_pairs())
-        if "issue" in events and "dispatch" in events:
-            assert events["dispatch"] <= events["issue"]
-        if "complete" in events and "issue" in events:
-            assert events["issue"] <= events["complete"]
-        if "commit" in events and "complete" in events:
-            assert events["complete"] <= events["commit"]
+    run = execute_spec(SimSpec(program=asm.assemble(),
+                               trace=PIPELINE_TRACE))
+    lifecycle = {}
+    for cycle, category, name, seq, *_ in events_of(run.trace):
+        if category == "inst" and seq >= 0:
+            lifecycle.setdefault(seq, {})[name] = cycle
+    assert len(lifecycle) == 3
+    order = ("dispatch", "issue", "complete", "retire")
+    for events in lifecycle.values():
+        cycles = [events[name] for name in order if name in events]
+        assert cycles == sorted(cycles)
+        assert "dispatch" in events and "retire" in events
 
 
 def test_store_timeline_records_figure4_events():
-    cpu, tracer = run_traced(simple_store_program(42),
-                             init_mem=[(0x1000, 42)],
-                             extra_plugins=[SilentStorePlugin()])
-    assert cpu.stats.silent_stores == 1
-    lines = tracer.store_timelines()
+    run = execute_spec(store_spec(42))
+    assert run.stats["silent_stores"] == 1
+    lines = store_timelines(run.trace)
     assert len(lines) == 1
     assert "address_resolves" in lines[0]
     assert "silent_dequeue" in lines[0]
 
 
 def test_nonsilent_store_timeline():
-    _cpu, tracer = run_traced(simple_store_program(7),
-                              init_mem=[(0x1000, 42)],
-                              extra_plugins=[SilentStorePlugin()])
-    line = tracer.store_timelines()[0]
+    line = store_timelines(execute_spec(store_spec(7)).trace)[0]
     assert "performed_nonsilent" in line
     assert "dequeue" in line
 
 
+def test_store_timelines_exact_lines():
+    prefix = ("#3 store x3 0(x1): dispatch@3 -> issue@4 -> commit@126 "
+              "-> address_resolves@5 -> ss_load_issued@5 "
+              "-> ss_load_returned@7 -> dequeue@129")
+    assert store_timelines(execute_spec(store_spec(42)).trace) == \
+        [prefix + " -> silent_dequeue@129"]
+    assert store_timelines(execute_spec(store_spec(7)).trace) == \
+        [prefix + " -> performed_nonsilent@129"]
+
+
 def test_tracer_changes_nothing():
-    asm = simple_store_program(42)
-    baseline = run_traced(asm, init_mem=[(0x1000, 42)])[0].stats.cycles
-    memory = FlatMemory(1 << 16)
-    memory.write(0x1000, 42)
-    cpu = CPU(asm.assemble(), MemoryHierarchy(memory, l1=Cache()))
-    cpu.run()
-    assert cpu.stats.cycles == baseline
-
-
-def test_record_cap():
-    asm = Assembler()
-    for _ in range(20):
-        asm.addi(1, 1, 1)
-    asm.halt()
-    memory = FlatMemory(1 << 14)
-    tracer = PipelineTracer(max_records=5)
-    cpu = CPU(asm.assemble(), MemoryHierarchy(memory, l1=Cache()),
-              plugins=[tracer])
-    cpu.run()
-    assert len(tracer.records) == 5
-
-
-def test_untraced_timeline_message():
-    tracer = PipelineTracer()
-    assert "not traced" in tracer.timeline(999)
-
-
-def test_record_drops_are_surfaced_in_stats():
-    from repro.stats import SimStats
-    asm = Assembler()
-    for _ in range(20):
-        asm.addi(1, 1, 1)
-    asm.halt()
-    memory = FlatMemory(1 << 14)
-    metrics = SimStats()
-    tracer = PipelineTracer(max_records=5)
-    cpu = CPU(asm.assemble(), MemoryHierarchy(memory, l1=Cache()),
-              plugins=[tracer], metrics=metrics)
-    cpu.run()
-    records = tracer.records
-    assert len(records) == 5
-    dropped = 21 - len(records)  # 20 addi + halt
-    assert metrics.maxima["trace.tracer.records_dropped"] == dropped
-    # Reading records again must not inflate the peak (lazy rebuilds
-    # are idempotent).
-    _ = tracer.records
-    assert metrics.maxima["trace.tracer.records_dropped"] == dropped
-    assert "trace.tracer.records_dropped" in metrics.as_dict()["maxima"]
+    """Tracing changes no cycles, stats or observations."""
+    for value in (42, 7):
+        traced = execute_spec(store_spec(value))
+        untraced = execute_spec(store_spec(value, trace=None))
+        assert untraced.trace == {}
+        assert traced.cycles == untraced.cycles
+        assert traced.stats == untraced.stats
+        assert traced.observations == untraced.observations
 
 
 def test_tracer_consumes_engine_installed_buffer():
-    """With a spec-level trace the tracer piggybacks on the shared
-    stream instead of installing a second buffer."""
-    from repro.trace import TraceBuffer
-    asm = simple_store_program(42)
-    memory = FlatMemory(1 << 16)
-    memory.write(0x1000, 42)
-    buffer = TraceBuffer()
-    tracer = PipelineTracer()
-    cpu = CPU(asm.assemble(), MemoryHierarchy(memory, l1=Cache()),
-              plugins=[SilentStorePlugin(), tracer], trace=buffer)
-    cpu.run()
-    assert tracer.buffer is buffer
-    assert cpu.trace is buffer
-    assert tracer.store_timelines()
+    """The timelines read any spec-level stream: a full-category trace
+    gives the same lines as a pipeline-only one."""
+    for value in (42, 7):
+        full = execute_spec(store_spec(value, trace=TraceSpec()))
+        pipeline = execute_spec(store_spec(value))
+        assert any(event[1] == "mem" for event in events_of(full.trace))
+        assert store_timelines(full.trace) == \
+            store_timelines(pipeline.trace)
 
 
 def test_tracer_installs_pipeline_only_buffer():
-    _cpu, tracer = run_traced(simple_store_program(42),
-                              init_mem=[(0x1000, 42)])
-    assert tracer.buffer.categories == {"inst", "sq"}
-    # Hierarchy events are filtered out, not recorded.
-    assert tracer.buffer.events(category="mem") == []
+    """A ``PIPELINE_CATEGORIES`` trace records only ``inst``/``sq``:
+    hierarchy events are filtered out, not recorded."""
+    trace = execute_spec(store_spec(42)).trace
+    assert trace["categories"] == ["inst", "sq"]
+    assert trace["filtered"] > 0
+    assert {event[1] for event in events_of(trace)} == {"inst", "sq"}
+
+
+def test_untraced_timeline_message():
+    assert store_timelines({}) == []
+    assert render_timeline({}) == "(no pipeline events traced)"
+
+
+def test_retired_tracer_is_an_unknown_plugin():
+    with pytest.raises(SpecError):
+        PluginSpec.of("pipeline-tracer").build()

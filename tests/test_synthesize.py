@@ -24,9 +24,8 @@ from repro.lint import (
 from repro.lint.progen import (
     CaseGenerator, GeneratedCase, SECRET_ADDR, TRIGGER_TEMPLATES,
 )
-from repro.lint.synthesize import (
-    _control_diverged, _reproduces, _without_instruction,
-)
+from repro.lint.soundness import control_diverged
+from repro.lint.synthesize import _reproduces, _without_instruction
 
 SILENT = PluginSpec.of("silent-stores")
 
@@ -135,8 +134,7 @@ def test_control_cohort_flags_baseline_divergence():
     case = _secret_branched_case()
     variants = secret_variants(case.spec(label="control"))
     results = run_batch(variants)
-    assert any(_control_diverged(results[0], result)
-               for result in results[1:])
+    assert control_diverged(results)
     # ...so the case is not attributable to any plug-in:
     assert not _reproduces(case, SILENT, (0xA5, 0x5A, 0xFF), run_batch)
 
@@ -146,8 +144,7 @@ def test_trigger_cases_keep_a_clean_control():
     from repro.lint.soundness import secret_variants
     variants = secret_variants(case.spec(label="clean"))
     results = run_batch(variants)
-    assert not any(_control_diverged(results[0], result)
-                   for result in results[1:])
+    assert not control_diverged(results)
 
 
 # ----------------------------------------------------------------------

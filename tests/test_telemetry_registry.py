@@ -7,7 +7,7 @@ import pytest
 
 from repro.telemetry import (
     DEFAULT_BUCKETS, PHASE_METRIC, Counter, Gauge, MetricsRegistry,
-    WallHistogram, render_json, render_prometheus, worker_heartbeat,
+    WallHistogram, render_prometheus, worker_heartbeat,
 )
 
 
@@ -102,8 +102,6 @@ def test_disabled_registry_is_a_no_op():
     registry.observe("repro_test_seconds", 0.1)
     with registry.phase("engine.runner", "probe"):
         pass
-    handle = registry.counter("repro_test_total")
-    handle.inc()
     worker_heartbeat(registry=registry)
     assert registry.snapshot() == {}
     # ... and ignores merges, keeping the off mode observation-free.
@@ -223,14 +221,3 @@ def test_prometheus_escapes_label_values():
     registry.inc("repro_test_total", phase='we"ird\\ph\nase')
     text = render_prometheus(registry)
     assert 'phase="we\\"ird\\\\ph\\nase"' in text
-
-
-def test_render_json_wraps_the_snapshot():
-    registry = _loaded_registry()
-    payload = render_json(registry)
-    assert payload["format"] == "repro-telemetry-v1"
-    assert payload["families"] == 4
-    assert payload["metrics"] == registry.snapshot()
-    assert json.loads(json.dumps(payload)) == payload
-    # Rendering accepts a snapshot dict just as well as a registry.
-    assert render_json(registry.snapshot()) == payload
