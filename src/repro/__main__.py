@@ -40,18 +40,13 @@ Commands
              prints the learned-vs-declared status table (or the JSON
              report CI archives); exits 1 on any learned-but-
              undeclared clause
-``serve-metrics`` expose the process telemetry registry over HTTP
-             (``GET /metrics`` Prometheus text, ``GET /healthz``):
-             ``python -m repro serve-metrics [--port N] [--host H]
-             [--once]`` — by default runs the demo fleet so the
-             endpoint has live data, then serves until interrupted;
-             ``--once`` prints the exposition and exits
 ``report``   one-page run report merging the telemetry snapshot
              (wall-clock phase profile, cache/backends counters) with
              merged simulated ``RunResult.metrics`` and the
              ``BENCH_PERF.json`` throughput report when present:
              ``python -m repro report [--json] [--out PATH]
-             [--perf PATH]``
+             [--perf PATH]`` — a malformed report, or a ``--perf``
+             file that does not exist, is bad input
 
 Every command accepts a global ``--backend NAME`` flag (equivalent to
 setting ``REPRO_BACKEND=NAME``) that selects the execution backend —
@@ -61,9 +56,11 @@ wall-clock change.
 
 Bad input — an unknown command, a flag without its value, a malformed
 or out-of-range number, a plug-in list naming no contracted
-optimization, a missing file — prints a message and exits 2.
+optimization, a missing file, an unwritable ``--out`` — prints a
+message and exits 2.
 """
 
+import json
 import sys
 
 
@@ -83,6 +80,35 @@ def flag_value(args, name, usage):
     value = args[flag + 1]
     del args[flag:flag + 2]
     return value
+
+
+def flag_present(args, name):
+    """Remove the boolean flag ``name`` from ``args``; True when it was
+    there."""
+    if name not in args:
+        return False
+    args.remove(name)
+    return True
+
+
+def emit_json(payload, as_json, out, what):
+    """The ``--json``/``--out`` report writer: print ``payload`` as
+    JSON (``as_json`` without ``out``) or write it to ``out``, naming
+    ``what`` was written.  An unwritable ``out`` is a
+    :class:`UsageError`."""
+    if not (as_json or out):
+        return
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if not out:
+        print(text)
+        return
+    try:
+        with open(out, "w") as handle:
+            handle.write(text + "\n")
+    except OSError as error:
+        raise UsageError(f"cannot write {what} to {out}: "
+                         f"{error.strerror or error}") from None
+    print(f"wrote {what} to {out}")
 
 
 def int_value(text, default, usage, minimum=None):
@@ -172,7 +198,6 @@ def cmd_audit():
 def cmd_stats(*paths):
     """Render stats blocks from results JSON (bench or RunResult)."""
     import glob
-    import json
     import os
     from repro.stats import extract_stats_blocks, render_stats
     paths = list(paths)
@@ -265,8 +290,8 @@ def cmd_bench(*args):
     usage = "usage: python -m repro bench [--out PATH] [--quick]"
     args = list(args)
     out = flag_value(args, "--out", usage) or REPORT_NAME
-    quick = "--quick" in args
-    if set(args) - {"--quick"}:
+    quick = flag_present(args, "--quick")
+    if args:
         raise UsageError(usage)
     report = run_suite(runs_per_type=4 if quick else 12,
                        secret=b"Pan!" if quick else b"Pandora!",
@@ -298,19 +323,14 @@ def cmd_lint(*args):
     ``--out`` writes) the machine-readable report the CI job archives.
     Exit codes: 0 clean, 1 LEAKS found, 2 lint error / bad input.
     """
-    import json
     from repro.isa.assembler import AssemblyError
     from repro.isa.text import assemble_file
     from repro.lint import lint_program, rows_for_names
     usage = ("usage: python -m repro lint <prog.s> [--opts a,b] "
              "[--json] [--out PATH] [--sticky]")
     args = list(args)
-    as_json = "--json" in args
-    if as_json:
-        args.remove("--json")
-    path_sensitive = "--sticky" not in args
-    if not path_sensitive:
-        args.remove("--sticky")
+    as_json = flag_present(args, "--json")
+    path_sensitive = not flag_present(args, "--sticky")
     out = flag_value(args, "--out", usage)
     opts = contracted_names(flag_value(args, "--opts", usage), "--opts",
                             "lint")
@@ -328,14 +348,7 @@ def cmd_lint(*args):
                                     path_sensitive=path_sensitive))
     payload = {"reports": [report.to_json_dict() for report in reports],
                "ok": all(report.ok for report in reports)}
-    if as_json or out:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if out:
-            with open(out, "w") as handle:
-                handle.write(text + "\n")
-            print(f"wrote lint report to {out}")
-        else:
-            print(text)
+    emit_json(payload, as_json, out, "lint report")
     if not as_json:
         for report in reports:
             print(report.render())
@@ -353,7 +366,6 @@ def cmd_synthesize(*args):
     diff report the CI job archives.  Returns 1 if synthesis learned
     any clause the declared contract misses, 2 on bad input.
     """
-    import json
     from repro.engine import ResultCache
     from repro.lint import render_report, report_json, synthesize_all
     from repro.lint.synthesize import DEFAULT_BUDGET
@@ -361,12 +373,8 @@ def cmd_synthesize(*args):
              "[--budget N] [--seed N] [--no-minimize] [--json] "
              "[--out PATH]")
     args = list(args)
-    as_json = "--json" in args
-    if as_json:
-        args.remove("--json")
-    minimize = "--no-minimize" not in args
-    if not minimize:
-        args.remove("--no-minimize")
+    as_json = flag_present(args, "--json")
+    minimize = not flag_present(args, "--no-minimize")
     out = flag_value(args, "--out", usage)
     names = contracted_names(flag_value(args, "--opt", usage), "--opt",
                              "synthesize")
@@ -378,14 +386,7 @@ def cmd_synthesize(*args):
     results = synthesize_all(opts=names, budget=budget, seed=seed,
                              cache=ResultCache(), minimize=minimize)
     payload = report_json(results, budget=budget, seed=seed)
-    if as_json or out:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if out:
-            with open(out, "w") as handle:
-                handle.write(text + "\n")
-            print(f"wrote contract-diff report to {out}")
-        else:
-            print(text)
+    emit_json(payload, as_json, out, "contract-diff report")
     if not as_json:
         print(render_report(results))
     return 0 if payload["ok"] else 1
@@ -404,16 +405,13 @@ def cmd_precision(*args):
     false-positive count exceeds ``--max-false-positives`` (the CI
     ratchet), 2 on bad usage.
     """
-    import json
     from repro.engine import ResultCache
     from repro.lint.precision import DEFAULT_BUDGET, check_precision
     usage = ("usage: python -m repro precision [--opt a,b] "
              "[--budget N] [--seed N] [--json] [--out PATH] "
              "[--max-false-positives N]")
     args = list(args)
-    as_json = "--json" in args
-    if as_json:
-        args.remove("--json")
+    as_json = flag_present(args, "--json")
     out = flag_value(args, "--out", usage)
     names = contracted_names(flag_value(args, "--opt", usage), "--opt",
                              "precision")
@@ -426,15 +424,7 @@ def cmd_precision(*args):
         raise UsageError(usage)
     report = check_precision(budget=budget, seed=seed, opts=names,
                              cache=ResultCache())
-    if as_json or out:
-        text = json.dumps(report.to_json_dict(), indent=2,
-                          sort_keys=True)
-        if out:
-            with open(out, "w") as handle:
-                handle.write(text + "\n")
-            print(f"wrote precision report to {out}")
-        else:
-            print(text)
+    emit_json(report.to_json_dict(), as_json, out, "precision report")
     if not as_json:
         print(report.render())
     if not report.ok:
@@ -448,48 +438,6 @@ def cmd_precision(*args):
     return 0
 
 
-def cmd_serve_metrics(*args):
-    """Serve the process telemetry registry over HTTP.
-
-    ``python -m repro serve-metrics [--port N] [--host H] [--once]``.
-    Runs the demo fleet first so ``/metrics`` has genuine engine
-    traffic to show, then serves until interrupted.  ``--once`` skips
-    the server entirely and prints the Prometheus exposition of the
-    demo-fleet registry to stdout (the scriptable form).
-    """
-    from repro import telemetry
-    from repro.telemetry.report import run_demo_fleet
-    from repro.telemetry.server import DEFAULT_PORT, \
-        start_metrics_server
-    usage = ("usage: python -m repro serve-metrics [--port N] "
-             "[--host H] [--once]")
-    args = list(args)
-    once = "--once" in args
-    if once:
-        args.remove("--once")
-    host = flag_value(args, "--host", usage) or "127.0.0.1"
-    port = int_value(flag_value(args, "--port", usage), DEFAULT_PORT,
-                     usage)
-    if args:
-        raise UsageError(usage)
-    if not telemetry.enabled():
-        print("note: telemetry is disabled (REPRO_TELEMETRY=0); "
-              "/metrics will be empty")
-    else:
-        run_demo_fleet()
-    if once:
-        print(telemetry.render_prometheus(telemetry.REGISTRY), end="")
-        return 0
-    server = start_metrics_server(host=host, port=port)
-    print(f"serving telemetry on {server.url}/metrics "
-          f"(and {server.url}/healthz); Ctrl-C to stop")
-    try:
-        server._thread.join()
-    except KeyboardInterrupt:
-        server.shutdown()
-    return 0
-
-
 def cmd_report(*args):
     """One-page run report across all three observability layers.
 
@@ -497,10 +445,12 @@ def cmd_report(*args):
     Runs the demo fleet to populate the telemetry registry, merges its
     snapshot with the simulated ``RunResult.metrics`` it produced, and
     folds in ``BENCH_PERF.json`` (``--perf`` to point elsewhere) when
-    present.  ``--json`` prints (or with ``--out`` writes) the
-    machine-readable payload the CI job archives.
+    present.  The perf file is checked before the fleet runs: a
+    ``--perf`` path that does not exist, or any perf file that is not
+    a readable throughput report, is bad input.  ``--json`` prints (or
+    with ``--out`` writes) the machine-readable payload the CI job
+    archives.
     """
-    import json
     from repro.analysis.throughput import REPORT_NAME
     from repro.telemetry.report import (
         build_report, load_perf, render_report, run_demo_fleet,
@@ -508,24 +458,20 @@ def cmd_report(*args):
     usage = ("usage: python -m repro report [--json] [--out PATH] "
              "[--perf PATH]")
     args = list(args)
-    as_json = "--json" in args
-    if as_json:
-        args.remove("--json")
+    as_json = flag_present(args, "--json")
     out = flag_value(args, "--out", usage)
-    perf_path = flag_value(args, "--perf", usage) or REPORT_NAME
+    perf_path = flag_value(args, "--perf", usage)
     if args:
         raise UsageError(usage)
+    try:
+        perf = load_perf(perf_path or REPORT_NAME,
+                         required=perf_path is not None)
+    except ValueError as error:
+        raise UsageError(f"report: {error}") from None
     snapshot, simulated = run_demo_fleet()
     report = build_report(snapshot=snapshot, simulated=simulated,
-                          perf=load_perf(perf_path))
-    if as_json or out:
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if out:
-            with open(out, "w") as handle:
-                handle.write(text + "\n")
-            print(f"wrote run report to {out}")
-        else:
-            print(text)
+                          perf=perf)
+    emit_json(report, as_json, out, "run report")
     if not as_json:
         print(render_report(report))
     return 0
@@ -535,7 +481,7 @@ COMMANDS = {"tables": cmd_tables, "urg": cmd_urg, "fig6": cmd_fig6,
             "audit": cmd_audit, "stats": cmd_stats, "trace": cmd_trace,
             "bench": cmd_bench, "lint": cmd_lint,
             "synthesize": cmd_synthesize, "precision": cmd_precision,
-            "serve-metrics": cmd_serve_metrics, "report": cmd_report}
+            "report": cmd_report}
 
 
 def _route_backend(argv):

@@ -26,16 +26,15 @@ import gc
 import json
 import time
 
+from repro.engine import BACKEND_NAMES
+
 __all__ = [
-    "BACKENDS", "WORKLOADS", "measure_backends", "measure_workload",
+    "WORKLOADS", "measure_backends", "measure_workload",
     "measurement_conditions", "run_suite", "write_report",
     "render_backend_table", "render_table", "REPORT_NAME",
 ]
 
 WORKLOADS = ("fig5", "fig6", "fig7")
-
-#: Execution backends the per-backend KIPS comparison covers.
-BACKENDS = ("serial", "pool")
 
 REPORT_NAME = "BENCH_PERF.json"
 
@@ -213,7 +212,7 @@ def _soundness_batches():
     return [secret_variants(spec) for spec in specs]
 
 
-def measure_backends(backends=BACKENDS, workers=4, best_of=3):
+def measure_backends(backends=BACKEND_NAMES, workers=4, best_of=3):
     """Per-backend KIPS on the lint-soundness secret-pair workload.
 
     Every backend runs the identical batches through ``run_batch``
@@ -366,7 +365,7 @@ def render_backend_table(report):
     lines = [
         f"{'backend':10s} {'runs':>5s} {'wall s':>8s} {'KIPS':>9s}",
     ]
-    for name in BACKENDS:
+    for name in BACKEND_NAMES:
         entry = section.get(name)
         if entry is None:
             continue

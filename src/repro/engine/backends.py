@@ -118,39 +118,6 @@ def _timed_execute(job):
     return result, start_us, max(1, _now_us() - start_us)
 
 
-def _pool_begin_job():
-    """Reset the worker-local registry before a pooled job.
-
-    Fork-started workers inherit a *copy* of the parent's registry;
-    without the reset, the first shipped snapshot would re-merge counts
-    the parent already holds (double counting).  Resetting the worker's
-    copy never touches the parent's registry.
-    """
-    telemetry.REGISTRY.reset()
-
-
-def _pool_finish_job():
-    """Heartbeat + drained snapshot to ship back (None when disabled)."""
-    if not telemetry.REGISTRY.enabled:
-        return None
-    telemetry.worker_heartbeat()
-    return telemetry.REGISTRY.drain()
-
-
-def _pool_execute_job(job):
-    """Pool target shipping a per-job telemetry snapshot alongside."""
-    _pool_begin_job()
-    result = _execute_job(job)
-    return result, _pool_finish_job()
-
-
-def _pool_timed_execute(job):
-    """Timed pool target, likewise snapshot-shipping."""
-    _pool_begin_job()
-    result, start_us, elapsed_us = _timed_execute(job)
-    return result, start_us, elapsed_us, _pool_finish_job()
-
-
 # ----------------------------------------------------------------------
 # the protocol
 # ----------------------------------------------------------------------
@@ -234,28 +201,23 @@ class PoolBackend(ExecutionBackend):
         chunksize = self.chunksize
         if chunksize is None:
             chunksize = max(1, len(payload) // (4 * self.workers))
-        tel = telemetry.REGISTRY
+        if not timed:
+            return [ExecutedTrial(result) for result in
+                    pool.map(_execute_job, payload, chunksize=chunksize)]
         submit_us = _now_us()
-        target = _pool_timed_execute if timed else _pool_execute_job
-        mapped = pool.map(target, payload, chunksize=chunksize)
         out = []
-        for item in mapped:
-            snapshot = item[-1]
-            if snapshot:
-                tel.merge(snapshot)
-            if timed:
-                result, start_us, elapsed_us, _ = item
-                # Time from batch submission until the worker picked
-                # the job up: the pool's queueing delay (includes pool
-                # spawn for ephemeral pools, amortized for warm ones).
-                tel.observe("repro_backend_queue_wait_seconds",
-                            max(0, start_us - submit_us) / 1e6,
-                            help="Seconds a trial waited between "
-                                 "batch submit and worker pickup",
-                            backend=self.name)
-                out.append(ExecutedTrial(result, elapsed_us))
-            else:
-                out.append(ExecutedTrial(item[0]))
+        for result, start_us, elapsed_us in pool.map(
+                _timed_execute, payload, chunksize=chunksize):
+            # Time from batch submission until the worker picked the
+            # job up: the pool's queueing delay (includes pool spawn
+            # for ephemeral pools, amortized for warm ones).
+            telemetry.REGISTRY.observe(
+                "repro_backend_queue_wait_seconds",
+                max(0, start_us - submit_us) / 1e6,
+                help="Seconds a trial waited between batch submit and "
+                     "worker pickup",
+                backend=self.name)
+            out.append(ExecutedTrial(result, elapsed_us))
         return out
 
     def submit(self, jobs, timed=False):

@@ -54,9 +54,6 @@ class ResultCache:
     def __len__(self):
         return len(self._results)
 
-    def __contains__(self, fingerprint):
-        return self.get(fingerprint) is not None
-
     def _file_for(self, fingerprint):
         return os.path.join(self.path, f"{fingerprint}.json")
 

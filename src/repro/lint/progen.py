@@ -510,11 +510,6 @@ def _renamed(case: GeneratedCase, name: str) -> GeneratedCase:
         note=case.note)
 
 
-def plugin_spec_for(plugin: str) -> PluginSpec:
-    """Default-constructed :class:`PluginSpec` for a registry name."""
-    return PluginSpec.of(plugin)
-
-
 # ----------------------------------------------------------------------
 # hypothesis strategies (promoted from tests/test_property_roundtrip)
 # ----------------------------------------------------------------------

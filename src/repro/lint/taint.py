@@ -345,10 +345,6 @@ class TaintAnalysis:
     def reachable(self, pc: int) -> bool:
         return self.states.get(pc) is not None
 
-    def reg_taint(self, pc: int, reg: int) -> bool:
-        state = self.states.get(pc)
-        return bool(state and state.reg(reg).tainted)
-
     def resolve_address(self, pc: int) -> int | None:
         """Constant effective address of the memory op at ``pc``."""
         state = self.states.get(pc)

@@ -2,42 +2,33 @@
 
 The repo already observes the *simulated* machine twice over —
 :mod:`repro.stats` counts simulated events and :mod:`repro.trace`
-records simulated cycles — but nothing observed the engine fleet
-itself: where a sweep spends wall-clock time, how often the result
-cache hits, which execution backend ran how many trials, whether the
-warm pool's workers are alive.  :class:`MetricsRegistry` is that third
-layer.  It is deliberately *outside* the simulation: nothing recorded
-here may feed simulated state (results stay bitwise identical with
-telemetry on or off), nothing here enters a
+records simulated cycles — but nothing observed the engine itself:
+where a sweep spends wall-clock time, how often the result cache hits,
+which execution backend ran how many trials.  :class:`MetricsRegistry`
+is that third layer.  It is deliberately *outside* the simulation:
+nothing recorded here may feed simulated state (results stay bitwise
+identical with telemetry on or off), nothing here enters a
 :class:`~repro.engine.specs.SimSpec` fingerprint, and a
 :class:`~repro.engine.session.RunResult` never carries it.
 
-Three metric kinds with Prometheus-compatible semantics:
+Two metric kinds with Prometheus-compatible semantics:
 
-* **counters** — monotone event counts (``repro_cache_hits_total``);
-  snapshots merge by summing.
-* **gauges** — last-written values (worker heartbeat timestamps);
-  snapshots merge by taking the maximum, so the freshest heartbeat
-  wins across workers.
+* **counters** — monotone event counts (``repro_cache_hits_total``).
 * **histograms** — wall-clock distributions over a *bounded*, fixed
   bucket layout (:data:`DEFAULT_BUCKETS` plus a +Inf overflow), so a
-  long-running fleet's registry never grows with the data; snapshots
-  merge by summing per-bucket counts.
+  long sweep's registry never grows with the data.
 
 Every metric family may carry labels (``backend="pool"``,
-``phase="probe"``), giving one naming scheme across the fleet instead
+``phase="probe"``), giving one naming scheme across the engine instead
 of ad-hoc dotted counters per subsystem.  It is the engine's only
 wall-clock recorder: per-backend batch and trial counts, per-trial
-seconds, cache hits and misses, and per-pid worker trial counts.
+seconds, pool queue waits, cache hits and misses, and the
+:data:`PHASE_METRIC` phase profile.
 
 Process model: one module-level :data:`~repro.telemetry.REGISTRY` per
-process.  The serial backend records straight into it; pool workers
-record into their own (forked) registry, which the pool target resets
-per job and ships back as a picklable
-:meth:`MetricsRegistry.drain` snapshot that the parent
-:meth:`MetricsRegistry.merge`\\ s — merging is associative and
-commutative, so a 4-worker fan-out aggregates to the same totals as a
-serial run.
+process, and every recording site runs in the process that called
+:func:`~repro.engine.runner.run_batch` — pool workers only simulate,
+so a pool run records the same totals as a serial one.
 
 Disabled mode (``REPRO_TELEMETRY=0`` or :func:`set_enabled`): every
 recording call returns immediately after one attribute test, handle
@@ -54,8 +45,8 @@ import threading
 import time
 
 __all__ = [
-    "DEFAULT_BUCKETS", "Counter", "Gauge", "MetricsRegistry",
-    "PHASE_METRIC", "WallHistogram",
+    "DEFAULT_BUCKETS", "Counter", "MetricsRegistry", "PHASE_METRIC",
+    "WallHistogram",
 ]
 
 #: Environment variable gating the process-wide registry; unset or any
@@ -88,7 +79,7 @@ def _env_enabled():
 # ----------------------------------------------------------------------
 
 class Counter:
-    """A monotone event count; merge: sum."""
+    """A monotone event count."""
 
     __slots__ = ("value",)
     kind = "counter"
@@ -105,32 +96,9 @@ class Counter:
     def as_value(self):
         return self.value
 
-    def merge_value(self, value):
-        self.value += value
-
-
-class Gauge:
-    """A last-written value; merge: max (freshest heartbeat wins)."""
-
-    __slots__ = ("value",)
-    kind = "gauge"
-
-    def __init__(self):
-        self.value = 0
-
-    def set(self, value):
-        self.value = value
-
-    def as_value(self):
-        return self.value
-
-    def merge_value(self, value):
-        if value > self.value:
-            self.value = value
-
 
 class WallHistogram:
-    """A bounded-bucket distribution; merge: per-bucket sum.
+    """A bounded-bucket distribution.
 
     ``bounds`` are the inclusive upper edges; one extra overflow bucket
     catches everything above the last bound, so the layout — hence the
@@ -158,22 +126,6 @@ class WallHistogram:
     def as_value(self):
         return {"bounds": list(self.bounds), "counts": list(self.counts),
                 "count": self.count, "total": self.total}
-
-    def merge_value(self, value):
-        if tuple(value["bounds"]) != self.bounds:
-            raise ValueError(
-                f"cannot merge histograms with bucket bounds "
-                f"{tuple(value['bounds'])} and {self.bounds}")
-        for index, extra in enumerate(value["counts"]):
-            self.counts[index] += extra
-        self.count += value["count"]
-        self.total += value["total"]
-
-    @classmethod
-    def from_value(cls, value):
-        hist = cls(bounds=value["bounds"])
-        hist.merge_value(value)
-        return hist
 
 
 class _NullMetric:
@@ -243,8 +195,6 @@ class _Family:
         if metric is None:
             if self.kind == "counter":
                 metric = Counter()
-            elif self.kind == "gauge":
-                metric = Gauge()
             else:
                 metric = WallHistogram(bounds=self.bounds)
             self.samples[key] = metric
@@ -263,12 +213,11 @@ def _label_key(labels):
 
 
 class MetricsRegistry:
-    """Label-aware counters, gauges, and wall-clock histograms.
+    """Label-aware counters and wall-clock histograms.
 
-    Thread-safe: the metrics HTTP server snapshots from its own thread
-    while the main thread records.  All operations take one short lock;
-    recording sites are per-batch/per-trial (never per simulated
-    cycle), so the lock is far off every hot path.
+    Thread-safe: all operations take one short lock; recording sites
+    are per-batch/per-trial (never per simulated cycle), so the lock is
+    far off every hot path.
     """
 
     def __init__(self, enabled=True):
@@ -316,14 +265,6 @@ class MetricsRegistry:
         with self._lock:
             self._family(name, "counter", help).sample(
                 _label_key(labels)).inc(amount)
-
-    def set(self, name, value, help="", **labels):
-        """Set gauge ``name`` with ``labels`` to ``value``."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._family(name, "gauge", help).sample(
-                _label_key(labels)).set(value)
 
     def observe(self, name, value, help="", bounds=DEFAULT_BUCKETS,
                 **labels):
@@ -389,35 +330,7 @@ class MetricsRegistry:
                 }
             return out
 
-    def merge(self, snapshot):
-        """Fold a :meth:`snapshot` (e.g. shipped from a pool worker)
-        into this registry; counters sum, gauges max, histograms add
-        per-bucket.  Returns ``self``.  Disabled registries ignore
-        merges, keeping the off mode observation-free."""
-        if not snapshot or not self.enabled:
-            return self
-        with self._lock:
-            for name, payload in snapshot.items():
-                bounds = DEFAULT_BUCKETS
-                if payload["kind"] == "histogram" and payload["samples"]:
-                    bounds = tuple(payload["samples"][0][1]["bounds"])
-                family = self._family(name, payload["kind"],
-                                      payload.get("help", ""),
-                                      bounds=bounds)
-                for key, value in payload["samples"]:
-                    key = tuple(tuple(item) for item in key)
-                    family.sample(key).merge_value(value)
-        return self
-
     def reset(self):
         """Drop every recorded sample (keeps the enabled flag)."""
         with self._lock:
             self._families.clear()
-
-    def drain(self):
-        """Snapshot then reset — the per-job shipping primitive pool
-        workers use, so each job's snapshot holds only its own delta
-        (never state forked in from the parent)."""
-        snap = self.snapshot()
-        self.reset()
-        return snap

@@ -4,12 +4,15 @@
 a single page by merging
 
 * the **fleet** view — a telemetry snapshot (wall-clock phase
-  profile, cache traffic, per-backend trial counts, worker liveness);
+  profile, cache traffic, per-backend trial counts);
 * the **simulated** view — merged :class:`~repro.stats.SimStats`
   records out of ``RunResult.metrics`` (simulated events: stalls,
   hits, squashes);
 * the **throughput** view — the ``BENCH_PERF.json`` KIPS report, when
   one exists.
+
+It is the telemetry registry's one front door: the registry records
+in process, and this report is how a run's totals leave it.
 
 :func:`run_demo_fleet` gives the CLI something real to report on
 without arguments: it runs the Figure 5 amplified probes twice through
@@ -36,7 +39,7 @@ def run_demo_fleet(registry=None, backend=None):
     one in-memory cache: the first pass misses and executes, the second
     hits — so the snapshot carries every phase histogram, the cache
     hit *and* miss counters, and per-backend trial counts, which is
-    exactly the surface ``/metrics`` and the report table render.
+    exactly the surface the report table renders.
     """
     from repro.attacks.amplification import amplified_probe_spec
     from repro.engine.cache import ResultCache
@@ -62,13 +65,36 @@ def run_demo_fleet(registry=None, backend=None):
     return registry.snapshot(), simulated.as_dict()
 
 
-def load_perf(path):
-    """The ``BENCH_PERF.json`` payload, or None when absent/unreadable."""
+def load_perf(path, required=False):
+    """The ``BENCH_PERF.json`` payload at ``path``.
+
+    An absent file is None unless ``required``.  Raises ``ValueError``
+    naming the file when it cannot be read, is not JSON, or is not a
+    throughput report the KIPS table can render (every workload needs
+    its ``reference`` and ``fastpath`` rows).
+    """
+    from repro.analysis.throughput import render_table
     try:
         with open(path) as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
+            perf = json.load(handle)
+    except OSError as error:
+        if isinstance(error, FileNotFoundError) and not required:
+            return None
+        raise ValueError(f"cannot read {path}: "
+                         f"{error.strerror or error}") from None
+    except ValueError as error:
+        raise ValueError(f"{path} is not JSON: {error}") from None
+    try:
+        render_table(perf)
+        renders = bool(perf["workloads"])
+    except (AttributeError, LookupError, TypeError, ValueError):
+        renders = False
+    if not renders:
+        raise ValueError(
+            f"{path} is not a throughput report: every workload needs "
+            "its reference and fastpath rows (run `python -m repro "
+            "bench`)")
+    return perf
 
 
 def build_report(snapshot=None, simulated=None, perf=None):
@@ -114,25 +140,23 @@ def _render_fleet(snapshot, lines):
                          f"{total:9.3f} {mean_ms:9.3f}")
     scalars = []
     for name, payload in snapshot.items():
-        if payload["kind"] not in ("counter", "gauge"):
+        if payload["kind"] != "counter":
             continue
         for key, value in payload["samples"]:
             labels = ",".join(f"{label}={text}"
                               for label, text in
                               (tuple(item) for item in key))
             suffix = f"{{{labels}}}" if labels else ""
-            mark = "  (gauge)" if payload["kind"] == "gauge" else ""
-            scalars.append(f"    {name + suffix:56s} {value:>14}{mark}")
+            scalars.append(f"    {name + suffix:56s} {value:>14}")
     if scalars:
-        lines.append("  counters and gauges:")
+        lines.append("  counters:")
         lines.extend(scalars)
     if not rows and not scalars:
         lines.append("  (no fleet telemetry recorded)")
 
 
 def _render_perf(perf, lines):
-    workloads = (perf or {}).get("workloads")
-    if not workloads:
+    if not perf:
         lines.append("  (no BENCH_PERF.json found — run "
                      "`python -m repro bench`)")
         return

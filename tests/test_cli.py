@@ -58,7 +58,7 @@ def test_urg_command(capsys):
 def test_command_registry_complete():
     assert set(COMMANDS) == {"tables", "urg", "fig6", "audit", "stats",
                              "trace", "bench", "lint", "synthesize",
-                             "precision", "serve-metrics", "report"}
+                             "precision", "report"}
 
 
 def test_global_backend_flag(capsys, monkeypatch):
@@ -226,26 +226,6 @@ def _restore_registry(saved):
     telemetry.REGISTRY.reset()
 
 
-def test_serve_metrics_once(capsys):
-    saved = _clean_enabled_registry()
-    try:
-        assert main(["serve-metrics", "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_backend_trials_total counter" in out
-        assert "repro_cache_hits_total" in out
-        assert 'repro_phase_seconds_bucket{layer="engine.runner"' in out
-    finally:
-        _restore_registry(saved)
-
-
-def test_serve_metrics_rejects_bad_flags(capsys):
-    assert main(["serve-metrics", "--port", "not-a-port",
-                 "--once"]) == 2
-    assert "usage" in capsys.readouterr().out
-    assert main(["serve-metrics", "--bogus"]) == 2
-    assert "usage" in capsys.readouterr().out
-
-
 def test_report_command(capsys):
     saved = _clean_enabled_registry()
     try:
@@ -260,14 +240,15 @@ def test_report_command(capsys):
         _restore_registry(saved)
 
 
-def test_report_command_json_out(tmp_path, capsys):
+def test_report_command_json_out(tmp_path, capsys, monkeypatch):
     import json
     from repro.telemetry import PHASE_METRIC
+    # No ./BENCH_PERF.json and no --perf: the report has no perf block.
+    monkeypatch.chdir(tmp_path)
     saved = _clean_enabled_registry()
     out_path = tmp_path / "report.json"
     try:
-        assert main(["report", "--json", "--out", str(out_path),
-                     "--perf", str(tmp_path / "missing.json")]) == 0
+        assert main(["report", "--json", "--out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         assert payload["bench_perf"] is None
         assert PHASE_METRIC in payload["telemetry"]
@@ -275,6 +256,40 @@ def test_report_command_json_out(tmp_path, capsys):
         assert payload["simulated"]
     finally:
         _restore_registry(saved)
+
+
+@pytest.mark.parametrize("text", [
+    "[1]",
+    '{"workloads": {"fig6": {}}}',
+    "not json",
+    None,
+], ids=["list", "partial-report", "not-json", "missing"])
+def test_report_command_rejects_a_bad_perf_file(text, tmp_path, capsys):
+    perf = tmp_path / "perf.json"
+    if text is not None:
+        perf.write_text(text)
+    assert main(["report", "--perf", str(perf)]) == 2
+    captured = capsys.readouterr()
+    assert str(perf) in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", ["lint", "report"])
+def test_unwritable_out_exits_2(command, tmp_path, capsys, monkeypatch):
+    # Bad input, not a traceback; for lint, exit 1 would read as LEAKS.
+    monkeypatch.chdir(tmp_path)
+    prog = tmp_path / "ok.s"
+    prog.write_text("    halt\n")
+    argv = ["lint", str(prog)] if command == "lint" else ["report"]
+    out_path = tmp_path / "no" / "such" / "dir" / "report.json"
+    saved = _clean_enabled_registry()
+    try:
+        assert main(argv + ["--json", "--out", str(out_path)]) == 2
+    finally:
+        _restore_registry(saved)
+    captured = capsys.readouterr()
+    assert str(out_path) in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_trace_command(tmp_path, capsys):

@@ -149,7 +149,8 @@ def test_merged_worker_stats_equal_serial_stats():
 
 def test_batch_telemetry_counts(tmp_path, monkeypatch):
     """The telemetry registry records each batch once: batches, trials
-    executed, cache traffic and per-trial wall time."""
+    executed, cache traffic, per-trial wall time and the runner's
+    phase profile."""
     from repro import telemetry
     from repro.engine import REPRO_BACKEND_ENV
     monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
@@ -169,9 +170,20 @@ def test_batch_telemetry_counts(tmp_path, monkeypatch):
         run_batch(specs, cache=cache)
         assert registry.total("repro_backend_batches_total") == 2
         assert registry.total("repro_backend_trials_total") == 3
+        assert registry.value("repro_backend_trials_total",
+                              backend="serial") == 3
         assert registry.total("repro_cache_hits_total") == 3
         assert registry.value("repro_trial_seconds",
                               backend="serial")["count"] == 3
+        # Both batches build and probe; only the cold one submits, and
+        # it merges twice (results, then cache writes).
+        phase_counts = {
+            phase: registry.value(telemetry.PHASE_METRIC,
+                                  layer="engine.runner",
+                                  phase=phase)["count"]
+            for phase in ("build", "probe", "submit", "merge")}
+        assert phase_counts == {"build": 2, "probe": 2, "submit": 1,
+                                "merge": 3}
     finally:
         registry.set_enabled(saved)
         registry.reset()
