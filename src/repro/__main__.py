@@ -40,13 +40,12 @@ Commands
              prints the learned-vs-declared status table (or the JSON
              report CI archives); exits 1 on any learned-but-
              undeclared clause
-``report``   one-page run report merging the telemetry snapshot
-             (wall-clock phase profile, cache/backends counters) with
-             merged simulated ``RunResult.metrics`` and the
-             ``BENCH_PERF.json`` throughput report when present:
-             ``python -m repro report [--json] [--out PATH]
-             [--perf PATH]`` — a malformed report, or a ``--perf``
-             file that does not exist, is bad input
+``report``   run one command and report the telemetry it recorded:
+             ``python -m repro report [--out PATH] <command>
+             [args...]`` — prints the command's own output, then the
+             wall-clock phase profile and counters of that run;
+             ``--out`` writes them as JSON; exits with the command's
+             exit code
 
 Every command accepts a global ``--backend NAME`` flag (equivalent to
 setting ``REPRO_BACKEND=NAME``) that selects the execution backend —
@@ -54,10 +53,10 @@ setting ``REPRO_BACKEND=NAME``) that selects the execution backend —
 Results are bitwise identical across backends; only scheduling and
 wall-clock change.
 
-Bad input — an unknown command, a flag without its value, a malformed
-or out-of-range number, a plug-in list naming no contracted
-optimization, a missing file, an unwritable ``--out`` — prints a
-message and exits 2.
+Bad input — an unknown command, a flag without its value, an argument
+a command does not take, a malformed or out-of-range number, a plug-in
+list naming no contracted optimization, a missing file, an unwritable
+``--out`` — prints a message and exits 2.
 """
 
 import json
@@ -89,6 +88,12 @@ def flag_present(args, name):
         return False
     args.remove(name)
     return True
+
+
+def no_arguments(command, args):
+    """A command that takes no arguments: any is a :class:`UsageError`."""
+    if args:
+        raise UsageError(f"usage: python -m repro {command}")
 
 
 def emit_json(payload, as_json, out, what):
@@ -147,7 +152,8 @@ def contracted_names(text, flag, command):
     return names
 
 
-def cmd_tables():
+def cmd_tables(*args):
+    no_arguments("tables", args)
     from repro.core.classification import render_table as render_ii
     from repro.core.landscape import render_table as render_i
     print("Table I — leakage landscape\n")
@@ -156,7 +162,8 @@ def cmd_tables():
     print(render_ii())
 
 
-def cmd_urg():
+def cmd_urg(*args):
+    no_arguments("urg", args)
     from repro.attacks.dmp_attack import DMPSandboxAttack
     secret = b"Pandora 2021"
     attack = DMPSandboxAttack()
@@ -170,7 +177,8 @@ def cmd_urg():
     print(f"accuracy: {sum(r.correct for r in results)}/{len(results)}")
 
 
-def cmd_fig6():
+def cmd_fig6(*args):
+    no_arguments("fig6", args)
     from repro.analysis.histogram import TimingHistogram
     from repro.attacks.bsaes_attack import (
         BSAESSilentStoreAttack, BSAESVictimServer,
@@ -187,7 +195,8 @@ def cmd_fig6():
           "cycles (paper: > 100)")
 
 
-def cmd_audit():
+def cmd_audit(*args):
+    no_arguments("audit", args)
     import runpy
     import os
     path = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
@@ -267,8 +276,12 @@ def cmd_trace(*args):
         print()
         events.extend(run_trace_events(result.trace, label=result.label,
                                        pid=pid))
-    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-    write_chrome_trace(out, events)
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+        write_chrome_trace(out, events)
+    except OSError as error:
+        raise UsageError(f"cannot write trace to {out}: "
+                         f"{error.strerror or error}") from None
     print(f"wrote {len(events)} Chrome trace events to {out}")
     print("open in https://ui.perfetto.dev or chrome://tracing")
 
@@ -281,12 +294,10 @@ def cmd_bench(*args):
     speedup, and the ``identical`` column is the bitwise-equivalence
     check (per-run cycle counts, stats and attack outcomes must match
     across kernels — a speedup bought with drift is a bug, and the
-    differential suite would also fail).
+    differential suite would also fail).  Returns 1 when any workload
+    drifted.
     """
-    from repro.analysis.throughput import (
-        REPORT_NAME, render_backend_table, render_table, run_suite,
-        write_report,
-    )
+    from repro.analysis.throughput import REPORT_NAME, render_table, run_suite
     usage = "usage: python -m repro bench [--out PATH] [--quick]"
     args = list(args)
     out = flag_value(args, "--out", usage) or REPORT_NAME
@@ -297,18 +308,13 @@ def cmd_bench(*args):
                        secret=b"Pan!" if quick else b"Pandora!",
                        best_of=1 if quick else 5)
     print(render_table(report))
-    print("\nexecution backends (lint-soundness secret-pair workload):")
-    print(render_backend_table(report))
-    path = write_report(report, path=out)
-    print(f"\nwrote {path}")
+    emit_json(report, False, out, "throughput report")
     drifted = [name for name, entry in report["workloads"].items()
                if not entry["identical"]]
     if drifted:
         print(f"ERROR: kernels diverged on: {', '.join(drifted)}")
-        raise SystemExit(1)
-    if not report.get("backends", {}).get("identical", True):
-        print("ERROR: execution backends produced divergent results")
-        raise SystemExit(1)
+        return 1
+    return 0
 
 
 def cmd_lint(*args):
@@ -439,42 +445,38 @@ def cmd_precision(*args):
 
 
 def cmd_report(*args):
-    """One-page run report across all three observability layers.
+    """Run one command and report the telemetry it recorded.
 
-    ``python -m repro report [--json] [--out PATH] [--perf PATH]``.
-    Runs the demo fleet to populate the telemetry registry, merges its
-    snapshot with the simulated ``RunResult.metrics`` it produced, and
-    folds in ``BENCH_PERF.json`` (``--perf`` to point elsewhere) when
-    present.  The perf file is checked before the fleet runs: a
-    ``--perf`` path that does not exist, or any perf file that is not
-    a readable throughput report, is bad input.  ``--json`` prints (or
-    with ``--out`` writes) the machine-readable payload the CI job
-    archives.
+    ``python -m repro report [--out PATH] <command> [args...]``.
+    Everything after the command's name is its own argv, so ``--out``
+    belongs to ``report`` only before the name.  Resets the process
+    registry, runs the command in process (its output is printed as
+    it would be bare), then prints the wall-clock phase profile and
+    counters that run recorded.  ``--out`` writes ``{"command",
+    "exit_code", "telemetry"}`` as JSON.  Returns the command's exit
+    code.
     """
-    from repro.analysis.throughput import REPORT_NAME
-    from repro.telemetry.report import (
-        build_report, load_perf, render_report, run_demo_fleet,
-    )
-    usage = ("usage: python -m repro report [--json] [--out PATH] "
-             "[--perf PATH]")
+    from repro.telemetry import REGISTRY
+    from repro.telemetry.report import render_report
+    usage = ("usage: python -m repro report [--out PATH] <command> "
+             "[args...]\ncommands: "
+             + ", ".join(name for name in COMMANDS if name != "report"))
     args = list(args)
-    as_json = flag_present(args, "--json")
-    out = flag_value(args, "--out", usage)
-    perf_path = flag_value(args, "--perf", usage)
-    if args:
+    out = None
+    if args[:1] == ["--out"]:
+        if len(args) < 2:
+            raise UsageError(usage)
+        out, args = args[1], args[2:]
+    if not args or args[0] not in COMMANDS or args[0] == "report":
         raise UsageError(usage)
-    try:
-        perf = load_perf(perf_path or REPORT_NAME,
-                         required=perf_path is not None)
-    except ValueError as error:
-        raise UsageError(f"report: {error}") from None
-    snapshot, simulated = run_demo_fleet()
-    report = build_report(snapshot=snapshot, simulated=simulated,
-                          perf=perf)
-    emit_json(report, as_json, out, "run report")
-    if not as_json:
-        print(render_report(report))
-    return 0
+    REGISTRY.reset()
+    rc = int(COMMANDS[args[0]](*args[1:]) or 0)
+    snapshot = REGISTRY.snapshot()
+    print()
+    print(render_report(snapshot, " ".join(args)))
+    emit_json({"command": args, "exit_code": rc, "telemetry": snapshot},
+              False, out, "run report")
+    return rc
 
 
 COMMANDS = {"tables": cmd_tables, "urg": cmd_urg, "fig6": cmd_fig6,

@@ -16,7 +16,10 @@ under both simulation kernels (the reference
   contract is exactness, and a speedup bought with drift is a bug).
 
 :func:`run_suite` packages all of that into the ``BENCH_PERF.json``
-report written at the repository root by :func:`write_report`.
+report written at the repository root by :func:`write_report`: the
+kernel scorecard.  It times kernels, not execution backends; serial
+against pool scaling is ``benchmarks/bench_engine_scaling.py``, and
+the tier-1 cross-backend suites pin their bitwise identity.
 Wall-clock numbers are machine-dependent and deliberately live only in
 this report — never in a :class:`~repro.engine.session.RunResult`.
 """
@@ -26,12 +29,9 @@ import gc
 import json
 import time
 
-from repro.engine import BACKEND_NAMES
-
 __all__ = [
-    "WORKLOADS", "measure_backends", "measure_workload",
-    "measurement_conditions", "run_suite", "write_report",
-    "render_backend_table", "render_table", "REPORT_NAME",
+    "WORKLOADS", "measure_workload", "measurement_conditions",
+    "run_suite", "write_report", "render_table", "REPORT_NAME",
 ]
 
 WORKLOADS = ("fig5", "fig6", "fig7")
@@ -175,94 +175,6 @@ def _measure_fig7(fastpath, secret):
     return measurement, signature
 
 
-def _soundness_batches():
-    """The lint-soundness secret-pair workload, as variant batches.
-
-    One probe spec per attack module (mirroring the test catalog),
-    each expanded to its secret-XOR variants — and kept as one batch
-    per spec, because that is exactly the per-spec ``run_batch`` shape
-    :func:`repro.lint.soundness.check_soundness` issues.
-    """
-    from repro.attacks.amplification import amplified_probe_spec
-    from repro.attacks.bsaes_attack import (
-        BSAESSilentStoreAttack, BSAESVictimServer,
-    )
-    from repro.attacks.compsimp_attack import ZeroSkipAttack
-    from repro.attacks.packing_attack import OperandPackingAttack
-    from repro.attacks.replay import SilentStoreWidthOracle
-    from repro.attacks.reuse_attack import ComputationReuseAttack
-    from repro.attacks.rfc_attack import RegisterFileCompressionAttack
-    from repro.attacks.vp_attack import ValuePredictionAttack
-    from repro.lint.soundness import secret_variants
-    server = BSAESVictimServer(_FIG6_VICTIM_KEY, b"public-header-00")
-    bsaes = BSAESSilentStoreAttack(server, _FIG6_ATTACKER_KEY)
-    specs = [
-        amplified_probe_spec(0x1234, 0x4321, gadget=True,
-                             label="amp_nonsilent"),
-        bsaes.measure_spec(
-            [(37 * (slot + 3)) & 0xFFFF for slot in range(8)],
-            target_slot=4, label="bsaes_probe"),
-        ZeroSkipAttack().measure_spec(0, 1),
-        OperandPackingAttack().measure_spec(5),
-        SilentStoreWidthOracle(0xAABBCCDD)._measure_spec(0xDD, 0, 1),
-        ComputationReuseAttack(41).measure_spec(41),
-        RegisterFileCompressionAttack().measure_spec(1),
-        ValuePredictionAttack(0x42).measure_spec(0x42),
-    ]
-    return [secret_variants(spec) for spec in specs]
-
-
-def measure_backends(backends=BACKEND_NAMES, workers=4, best_of=3):
-    """Per-backend KIPS on the lint-soundness secret-pair workload.
-
-    Every backend runs the identical batches through ``run_batch``
-    (name-resolved per call, so the pool pays its real per-batch spawn
-    cost exactly as ``check_soundness(workers=4)`` does today) and the
-    serialized results are cross-checked — the backend contract is
-    bitwise equivalence, so ``identical`` must come back True.
-    """
-    from repro.engine import run_batch
-    batches = _soundness_batches()
-    section = {
-        "workload": "lint-soundness secret-pair differential "
-                    "(one variant batch per attack spec)",
-        "batches": len(batches),
-    }
-    signatures = {}
-    for name in backends:
-        best = None
-        for _ in range(max(1, best_of)):
-            with measurement_conditions():
-                start = _now()
-                outcomes = [run_batch(batch, workers=workers,
-                                      backend=name)
-                            for batch in batches]
-                wall_s = _now() - start
-            results = [result for outcome in outcomes
-                       for result in outcome]
-            instructions = sum(result.stats["retired"]
-                               for result in results)
-            measurement = {
-                "runs": len(results),
-                "wall_s": wall_s,
-                "instructions": instructions,
-                "sim_cycles": sum(result.cycles for result in results),
-                "kips": (instructions / wall_s / 1000.0
-                         if wall_s else 0.0),
-            }
-            if best is None or wall_s < best["wall_s"]:
-                best = measurement
-            signature = [result.to_json() for result in results]
-            signatures.setdefault(name, signature)
-            if signature != signatures[name]:
-                signatures[name] = ["<nondeterministic>"]
-        section[name] = best
-    first = signatures[backends[0]]
-    section["identical"] = all(signatures[name] == first
-                               for name in backends)
-    return section
-
-
 def _fastpath_sample(spec):
     """Fast-path telemetry from one representative spec of a batch."""
     from repro.engine.session import Session
@@ -328,8 +240,6 @@ def run_suite(workloads=WORKLOADS, runs_per_type=12,
                      else _fig6_specs(True, runs_per_type))
             entry["fastpath_counters"] = _fastpath_sample(specs[0])
         report["workloads"][name] = entry
-    report["backends"] = measure_backends(
-        best_of=max(1, min(best_of, 3)))
     return report
 
 
@@ -356,20 +266,3 @@ def render_table(report):
             f"{str(entry['identical']):>9s}")
     return "\n".join(lines)
 
-
-def render_backend_table(report):
-    """Per-backend KIPS on the soundness workload, one row each."""
-    section = report.get("backends")
-    if not section:
-        return "(no backend measurements)"
-    lines = [
-        f"{'backend':10s} {'runs':>5s} {'wall s':>8s} {'KIPS':>9s}",
-    ]
-    for name in BACKEND_NAMES:
-        entry = section.get(name)
-        if entry is None:
-            continue
-        lines.append(f"{name:10s} {entry['runs']:5d} "
-                     f"{entry['wall_s']:8.3f} {entry['kips']:9.1f}")
-    lines.append(f"identical: {section.get('identical')}")
-    return "\n".join(lines)

@@ -34,15 +34,15 @@ def sparkline(hist, width=32):
                    for count in buckets)
 
 
-def render_stats(stats, title=None, indent=""):
+def render_stats(stats, title=None):
     """Multi-line report for one stats record (or ``as_dict`` payload)."""
     if isinstance(stats, dict):
         stats = SimStats.from_dict(stats)
     lines = []
     if title:
-        lines.append(f"{indent}== {title} ==")
+        lines.append(f"== {title} ==")
     if not stats:
-        lines.append(f"{indent}  (no recorded metrics)")
+        lines.append("  (no recorded metrics)")
         return "\n".join(lines)
 
     groups = {}
@@ -51,24 +51,23 @@ def render_stats(stats, title=None, indent=""):
     for name in stats.maxima:
         groups.setdefault(_group_of(name), []).append(("peak", name))
     for group in sorted(groups):
-        lines.append(f"{indent}  [{group}]")
+        lines.append(f"  [{group}]")
         for kind, name in sorted(groups[group], key=lambda item: item[1]):
             if kind == "counter":
-                lines.append(f"{indent}    {name:<44s} "
-                             f"{stats.counters[name]:>12}")
+                lines.append(f"    {name:<44s} {stats.counters[name]:>12}")
             else:
-                lines.append(f"{indent}    {name:<44s} "
+                lines.append(f"    {name:<44s} "
                              f"{stats.maxima[name]:>12}  (peak)")
     if stats.histograms:
-        lines.append(f"{indent}  [histograms]")
+        lines.append("  [histograms]")
         for name in sorted(stats.histograms):
             hist = stats.histograms[name]
             lines.append(
-                f"{indent}    {name:<44s} n={hist.count:<7d} "
+                f"    {name:<44s} n={hist.count:<7d} "
                 f"min={hist.min} mean={hist.mean:.1f} max={hist.max}")
             shape = sparkline(hist)
             if shape:
-                lines.append(f"{indent}      |{shape}|")
+                lines.append(f"      |{shape}|")
     return "\n".join(lines)
 
 

@@ -14,16 +14,18 @@ repro.telemetry  the engine             wall-clock seconds, totals
   (label-aware counters and bounded wall-clock histograms with a
   zero-cost disabled path) and the process-wide :data:`REGISTRY`
   every orchestration layer records into.
-* :mod:`repro.telemetry.report` — the merged run report
-  (``python -m repro report``), the registry's one front door.
+* :mod:`repro.telemetry.report` — the run report of one command
+  (``python -m repro report <command> [args...]``), the registry's
+  one front door.
 
 Telemetry is invisible to the simulation: it never enters a
 :class:`~repro.engine.specs.SimSpec` fingerprint or a
 :class:`~repro.engine.session.RunResult`, and simulated outcomes are
 bitwise identical with it enabled or disabled (the differential suite
 pins this).  Disable with ``REPRO_TELEMETRY=0`` or
-:func:`set_enabled`; ``benchmarks/bench_instrumentation_overhead.py``
-gates the disabled path at ≤2% on the fig6 KIPS workload.
+``REGISTRY.set_enabled(False)``;
+``benchmarks/bench_instrumentation_overhead.py`` gates the disabled
+path at ≤2% on the fig6 KIPS workload.
 """
 
 from repro.telemetry.registry import (
@@ -33,27 +35,9 @@ from repro.telemetry.registry import (
 
 __all__ = [
     "Counter", "DEFAULT_BUCKETS", "MetricsRegistry", "PHASE_METRIC",
-    "REGISTRY", "REPRO_TELEMETRY_ENV", "WallHistogram", "enabled",
-    "phase", "set_enabled",
+    "REGISTRY", "REPRO_TELEMETRY_ENV", "WallHistogram",
 ]
 
 #: The process-wide registry.  Every recording site runs in the
 #: process that called ``run_batch``; pool workers only simulate.
 REGISTRY = MetricsRegistry(enabled=_env_enabled())
-
-
-def enabled():
-    """Is fleet telemetry recording in this process?"""
-    return REGISTRY.enabled
-
-
-def set_enabled(flag):
-    """Enable/disable the process registry (``REPRO_TELEMETRY`` sets
-    the initial state)."""
-    REGISTRY.set_enabled(flag)
-
-
-def phase(layer, phase):
-    """``with telemetry.phase("engine.runner", "probe"): ...`` — time
-    one orchestration phase into the process registry."""
-    return REGISTRY.phase(layer, phase)

@@ -28,12 +28,15 @@ seconds, pool queue waits, cache hits and misses, and the
 Process model: one module-level :data:`~repro.telemetry.REGISTRY` per
 process, and every recording site runs in the process that called
 :func:`~repro.engine.runner.run_batch` — pool workers only simulate,
-so a pool run records the same totals as a serial one.
+so a pool run records the same totals as a serial one.  ``python -m
+repro report <command>`` resets the registry, runs one command and
+renders what it recorded (:mod:`repro.telemetry.report`).
 
-Disabled mode (``REPRO_TELEMETRY=0`` or :func:`set_enabled`): every
-recording call returns immediately after one attribute test, handle
-lookups return shared null metrics, and :meth:`MetricsRegistry.phase`
-returns a no-op context manager without reading the clock —
+Disabled mode (``REPRO_TELEMETRY=0`` or
+:meth:`MetricsRegistry.set_enabled`): every recording call returns
+immediately after one attribute test, handle lookups return shared
+null metrics, and :meth:`MetricsRegistry.phase` returns a no-op
+context manager without reading the clock —
 ``benchmarks/bench_instrumentation_overhead.py`` gates the disabled
 path at ≤2% of the enabled mode's wall time on the fig6 KIPS workload.
 """
@@ -290,7 +293,7 @@ class MetricsRegistry:
     # -- reading -------------------------------------------------------
 
     def value(self, name, default=0, **labels):
-        """One sample's current value (tests and report rendering)."""
+        """One sample's current value (tests and the bench ledger)."""
         with self._lock:
             family = self._families.get(name)
             if family is None:

@@ -1,8 +1,36 @@
 """The ``python -m repro`` command-line surface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import COMMANDS, main
+from repro.telemetry import PHASE_METRIC
+
+
+@pytest.fixture
+def registry():
+    """The process registry, recording even under ``REPRO_TELEMETRY=0``,
+    and empty again after the test."""
+    from repro.telemetry import REGISTRY
+    saved = REGISTRY.enabled
+    REGISTRY.set_enabled(True)
+    try:
+        yield REGISTRY
+    finally:
+        REGISTRY.set_enabled(saved)
+        REGISTRY.reset()
+
+
+def _canned_suite(monkeypatch, identical=True):
+    """Make ``bench`` report one fig6 row instead of running the suite."""
+    row = {"runs": 1, "wall_s": 1.0, "instructions": 1000,
+           "sim_cycles": 100, "kips": 1.0}
+    report = {"workloads": {"fig6": {"reference": row, "fastpath": row,
+                                     "speedup": 1.0,
+                                     "identical": identical}}}
+    monkeypatch.setattr("repro.analysis.throughput.run_suite",
+                        lambda **kwargs: report)
 
 
 def test_default_prints_tables(capsys):
@@ -35,6 +63,10 @@ def test_unknown_command_shows_usage(capsys):
     ["precision", "--budget", "1", "--max-false-positives", "-1"],
     ["report", "--out"],
     ["stats", "/nonexistent.json"],
+    ["tables", "extra"],
+    ["urg", "--quick"],
+    ["fig6", "x"],
+    ["audit", "y"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_a_message(argv, capsys):
     assert main(argv) == 2
@@ -77,7 +109,6 @@ def test_global_backend_flag(capsys, monkeypatch):
 
 
 def test_bench_command(tmp_path, capsys):
-    import json
     out_path = tmp_path / "bench.json"
     assert main(["bench", "--quick", "--out", str(out_path)]) == 0
     out = capsys.readouterr().out
@@ -87,6 +118,17 @@ def test_bench_command(tmp_path, capsys):
     for entry in report["workloads"].values():
         assert entry["identical"]
         assert entry["fastpath"]["instructions"] > 0
+
+
+@pytest.mark.parametrize("prefix", [[], ["report"]], ids=["bare", "report"])
+def test_bench_returns_1_when_the_kernels_drift(prefix, registry, tmp_path,
+                                                capsys, monkeypatch):
+    _canned_suite(monkeypatch, identical=False)
+    argv = [*prefix, "bench", "--out", str(tmp_path / "bench.json")]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "kernels diverged on: fig6" in out
+    assert ("== run report" in out) == bool(prefix)
 
 
 def test_lint_command_flags_leaky_program(tmp_path, capsys):
@@ -117,7 +159,6 @@ def test_lint_command_clean_program_and_opts(tmp_path, capsys):
 
 
 def test_lint_command_json_out(tmp_path, capsys):
-    import json
     prog = tmp_path / "leaky.s"
     prog.write_text(
         ".secret 0x1000 +8\n"
@@ -182,7 +223,6 @@ def test_lint_command_sticky_flag_restores_baseline(tmp_path, capsys):
 
 
 def test_precision_command_smoke(tmp_path, capsys):
-    import json
     out_path = tmp_path / "precision.json"
     assert main(["precision", "--budget", "1", "--json",
                  "--out", str(out_path)]) == 0
@@ -209,91 +249,77 @@ def test_precision_command_ratchet(capsys):
     assert "exceed the pinned ratchet" in out
 
 
-def _clean_enabled_registry():
-    """Reset the process registry and force-enable recording, so the
-    CLI tests hold regardless of the ambient REPRO_TELEMETRY value.
-    Returns the enabled flag to restore."""
-    from repro import telemetry
-    telemetry.REGISTRY.reset()
-    saved = telemetry.REGISTRY.enabled
-    telemetry.REGISTRY.set_enabled(True)
-    return saved
+def test_report_wraps_the_command(registry, capsys):
+    assert main(["precision", "--budget", "1"]) == 0
+    bare = capsys.readouterr().out
+    assert main(["report", "precision", "--budget", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(bare)
+    report = out[len(bare):].splitlines()
+    assert "== run report: precision --budget 1 ==" in report
+    row_names = {line.split()[0] for line in report
+                 if line.startswith("    ")}
+    assert {"engine.runner", "lint.precision",
+            "repro_precision_trials_total"} <= row_names
 
 
-def _restore_registry(saved):
-    from repro import telemetry
-    telemetry.REGISTRY.set_enabled(saved)
-    telemetry.REGISTRY.reset()
-
-
-def test_report_command(capsys):
-    saved = _clean_enabled_registry()
-    try:
-        assert main(["report"]) == 0
-        out = capsys.readouterr().out
-        assert "== run report ==" in out
-        assert "phase profile" in out
-        assert "engine.runner" in out
-        assert "repro_cache_hits_total" in out
-        assert "simulated metrics" in out
-    finally:
-        _restore_registry(saved)
-
-
-def test_report_command_json_out(tmp_path, capsys, monkeypatch):
-    import json
-    from repro.telemetry import PHASE_METRIC
-    # No ./BENCH_PERF.json and no --perf: the report has no perf block.
-    monkeypatch.chdir(tmp_path)
-    saved = _clean_enabled_registry()
+def test_report_out_keeps_the_exit_code(registry, tmp_path, capsys):
     out_path = tmp_path / "report.json"
-    try:
-        assert main(["report", "--json", "--out", str(out_path)]) == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["bench_perf"] is None
-        assert PHASE_METRIC in payload["telemetry"]
-        assert "repro_cache_misses_total" in payload["telemetry"]
-        assert payload["simulated"]
-    finally:
-        _restore_registry(saved)
+    wrapped = ["precision", "--budget", "1", "--max-false-positives", "0"]
+    assert main(["report", "--out", str(out_path), *wrapped]) == 1
+    payload = json.loads(out_path.read_text())
+    assert payload["command"] == wrapped
+    assert payload["exit_code"] == 1
+    layers = {dict(key)["layer"] for key, _ in
+              payload["telemetry"][PHASE_METRIC]["samples"]}
+    assert {"engine.runner", "lint.precision"} <= layers
 
 
-@pytest.mark.parametrize("text", [
-    "[1]",
-    '{"workloads": {"fig6": {}}}',
-    "not json",
-    None,
-], ids=["list", "partial-report", "not-json", "missing"])
-def test_report_command_rejects_a_bad_perf_file(text, tmp_path, capsys):
-    perf = tmp_path / "perf.json"
-    if text is not None:
-        perf.write_text(text)
-    assert main(["report", "--perf", str(perf)]) == 2
-    captured = capsys.readouterr()
-    assert str(perf) in captured.out
-    assert "Traceback" not in captured.out + captured.err
+def test_report_resets_the_registry(registry, tmp_path, capsys):
+    counters = []
+    for run in range(2):
+        out_path = tmp_path / f"fig6-{run}.json"
+        assert main(["report", "--out", str(out_path), "fig6"]) == 0
+        telemetry = json.loads(out_path.read_text())["telemetry"]
+        counters.append({name: family["samples"]
+                         for name, family in telemetry.items()
+                         if family["kind"] == "counter"})
+    assert counters[0] == counters[1]
+    ((_, trials),) = counters[0]["repro_backend_trials_total"]
+    assert trials == 24
 
 
-@pytest.mark.parametrize("command", ["lint", "report"])
-def test_unwritable_out_exits_2(command, tmp_path, capsys, monkeypatch):
-    # Bad input, not a traceback; for lint, exit 1 would read as LEAKS.
-    monkeypatch.chdir(tmp_path)
+@pytest.mark.parametrize("argv", [[], ["nope"], ["report", "tables"]],
+                         ids=["no-command", "unknown", "itself"])
+def test_report_needs_a_command_it_can_wrap(argv, capsys):
+    assert main(["report", *argv]) == 2
+    assert "usage: python -m repro report [--out PATH] <command>" \
+        in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["lint", "report", "bench", "trace"])
+def test_unwritable_out_exits_2(command, registry, tmp_path, capsys,
+                                monkeypatch):
+    # Bad input, not a traceback; for lint and bench, exit 1 would read
+    # as LEAKS or as kernel drift.
+    _canned_suite(monkeypatch)
     prog = tmp_path / "ok.s"
     prog.write_text("    halt\n")
-    argv = ["lint", str(prog)] if command == "lint" else ["report"]
     out_path = tmp_path / "no" / "such" / "dir" / "report.json"
-    saved = _clean_enabled_registry()
-    try:
-        assert main(argv + ["--json", "--out", str(out_path)]) == 2
-    finally:
-        _restore_registry(saved)
+    if command == "trace":
+        # trace creates missing directories, but none under a file.
+        out_path = prog / "trace.json"
+    argv = {"lint": ["lint", str(prog), "--json", "--out", str(out_path)],
+            "report": ["report", "--out", str(out_path), "tables"],
+            "bench": ["bench", "--out", str(out_path)],
+            "trace": ["trace", "--out", str(out_path)]}[command]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert str(out_path) in captured.out
     assert "Traceback" not in captured.out + captured.err
 
 
 def test_trace_command(tmp_path, capsys):
-    import json
     out_path = tmp_path / "trace.json"
     assert main(["trace", "--out", str(out_path)]) == 0
     out = capsys.readouterr().out

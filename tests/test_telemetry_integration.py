@@ -122,11 +122,11 @@ def test_telemetry_never_changes_simulated_outcomes(registry, backend):
     specs = list(attack_specs().values())
     fingerprints = [spec.fingerprint() for spec in specs]
 
-    telemetry.set_enabled(True)
+    registry.set_enabled(True)
     on_results = run_batch(specs, backend=backend)
-    telemetry.set_enabled(False)
+    registry.set_enabled(False)
     off_results = run_batch(specs, backend=backend)
-    telemetry.set_enabled(True)
+    registry.set_enabled(True)
 
     assert [spec.fingerprint() for spec in specs] == fingerprints
     assert [r.to_json() for r in on_results] \
