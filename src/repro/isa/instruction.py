@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass, field
 
-from repro.isa.opcodes import Op, is_branch, is_load, is_store
+from repro.isa.opcodes import Op
 
 #: Process-wide intern table for operand tuples.  Programs are tiny
 #: (static instructions, not dynamic ones), so this is bounded by the
@@ -43,15 +43,15 @@ class Instruction:
 
     @property
     def is_load(self):
-        return is_load(self.op)
+        return self.op.is_load
 
     @property
     def is_store(self):
-        return is_store(self.op)
+        return self.op.is_store
 
     @property
     def is_branch(self):
-        return is_branch(self.op)
+        return self.op.is_branch
 
     def intern_key(self):
         """Assign (and return) the interned operand tuple for ``self``.

@@ -4,13 +4,39 @@ The ISA is deliberately small: enough to express the attack programs and
 victims from the paper (pointer chases, crypto inner loops, covert-channel
 receivers) while keeping the out-of-order pipeline model tractable.  It is
 modeled after RV64I plus the M extension and a cycle counter.
+
+Each opcode is decoded once, at import: every :class:`Op` member carries
+the boolean flags listed in :data:`OP_FLAGS`, each one its membership in
+the matching op set below, so callers read ``op.is_load`` or
+``op.reads_rs2`` instead of testing set membership.  ``Op`` hashes by
+identity, so the sets and any ``Op``-keyed dict hash in C rather than
+through ``Enum.__hash__``.
 """
 
 import enum
 
 
 class Op(enum.Enum):
-    """Every opcode understood by the assembler, interpreter and pipeline."""
+    """Every opcode understood by the assembler, interpreter and pipeline.
+
+    The flags are annotations, not values, so they are not members;
+    each member gets them at import from :data:`OP_FLAGS`.
+    """
+
+    is_alu: bool        # single-cycle ALU op, immediates and LI included
+    is_mul: bool
+    is_div: bool        # DIV and REM
+    is_load: bool
+    is_store: bool
+    is_branch: bool     # conditional branches
+    is_control: bool    # branches, JMP and HALT
+    writes_rd: bool     # produces a destination-register value
+    reads_rs1: bool
+    reads_rs2: bool     # a store's rs2 is its data operand
+    needs_rs: bool      # takes a reservation-station entry
+
+    # Members are singletons: hash them by identity, in C.
+    __hash__ = object.__hash__
 
     # Register-register ALU.
     ADD = "add"
@@ -81,46 +107,24 @@ CONTROL_OPS = BRANCH_OPS | {Op.JMP, Op.HALT}
 
 MEMORY_OPS = frozenset({Op.LOAD, Op.STORE})
 
+#: Each :class:`Op` flag and the ops it is true for.
+OP_FLAGS = {
+    "is_alu": SIMPLE_ALU_OPS,
+    "is_mul": MUL_OPS,
+    "is_div": DIV_OPS,
+    "is_load": frozenset({Op.LOAD}),
+    "is_store": frozenset({Op.STORE}),
+    "is_branch": BRANCH_OPS,
+    "is_control": CONTROL_OPS,
+    "writes_rd": SIMPLE_ALU_OPS | MUL_OPS | DIV_OPS | {Op.LOAD, Op.RDCYCLE},
+    "reads_rs1": frozenset(Op) - {
+        Op.LI, Op.JMP, Op.RDCYCLE, Op.NOP, Op.HALT, Op.FENCE},
+    "reads_rs2": ALU_RR_OPS | MUL_OPS | DIV_OPS | BRANCH_OPS | {Op.STORE},
+    # NOP, HALT, FENCE and JMP are done at dispatch.
+    "needs_rs": frozenset(Op) - {Op.NOP, Op.HALT, Op.FENCE, Op.JMP},
+}
 
-def is_alu(op):
-    """True for single-cycle ALU ops (including immediates and LI)."""
-    return op in SIMPLE_ALU_OPS
-
-
-def is_mul(op):
-    return op in MUL_OPS
-
-
-def is_div(op):
-    return op in DIV_OPS
-
-
-def is_load(op):
-    return op is Op.LOAD
-
-
-def is_store(op):
-    return op is Op.STORE
-
-
-def is_branch(op):
-    return op in BRANCH_OPS
-
-
-def is_control(op):
-    return op in CONTROL_OPS
-
-
-def writes_register(op):
-    """True when the instruction produces a destination-register value."""
-    return (is_alu(op) or is_mul(op) or is_div(op) or is_load(op)
-            or op is Op.RDCYCLE)
-
-
-def reads_rs1(op):
-    return op not in (Op.LI, Op.JMP, Op.RDCYCLE, Op.NOP, Op.HALT, Op.FENCE)
-
-
-def reads_rs2(op):
-    return op in ALU_RR_OPS or op in MUL_OPS or op in DIV_OPS \
-        or op in BRANCH_OPS or op is Op.STORE
+for _op in Op:
+    for _flag, _ops in OP_FLAGS.items():
+        setattr(_op, _flag, _op in _ops)
+del _op, _flag, _ops

@@ -3,9 +3,15 @@
 Keeping arithmetic and branch evaluation in one place guarantees that the
 out-of-order core and the golden-model interpreter can never diverge on
 *what* a program computes — they may only differ on *when*.
+
+:data:`ALU_FUNCS` maps every arithmetic op to its result function, so a
+caller that already knows its op is arithmetic (both kernels, through
+``CPU._compute_result``, and the lint layer's constant folding) pays one
+dict lookup instead of a walk down the opcode list; :func:`alu_result`
+is the checked entry point the golden-model interpreter uses.
 """
 
-from repro.isa.bits import mask, to_signed
+from repro.isa.bits import WORD_MASK, mask, to_signed
 from repro.isa.opcodes import Op
 
 
@@ -13,67 +19,59 @@ class SemanticsError(Exception):
     """Raised for undefined operations (unknown opcode for a helper)."""
 
 
-def alu_result(op, a, b, imm):
-    """Compute the result of an arithmetic instruction.
+def _div(a, b, imm):
+    if b == 0:
+        return WORD_MASK
+    sa, sb = to_signed(a), to_signed(b)
+    q = abs(sa) // abs(sb)
+    return (-q if (sa < 0) != (sb < 0) else q) & WORD_MASK
 
-    ``a`` and ``b`` are the unsigned 64-bit source-register values; ``imm``
-    is the (possibly negative) immediate.  Returns the unsigned 64-bit
-    result.  Division follows RISC-V M semantics: division by zero yields
-    all-ones (DIV) / the dividend (REM) rather than trapping.
-    """
-    if op is Op.ADD:
-        return mask(a + b)
-    if op is Op.SUB:
-        return mask(a - b)
-    if op is Op.AND:
-        return a & b
-    if op is Op.OR:
-        return a | b
-    if op is Op.XOR:
-        return a ^ b
-    if op is Op.SLL:
-        return mask(a << (b & 63))
-    if op is Op.SRL:
-        return a >> (b & 63)
-    if op is Op.SRA:
-        return mask(to_signed(a) >> (b & 63))
-    if op is Op.SLT:
-        return 1 if to_signed(a) < to_signed(b) else 0
-    if op is Op.SLTU:
-        return 1 if a < b else 0
-    if op is Op.MUL:
-        return mask(a * b)
-    if op is Op.DIV:
-        if b == 0:
-            return mask(-1)
-        q = abs(to_signed(a)) // abs(to_signed(b))
-        if (to_signed(a) < 0) != (to_signed(b) < 0):
-            q = -q
-        return mask(q)
-    if op is Op.REM:
-        if b == 0:
-            return a
-        r = abs(to_signed(a)) % abs(to_signed(b))
-        if to_signed(a) < 0:
-            r = -r
-        return mask(r)
-    if op is Op.ADDI:
-        return mask(a + imm)
-    if op is Op.ANDI:
-        return a & mask(imm)
-    if op is Op.ORI:
-        return a | mask(imm)
-    if op is Op.XORI:
-        return a ^ mask(imm)
-    if op is Op.SLLI:
-        return mask(a << (imm & 63))
-    if op is Op.SRLI:
-        return a >> (imm & 63)
-    if op is Op.SLTI:
-        return 1 if to_signed(a) < imm else 0
-    if op is Op.LI:
-        return mask(imm)
-    raise SemanticsError(f"{op} is not an arithmetic op")
+
+def _rem(a, b, imm):
+    if b == 0:
+        return a
+    sa = to_signed(a)
+    r = abs(sa) % abs(to_signed(b))
+    return (-r if sa < 0 else r) & WORD_MASK
+
+
+#: ``op -> f(a, b, imm)`` for every arithmetic op: ``a`` and ``b`` are
+#: the unsigned 64-bit source-register values, ``imm`` the (possibly
+#: negative) immediate, and the result is an unsigned 64-bit word.
+#: Division follows RISC-V M semantics: division by zero yields all-ones
+#: (DIV) / the dividend (REM) rather than trapping.
+ALU_FUNCS = {
+    Op.ADD: lambda a, b, imm: (a + b) & WORD_MASK,
+    Op.SUB: lambda a, b, imm: (a - b) & WORD_MASK,
+    Op.AND: lambda a, b, imm: a & b,
+    Op.OR: lambda a, b, imm: a | b,
+    Op.XOR: lambda a, b, imm: a ^ b,
+    Op.SLL: lambda a, b, imm: (a << (b & 63)) & WORD_MASK,
+    Op.SRL: lambda a, b, imm: a >> (b & 63),
+    Op.SRA: lambda a, b, imm: (to_signed(a) >> (b & 63)) & WORD_MASK,
+    Op.SLT: lambda a, b, imm: 1 if to_signed(a) < to_signed(b) else 0,
+    Op.SLTU: lambda a, b, imm: 1 if a < b else 0,
+    Op.MUL: lambda a, b, imm: (a * b) & WORD_MASK,
+    Op.DIV: _div,
+    Op.REM: _rem,
+    Op.ADDI: lambda a, b, imm: (a + imm) & WORD_MASK,
+    Op.ANDI: lambda a, b, imm: a & (imm & WORD_MASK),
+    Op.ORI: lambda a, b, imm: a | (imm & WORD_MASK),
+    Op.XORI: lambda a, b, imm: a ^ (imm & WORD_MASK),
+    Op.SLLI: lambda a, b, imm: (a << (imm & 63)) & WORD_MASK,
+    Op.SRLI: lambda a, b, imm: a >> (imm & 63),
+    Op.SLTI: lambda a, b, imm: 1 if to_signed(a) < imm else 0,
+    Op.LI: lambda a, b, imm: imm & WORD_MASK,
+}
+
+
+def alu_result(op, a, b, imm):
+    """Compute the result of an arithmetic instruction (see
+    :data:`ALU_FUNCS`); raises :class:`SemanticsError` for any other op."""
+    func = ALU_FUNCS.get(op)
+    if func is None:
+        raise SemanticsError(f"{op} is not an arithmetic op")
+    return func(a, b, imm)
 
 
 def branch_taken(op, a, b):

@@ -21,7 +21,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Op, is_branch, reads_rs1, writes_register
+from repro.isa.opcodes import Op
 
 #: Pseudo-pc of the "definition" every register has on entry (the
 #: initial register file / :class:`~repro.engine.specs.SimSpec` regs).
@@ -40,7 +40,7 @@ def successors(program: Sequence[Instruction], pc: int) -> tuple[int, ...]:
         return (len(program),)
     if op is Op.JMP:
         return (inst.target,)
-    if is_branch(op):
+    if op.is_branch:
         fall, taken = pc + 1, inst.target
         return (fall,) if taken == fall else (fall, taken)
     return (pc + 1,)
@@ -252,7 +252,7 @@ def reaching_definitions(program: Sequence[Instruction]) -> dict[int, dict]:
             continue
         inst = program[pc]
         out = state
-        if writes_register(inst.op) and inst.rd != 0:
+        if inst.op.writes_rd and inst.rd != 0:
             out = dict(state)
             out[inst.rd] = frozenset((pc,))
         for succ in successors(program, pc):
@@ -298,7 +298,7 @@ def def_chain(program: Sequence[Instruction],
         seen.add(def_pc)
         chain.append(def_pc)
         inst = program[def_pc]
-        if reads_rs1(inst.op) and inst.rs1 != 0:
+        if inst.op.reads_rs1 and inst.rs1 != 0:
             current_pc, current_reg = def_pc, inst.rs1
         else:
             break

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Mapping
 from repro.engine.specs import SimSpec, TaintSpec
 from repro.isa.assembler import Program
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Op, reads_rs1, reads_rs2, writes_register
+from repro.isa.opcodes import Op
 from repro.lint.cfg import def_chain, reaching_definitions
 from repro.lint.contracts import ContractRow, LintError, \
     applicable_taps, rows_for_names, rows_for_specs
@@ -41,12 +41,12 @@ def _tap_taint(tap: str, inst: Instruction, analysis: TaintAnalysis,
     """Resolve one contract tap to ``(tainted, origin)`` at ``pc``."""
     op = inst.op
     if tap == "rs1":
-        if not reads_rs1(op):
+        if not op.reads_rs1:
             return False, ()
         av = state.reg(inst.rs1)
         return av.tainted, av.origin
     if tap == "rs2":
-        if not reads_rs2(op):
+        if not op.reads_rs2:
             return False, ()
         av = state.reg(inst.rs2)
         return av.tainted, av.origin
@@ -167,7 +167,7 @@ def lint_program(program: Program,
         for row in contracts:
             if not row.matches_op(inst.op):
                 continue
-            if writes_register(inst.op) and inst.rd == 0 \
+            if inst.op.writes_rd and inst.rd == 0 \
                     and row.ops is None:
                 continue                # x0 result is discarded
             tainted_taps = []
@@ -188,7 +188,7 @@ def lint_program(program: Program,
                     or ["tainted branch dominates this instruction"]
             if not tainted_taps:
                 continue
-            use_reg = inst.rs1 if reads_rs1(inst.op) else None
+            use_reg = inst.rs1 if inst.op.reads_rs1 else None
             if use_reg:
                 chain = def_chain(program, reach, pc, use_reg)
                 if chain:

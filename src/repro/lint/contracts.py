@@ -44,7 +44,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.engine.specs import PluginSpec, plugin_factory, plugin_names
-from repro.isa.opcodes import Op, reads_rs1, reads_rs2, writes_register
+from repro.isa.opcodes import Op
 
 #: Tap names the checker knows how to resolve.
 KNOWN_TAPS = frozenset({
@@ -77,13 +77,13 @@ def applicable_taps(op: Op) -> tuple[str, ...]:
     """The canonical taps that carry a value on ``op``, in a fixed
     order — the feature vector synthesis observes per instruction."""
     taps = []
-    if reads_rs1(op):
+    if op.reads_rs1:
         taps.append("rs1")
-    if reads_rs2(op):
+    if op.reads_rs2:
         taps.append("rs2")
     if op is Op.STORE:
         taps.append("old_memory_value")
-    if writes_register(op):
+    if op.writes_rd:
         taps.append("result")
     return tuple(taps)
 
@@ -91,7 +91,7 @@ def applicable_taps(op: Op) -> tuple[str, ...]:
 def producing_ops() -> tuple[Op, ...]:
     """Every op that writes a destination register, sorted by name —
     the expansion of a contract row whose ``ops`` is ``None``."""
-    return tuple(sorted((op for op in Op if writes_register(op)),
+    return tuple(sorted((op for op in Op if op.writes_rd),
                         key=lambda op: op.value))
 
 
@@ -141,7 +141,7 @@ class ContractRow:
 
     def matches_op(self, op: Op) -> bool:
         if self.ops is None:
-            return writes_register(op)
+            return op.writes_rd
         return op in self.ops
 
 

@@ -576,9 +576,7 @@ def canonical_programs() -> Any:
     field, the source form only the meaningful ones)."""
     st = _st()
     from repro.isa import Instruction
-    from repro.isa.opcodes import (
-        ALU_RI_OPS, MEMORY_OPS, reads_rs1, reads_rs2, writes_register,
-    )
+    from repro.isa.opcodes import ALU_RI_OPS, MEMORY_OPS
 
     @st.composite
     def _canonical(draw: Any) -> Program:
@@ -590,9 +588,9 @@ def canonical_programs() -> Any:
                 or op is Op.LI
             canonical.append(Instruction(
                 op=op,
-                rd=inst.rd if writes_register(op) else 0,
-                rs1=inst.rs1 if reads_rs1(op) else 0,
-                rs2=inst.rs2 if reads_rs2(op) else 0,
+                rd=inst.rd if op.writes_rd else 0,
+                rs1=inst.rs1 if op.reads_rs1 else 0,
+                rs2=inst.rs2 if op.reads_rs2 else 0,
                 imm=inst.imm if uses_imm else 0,
                 width=inst.width if op in MEMORY_OPS else 8,
                 target=inst.target, pc=inst.pc))

@@ -47,11 +47,9 @@ has finite height and the loop always terminates.
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import (
-    Op, is_branch, reads_rs1, reads_rs2, writes_register,
-)
+from repro.isa.opcodes import Op
 from repro.isa.semantics import (
-    alu_result, branch_taken, effective_address,
+    ALU_FUNCS, branch_taken, effective_address,
 )
 from repro.lint.cfg import (
     immediate_postdominators, static_successors, successors,
@@ -390,16 +388,15 @@ def _produced_value(inst: Instruction, state: State, pc: int) -> AV:
         # The cycle counter is the receiver's timer: architecturally
         # public, even though its *value* is what attacks measure.
         return AV(False, None)
-    a_av = state.reg(inst.rs1) if reads_rs1(op) else ZERO
-    b_av = state.reg(inst.rs2) if reads_rs2(op) else ZERO
-    tainted = (a_av.tainted and reads_rs1(op)) or \
-              (b_av.tainted and reads_rs2(op))
+    needs_a, needs_b = op.reads_rs1, op.reads_rs2
+    a_av = state.reg(inst.rs1) if needs_a else ZERO
+    b_av = state.reg(inst.rs2) if needs_b else ZERO
+    tainted = (a_av.tainted and needs_a) or (b_av.tainted and needs_b)
     const = None
     a, b = a_av.const, b_av.const
-    needs_a, needs_b = reads_rs1(op), reads_rs2(op)
     if (not needs_a or a is not None) and (not needs_b or b is not None):
-        const = alu_result(op, a if needs_a else 0,
-                           b if needs_b else 0, inst.imm)
+        const = ALU_FUNCS[op](a if needs_a else 0,
+                              b if needs_b else 0, inst.imm)
     origin = a_av.origin or b_av.origin
     if tainted:
         origin = _extend(origin, (pc, f"{op.value} result"))
@@ -475,7 +472,7 @@ def _feasible_map(program: Sequence[Instruction], states: Mapping[int, State],
             feasible[pc] = ()
             continue
         folded = _folded_target(inst, state, pc) \
-            if is_branch(inst.op) else None
+            if inst.op.is_branch else None
         feasible[pc] = (folded,) if folded is not None \
             else tuple(sorted(successors(program, pc)))
     return feasible
@@ -544,7 +541,7 @@ def _transfer(inst: Instruction, state: State, pc: int,
         return ((size, state),)
     if op is Op.JMP:
         return ((inst.target, state),)
-    if is_branch(op):
+    if op.is_branch:
         a_av, b_av = state.reg(inst.rs1), state.reg(inst.rs2)
         out = state
         if a_av.tainted or b_av.tainted:
@@ -586,7 +583,7 @@ def _transfer(inst: Instruction, state: State, pc: int,
         return ((pc + 1, out),)
     if op in (Op.FENCE, Op.NOP):
         return ((pc + 1, state),)
-    if writes_register(op):
+    if op.writes_rd:
         value = _produced_value(inst, state, pc)
         if state.control and not value.tainted:
             value = AV(True, value.const,

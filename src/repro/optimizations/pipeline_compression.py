@@ -13,7 +13,7 @@ Two members of the family are modeled:
 """
 
 from repro.isa.bits import is_narrow, significant_bytes
-from repro.isa.opcodes import Op, SIMPLE_ALU_OPS, reads_rs2
+from repro.isa.opcodes import Op, SIMPLE_ALU_OPS
 from repro.pipeline.plugins import FF_PURE, OptimizationPlugin
 
 NARROW_BITS = 16
@@ -28,7 +28,7 @@ def operand_values(dyn):
     op = dyn.inst.op
     if op is Op.LI:
         return (dyn.inst.imm,)
-    if reads_rs2(op):
+    if op.reads_rs2:
         return (dyn.src_values[0], dyn.src_values[1])
     return (dyn.src_values[0], dyn.inst.imm)
 

@@ -22,16 +22,14 @@ interpreter: optimizations may change *when*, never *what*.
 from collections import deque
 
 from repro.isa.bits import mask
-from repro.isa.opcodes import (
-    Op, is_alu, is_branch, is_div, is_load, is_mul, is_store, reads_rs1,
-    reads_rs2, writes_register,
-)
-from repro.isa.semantics import alu_result, branch_taken, effective_address
+from repro.isa.opcodes import Op
+from repro.isa.semantics import ALU_FUNCS, branch_taken, effective_address
 from repro.pipeline.branch_predictor import BranchPredictor
 from repro.pipeline.config import CPUConfig
 from repro.pipeline.dyninst import (
     DynInst, InstState, LQEntry, SilentState, SQEntry,
 )
+from repro.pipeline.plugins import OptimizationPlugin
 from repro.stats import NULL_STATS
 from repro.trace.buffer import NULL_TRACE
 
@@ -106,6 +104,11 @@ class CPU:
         self.memory = hierarchy.memory
         self.config = config if config is not None else CPUConfig()
         self.plugins = list(plugins)
+        # Only plug-ins that override pack_pair can pack a pair; the
+        # base-class hook always says no.
+        self._pack_plugins = [
+            plugin for plugin in self.plugins
+            if type(plugin).pack_pair is not OptimizationPlugin.pack_pair]
         self.stats = CPUStats()
         self.metrics = metrics if metrics is not None else NULL_STATS
         self.trace = NULL_TRACE
@@ -479,9 +482,9 @@ class CPU:
     def _sources_ready(self, dyn):
         op = dyn.inst.op
         needed = []
-        if reads_rs1(op):
+        if op.reads_rs1:
             needed.append(0)
-        if reads_rs2(op) and not is_store(op):
+        if op.reads_rs2 and not op.is_store:
             needed.append(1)
         for index in needed:
             preg = dyn.src_pregs[index]
@@ -519,22 +522,22 @@ class CPU:
             if not self._sources_ready(dyn):
                 continue
             op = dyn.inst.op
-            if is_load(op):
+            if op.is_load:
                 if ports["load"] <= 0:
                     continue
                 if not self._try_issue_load(dyn):
                     continue
                 ports["load"] -= 1
-            elif is_store(op):
+            elif op.is_store:
                 if ports["store"] <= 0:
                     continue
                 ports["store"] -= 1
                 self._issue_store_agen(dyn)
-            elif is_mul(op):
+            elif op.is_mul:
                 if not self._issue_arith(dyn, cfg.latency_mul,
                                          self.mul_busy_until):
                     continue
-            elif is_div(op):
+            elif op.is_div:
                 if not self._issue_arith(dyn, cfg.latency_div,
                                          self.div_busy_until):
                     continue
@@ -567,29 +570,35 @@ class CPU:
 
     def _find_pack_partner(self, dyn, issued_alu_ops, packed_partners):
         """Operand packing: find an already-issued ALU op to share a slot."""
-        if not self.plugins or not is_alu(dyn.inst.op):
+        plugins = self._pack_plugins
+        if not plugins or not dyn.inst.op.is_alu:
             return None
         for partner in issued_alu_ops:
             if id(partner) in packed_partners:
                 continue
-            if not is_alu(partner.inst.op):
+            if not partner.inst.op.is_alu:
                 continue
-            for plugin in self.plugins:
+            for plugin in plugins:
                 if plugin.pack_pair(partner, dyn):
                     return partner
         return None
 
     def _issue_arith(self, dyn, latency, busy_until):
-        """Issue a multiply/divide; returns False when all units are busy."""
+        """Issue a multiply/divide; returns False when all units are busy.
+
+        Every attempt asks the plug-ins for a reuse hit (the reuse
+        plug-in counts each lookup); the result is computed only once
+        the op issues.
+        """
         hit = False
         for plugin in self.plugins:
             if plugin.lookup_reuse(dyn):
                 hit = True
                 break
-        value = self._compute_result(dyn)
         if hit:
             dyn.reused = True
             self.stats.reuse_hits += 1
+            value = self._compute_result(dyn)
             self.schedule(1, lambda d=dyn, v=value: self._writeback(d, v))
             return True
         unit_index = None
@@ -599,6 +608,7 @@ class CPU:
                 break
         if unit_index is None:
             return False
+        value = self._compute_result(dyn)
         for plugin in self.plugins:
             latency = plugin.execute_latency(dyn, latency)
         busy_until[unit_index] = self.cycle + latency
@@ -610,7 +620,7 @@ class CPU:
         latency = self.config.latency_alu
         for plugin in self.plugins:
             latency = plugin.execute_latency(dyn, latency)
-        if is_branch(op):
+        if op.is_branch:
             self.schedule(latency, lambda d=dyn: self._resolve_branch(d))
             return
         if op is Op.RDCYCLE:
@@ -629,8 +639,9 @@ class CPU:
         self.schedule(latency, lambda d=dyn, v=value: self._writeback(d, v))
 
     def _compute_result(self, dyn):
-        return alu_result(dyn.inst.op, dyn.src_values[0], dyn.src_values[1],
-                          dyn.inst.imm)
+        inst = dyn.inst
+        return ALU_FUNCS[inst.op](dyn.src_values[0], dyn.src_values[1],
+                                  inst.imm)
 
     def _issue_store_agen(self, dyn):
         addr = effective_address(dyn.src_values[0], dyn.inst.imm)
@@ -772,17 +783,17 @@ class CPU:
                 if self.rob or self.store_queue:
                     self._dispatch_stall("fence")
                     break
-            needs_rs = op not in (Op.NOP, Op.HALT, Op.FENCE, Op.JMP)
+            needs_rs = op.needs_rs
             if needs_rs and len(self.rs) >= cfg.rs_size:
                 self._dispatch_stall("rs")
                 break
-            if is_load(op) and len(self.load_queue) >= cfg.load_queue_size:
+            if op.is_load and len(self.load_queue) >= cfg.load_queue_size:
                 self._dispatch_stall("lq")
                 break
-            if is_store(op) and len(self.store_queue) >= cfg.store_queue_size:
+            if op.is_store and len(self.store_queue) >= cfg.store_queue_size:
                 self._dispatch_stall("sq")
                 break
-            wants_dest = writes_register(op) and inst.rd != 0
+            wants_dest = op.writes_rd and inst.rd != 0
             pdst = None
             if wants_dest:
                 if self.free_list:
@@ -800,9 +811,9 @@ class CPU:
             self._seq += 1
             dyn.pred_taken = pred_taken
             dyn.pred_target = pred_target
-            if reads_rs1(op) and inst.rs1 != 0:
+            if op.reads_rs1 and inst.rs1 != 0:
                 dyn.src_pregs[0] = self.rename_map[inst.rs1]
-            if reads_rs2(op) and inst.rs2 != 0:
+            if op.reads_rs2 and inst.rs2 != 0:
                 dyn.src_pregs[1] = self.rename_map[inst.rs2]
             if wants_dest:
                 dyn.pdst = pdst
@@ -819,9 +830,9 @@ class CPU:
             else:
                 dyn.state = InstState.DONE
                 dyn.done_cycle = self.cycle
-            if is_load(op):
+            if op.is_load:
                 self.load_queue.append(LQEntry(dyn))
-            if is_store(op):
+            if op.is_store:
                 self.store_queue.append(SQEntry(dyn))
             for plugin in self.plugins:
                 plugin.on_dispatch(dyn)
@@ -855,7 +866,7 @@ class CPU:
             if op is Op.JMP:
                 self.fetch_buffer.append((inst, True, inst.target))
                 self.fetch_pc = inst.target
-            elif is_branch(op):
+            elif op.is_branch:
                 taken, target = self.branch_predictor.predict(self.fetch_pc)
                 self.fetch_buffer.append((inst, taken, target))
                 self.fetch_pc = target if taken else self.fetch_pc + 1

@@ -9,32 +9,38 @@ simulation is computed, never what it computes — the same contract
 production simulators make for their fast paths (gem5's O3 event
 queue, Sniper's interval core).  Three mechanisms:
 
-**Decoded-instruction templates.**  Operand-class analysis
-(``reads_rs1``/``writes_register``/port kind/...) is a pure function of
-a static instruction, yet the reference core re-derives it per dynamic
-instance through enum-set membership tests.  Templates are decoded once
-per distinct static instruction — keyed by the interned operand tuple
-(:meth:`repro.isa.Instruction.intern_key`), so equal instructions
-anywhere in a process share one template — and dispatch becomes a cheap
-stamp.  :class:`~repro.pipeline.dyninst.DynInst` objects are recycled
-through a free-list pool (:meth:`DynInst.stamp` re-initializes every
-slot).  Only provably unreferenced objects are pooled: non-store
-instructions at commit (their single completion event has fired, their
-queue entries are gone) and stores when their queue entry performs.
-Squashed instructions are *not* pooled — squash-guarded events and lazy
-waiter lists may still reference them, and a recycled object would make
-those guards lie.
+**Decoded-instruction templates.**  Operand-class analysis (which
+source registers need renaming, whether there is a destination, the
+issue port kind, ...) is a pure function of a static instruction, yet
+the reference core re-derives it per dynamic instance from the opcode's
+flags (``op.reads_rs1``, ``op.writes_rd``, ...; see
+:mod:`repro.isa.opcodes`) and the register fields.  Templates are
+decoded once per distinct static instruction — keyed by the interned
+operand tuple (:meth:`repro.isa.Instruction.intern_key`), so equal
+instructions anywhere in a process share one template — and dispatch
+becomes a cheap stamp.  :class:`~repro.pipeline.dyninst.DynInst`
+objects are recycled through a free-list pool (:meth:`DynInst.stamp`
+re-initializes every slot).  Only provably unreferenced objects are
+pooled: non-store instructions at commit (their single completion event
+has fired, their queue entries are gone) and stores when their queue
+entry performs.  Squashed instructions are *not* pooled — squash-guarded
+events and lazy waiter lists may still reference them, and a recycled
+object would make those guards lie.
 
 **Idle-cycle fast-forward.**  After each executed cycle the core checks
 whether the cycle was *quiet*: no events fired, nothing dispatched /
 issued / retired / squashed / dequeued, fetch idle, no memory-system
 activity (:attr:`MemoryHierarchy.epoch`), and no ready instruction
-blocked in a way whose retry has plug-in-visible side effects.  A quiet
-cycle proves the machine is in a fixpoint that only a *timed* input can
-break, and every timed input is enumerable — the event wheel: the
-earliest scheduled event (FU completions, writebacks, load responses,
-SS-Load returns), the store-queue head's dequeue-eligibility or
-DRAM-fill-ready cycle, and each plug-in's declared wakeup
+blocked in a way whose retry has plug-in-visible side effects (a
+mul/div waiting for a busy unit counts only under a plug-in that
+overrides ``lookup_reuse``; without one its retry calls no hook that
+does anything, and the unit's writeback is already on the event
+wheel).  A quiet cycle proves the machine is in a fixpoint that only a
+*timed* input can break, and every timed input is enumerable — the
+event wheel: the earliest scheduled event (FU completions, writebacks,
+load responses, SS-Load returns), the store-queue head's
+dequeue-eligibility or DRAM-fill-ready cycle, and each plug-in's
+declared wakeup
 (:attr:`~repro.pipeline.plugins.OptimizationPlugin.ff_policy`).  The
 clock jumps to the earliest of those, charging the skipped span's
 per-cycle accounting exactly as if ticked: occupancy integrals,
@@ -69,10 +75,7 @@ telemetry.
 from bisect import insort
 from operator import attrgetter
 
-from repro.isa.opcodes import (
-    Op, is_div, is_load, is_mul, is_store, reads_rs1, reads_rs2,
-    writes_register,
-)
+from repro.isa.opcodes import Op
 from repro.pipeline.cpu import CPU, SimulationError
 from repro.pipeline.dyninst import DynInst, InstState, LQEntry, SQEntry
 from repro.pipeline.plugins import (
@@ -106,24 +109,24 @@ class InstTemplate:
     def __init__(self, inst):
         op = inst.op
         self.op = op
-        if is_load(op):
+        if op.is_load:
             self.kind = "load"
-        elif is_store(op):
+        elif op.is_store:
             self.kind = "store"
-        elif is_mul(op):
+        elif op.is_mul:
             self.kind = "mul"
-        elif is_div(op):
+        elif op.is_div:
             self.kind = "div"
         else:
             self.kind = "alu"
-        self.needs_rs = op not in (Op.NOP, Op.HALT, Op.FENCE, Op.JMP)
-        self.wants_dest = writes_register(op) and inst.rd != 0
-        self.ren1 = reads_rs1(op) and inst.rs1 != 0
-        self.ren2 = reads_rs2(op) and inst.rs2 != 0
+        self.needs_rs = op.needs_rs
+        self.wants_dest = op.writes_rd and inst.rd != 0
+        self.ren1 = op.reads_rs1 and inst.rs1 != 0
+        self.ren2 = op.reads_rs2 and inst.rs2 != 0
         needed = []
-        if reads_rs1(op):
+        if op.reads_rs1:
             needed.append(0)
-        if reads_rs2(op) and not is_store(op):
+        if op.reads_rs2 and not op.is_store:
             needed.append(1)
         self.src_needed = tuple(needed)
 
@@ -197,6 +200,14 @@ class FastPathCPU(CPU):
             plugin for plugin in self.plugins
             if type(plugin).end_of_cycle
             is not OptimizationPlugin.end_of_cycle]
+        # A mul/div that finds every unit busy retries next cycle.  The
+        # retry calls lookup_reuse and no other hook, and the busy
+        # unit's writeback is already on the event wheel at its
+        # busy_until, so the wait blocks skipping only when some
+        # plug-in's lookup_reuse is not the base-class no-op.
+        self._reuse_hooked = any(
+            type(plugin).lookup_reuse is not OptimizationPlugin.lookup_reuse
+            for plugin in self.plugins)
 
     # ------------------------------------------------------------------
     # decoded-instruction templates and the DynInst pool
@@ -408,12 +419,14 @@ class FastPathCPU(CPU):
             elif kind == "mul":
                 if not self._issue_arith(dyn, cfg.latency_mul,
                                          self.mul_busy_until):
-                    self._issue_blocked = True
+                    if self._reuse_hooked:
+                        self._issue_blocked = True
                     continue
             else:  # div
                 if not self._issue_arith(dyn, cfg.latency_div,
                                          self.div_busy_until):
-                    self._issue_blocked = True
+                    if self._reuse_hooked:
+                        self._issue_blocked = True
                     continue
             dyn.state = InstState.ISSUED
             dyn.issue_cycle = self.cycle

@@ -5,12 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.isa.bits import WORD_MASK, to_signed
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import DIV_OPS, MUL_OPS, SIMPLE_ALU_OPS, Op
 from repro.isa.semantics import (
-    SemanticsError, alu_result, branch_taken, effective_address,
+    ALU_FUNCS, SemanticsError, alu_result, branch_taken, effective_address,
 )
 
 words = st.integers(min_value=0, max_value=WORD_MASK)
+negative_imms = st.integers(min_value=-(1 << 31), max_value=-1)
 
 
 @given(words, words)
@@ -75,6 +76,36 @@ def test_addi(a, imm):
 
 def test_li_masks_immediate():
     assert alu_result(Op.LI, 0, 0, -1) == WORD_MASK
+
+
+@given(words, words, negative_imms)
+def test_logical_immediates_sign_extend(a, b, imm):
+    extended = imm + (1 << 64)      # the immediate as a 64-bit word
+    assert alu_result(Op.ANDI, a, b, imm) == a & extended
+    assert alu_result(Op.ORI, a, b, imm) == a | extended
+    assert alu_result(Op.XORI, a, b, imm) == a ^ extended
+
+
+@given(words, words, negative_imms)
+def test_shift_immediates_use_the_low_six_bits(a, b, imm):
+    assert alu_result(Op.SLLI, a, b, imm) == (a << (imm % 64)) & WORD_MASK
+    assert alu_result(Op.SRLI, a, b, imm) == a >> (imm % 64)
+
+
+@given(words, words, negative_imms)
+def test_slti_compares_signed(a, b, imm):
+    assert alu_result(Op.SLTI, a, b, imm) == int(to_signed(a) < imm)
+
+
+def test_alu_funcs_cover_exactly_the_arithmetic_ops():
+    assert set(ALU_FUNCS) == SIMPLE_ALU_OPS | MUL_OPS | DIV_OPS
+
+
+@pytest.mark.parametrize("op", [op for op in Op if op not in ALU_FUNCS],
+                         ids=lambda op: op.name)
+def test_alu_result_rejects_every_other_op(op):
+    with pytest.raises(SemanticsError):
+        alu_result(op, 1, 2, 3)
 
 
 @given(words, words)

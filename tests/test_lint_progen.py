@@ -77,9 +77,8 @@ def test_cases_never_write_produced_results_to_x0(case):
     discards x0 results for any-producing-op rows, and
     ``tainted_tap_pairs`` mirrors that only because generated programs
     never produce into x0."""
-    from repro.isa.opcodes import writes_register
     for inst in case.program:
-        if writes_register(inst.op):
+        if inst.op.writes_rd:
             assert inst.rd != 0, case.name
 
 

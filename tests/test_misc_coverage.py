@@ -3,10 +3,7 @@
 import pytest
 
 from repro.isa.assembler import Assembler
-from repro.isa.opcodes import (
-    Op, is_alu, is_branch, is_control, is_div, is_load, is_mul,
-    is_store, reads_rs1, reads_rs2, writes_register,
-)
+from repro.isa.opcodes import Op
 from repro.memory.cache import Cache
 from repro.memory.flatmem import FlatMemory
 from repro.memory.hierarchy import MemoryHierarchy
@@ -26,8 +23,8 @@ def run(asm, init_mem=(), plugins=()):
 def test_opcode_classification_is_partitioned():
     """Every opcode lands in exactly one execution class."""
     for op in Op:
-        classes = [is_alu(op), is_mul(op), is_div(op), is_load(op),
-                   is_store(op), is_branch(op),
+        classes = [op.is_alu, op.is_mul, op.is_div, op.is_load,
+                   op.is_store, op.is_branch,
                    op in (Op.JMP, Op.HALT, Op.NOP, Op.FENCE,
                           Op.RDCYCLE)]
         overlap = sum(1 for c in classes[:6] if c)
@@ -36,15 +33,15 @@ def test_opcode_classification_is_partitioned():
 
 
 def test_register_read_write_metadata():
-    assert writes_register(Op.ADD) and writes_register(Op.LOAD)
-    assert writes_register(Op.RDCYCLE)
-    assert not writes_register(Op.STORE)
-    assert not writes_register(Op.BEQ)
-    assert reads_rs1(Op.ADD) and reads_rs2(Op.ADD)
-    assert reads_rs1(Op.ADDI) and not reads_rs2(Op.ADDI)
-    assert reads_rs2(Op.STORE)
-    assert not reads_rs1(Op.LI)
-    assert is_control(Op.JMP) and is_control(Op.BEQ)
+    assert Op.ADD.writes_rd and Op.LOAD.writes_rd
+    assert Op.RDCYCLE.writes_rd
+    assert not Op.STORE.writes_rd
+    assert not Op.BEQ.writes_rd
+    assert Op.ADD.reads_rs1 and Op.ADD.reads_rs2
+    assert Op.ADDI.reads_rs1 and not Op.ADDI.reads_rs2
+    assert Op.STORE.reads_rs2
+    assert not Op.LI.reads_rs1
+    assert Op.JMP.is_control and Op.BEQ.is_control
 
 
 def test_cpu_stats_as_dict_and_ipc():
