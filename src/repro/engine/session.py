@@ -8,13 +8,16 @@ hierarchy, plug-ins and core.  Sessions come from two places:
   (this is what the trial runner ships to worker processes);
 * :meth:`Session.from_parts` — the escape hatch for callers that must
   run on a *persistent* hierarchy (the sandbox runtime's Prime+Probe
-  receiver state lives in the hierarchy across phases).
+  receiver state lives in the hierarchy across phases).  Such sessions
+  carry no stats record.
 
 ``Session.run`` returns a :class:`RunResult`: the cycle count, the
 core's statistics, and a generic observation record (hierarchy
 counters, plug-in counters, requested architectural registers) that is
 JSON-serializable — the unit the result cache stores and benches dump
-under ``benchmarks/results/*.json``.
+under ``benchmarks/results/*.json``.  The counts the core, hierarchy
+and plug-ins keep reach a spec-built run's :mod:`repro.stats` record
+once, copied at the end of the run.
 """
 
 import dataclasses
@@ -99,13 +102,15 @@ class Session:
 
     @classmethod
     def from_parts(cls, program, hierarchy, config=None, plugins=(),
-                   label="", metrics=None, fastpath=True):
-        """Wrap pre-built simulator parts (persistent-state callers)."""
-        if metrics is not None:
-            hierarchy.metrics = metrics
+                   label="", fastpath=True):
+        """Wrap pre-built simulator parts (persistent-state callers).
+
+        Runs carry no stats record: reused parts hold earlier runs'
+        counts, which a whole-run copy would charge to this run.
+        """
         cpu_cls = FastPathCPU if fastpath else CPU
         cpu = cpu_cls(program, hierarchy, config=config,
-                      plugins=list(plugins), metrics=metrics)
+                      plugins=list(plugins))
         session = cls(cpu)
         session._label = label
         return session
@@ -153,6 +158,22 @@ class Session:
         metrics = self.cpu.metrics
         if metrics.enabled:
             metrics.inc("engine.trials")
+            # The core's and plug-ins' whole-run counts, with the key
+            # presence per-event writes gave them: non-zero ones only,
+            # but squashed instructions with every flush.
+            copied = [("pipeline.cycles", stats.cycles),
+                      ("pipeline.sq.silent_dequeues", stats.silent_stores)]
+            copied += [("pipeline.dispatch_stall." + kind, count)
+                       for kind, count in stats.dispatch_stalls.items()]
+            copied += [(name, plugin.stats[key])
+                       for plugin in self.cpu.plugins
+                       for key, name in plugin.metric_names.items()]
+            for name, value in copied:
+                if value:
+                    metrics.inc(name, value)
+            if "pipeline.flushes" in metrics.counters:
+                metrics.inc("pipeline.squashed_instructions",
+                            stats.squashed_instructions)
             self.hierarchy.snapshot_into(metrics)
         traced = spec is not None and spec.trace is not None
         return RunResult(

@@ -57,8 +57,7 @@ class MemoryHierarchy:
     """
 
     def __init__(self, memory, l1=None, l2=None, latencies=None,
-                 prefetch_buffer_size=0, tlb=None, metrics=None,
-                 trace=None):
+                 prefetch_buffer_size=0, tlb=None):
         self.memory = memory
         self.l1 = l1 if l1 is not None else Cache()
         self.l2 = l2
@@ -70,12 +69,12 @@ class MemoryHierarchy:
         self.tlb = tlb
         self._prefetch_buffer = []  # FIFO of line addresses
         #: Shared :class:`repro.stats.SimStats`; the engine's Session
-        #: replaces this with the run's record.  The legacy ``stats``
-        #: dict below stays for existing callers/tests.
-        self.metrics = metrics if metrics is not None else NULL_STATS
-        #: Shared :class:`repro.trace.TraceBuffer` (clocked by the
-        #: attached core via :meth:`CPU.install_trace`).
-        self.trace = trace if trace is not None else NULL_TRACE
+        #: replaces this with the run's record.  Counted events live in
+        #: ``stats`` below and reach the record via :meth:`snapshot_into`.
+        self.metrics = NULL_STATS
+        #: Shared :class:`repro.trace.TraceBuffer` (the attached core
+        #: installs it via :meth:`CPU.install_trace`).
+        self.trace = NULL_TRACE
         self.stats = {
             "reads": 0, "writes": 0, "prefetches": 0,
             "l1_hits": 0, "l2_hits": 0, "memory_accesses": 0,
@@ -121,9 +120,6 @@ class MemoryHierarchy:
     def _access_for_latency(self, addr, fill):
         if self.tlb is not None:
             translation = self.tlb.access(addr)
-            if self.metrics.enabled:
-                self.metrics.inc("mem.tlb.walks" if translation
-                                 else "mem.tlb.hits")
             if translation and self.trace.enabled:
                 self.trace.emit("mem", "tlb_walk", addr=addr,
                                 info=f"latency={translation}")
@@ -149,13 +145,9 @@ class MemoryHierarchy:
         if self.l1.contains(addr):
             self.l1.touch(addr)
             self.stats["l1_hits"] += 1
-            if metrics_on:
-                self.metrics.inc("mem.l1.hits")
             if trace_on:
                 self.trace.emit("mem", "l1_hit", addr=addr)
             return lat.l1_hit, "l1"
-        if metrics_on:
-            self.metrics.inc("mem.l1.misses")
         line = self.l1.line_of(addr)
         if line in self._prefetch_buffer:
             # Promote from the prefetch buffer into L1.
@@ -164,7 +156,6 @@ class MemoryHierarchy:
             if fill:
                 self._fill_l1(addr)
             if metrics_on:
-                self.metrics.inc("mem.pb.hits")
                 self.metrics.observe("mem.miss_latency", lat.l1_hit + 1,
                                      bin_width=8)
             if trace_on:
@@ -177,7 +168,6 @@ class MemoryHierarchy:
             if fill:
                 self._fill_l1(addr)
             if metrics_on:
-                self.metrics.inc("mem.l2.hits")
                 self.metrics.observe("mem.miss_latency", lat.l2_hit,
                                      bin_width=8)
             if trace_on:
@@ -191,9 +181,6 @@ class MemoryHierarchy:
             self._fill_l1(addr)
         latency = lat.memory_latency()
         if metrics_on:
-            if self.l2 is not None:
-                self.metrics.inc("mem.l2.misses")
-            self.metrics.inc("mem.dram.accesses")
             self.metrics.observe("mem.miss_latency", latency, bin_width=8)
         if trace_on:
             self.trace.emit("mem", "dram_access", addr=addr,
@@ -218,8 +205,6 @@ class MemoryHierarchy:
         """Architecturally perform a store (line must already be in L1)."""
         self.epoch += 1
         self.stats["writes"] += 1
-        if self.metrics.enabled:
-            self.metrics.inc("mem.writes")
         self.memory.write(addr, value, width)
         self.l1.touch(addr)
 
@@ -236,15 +221,10 @@ class MemoryHierarchy:
         """
         self.epoch += 1
         self.stats["prefetches"] += 1
-        if self.metrics.enabled:
-            self.metrics.inc("mem.prefetches")
         if self.trace.enabled:
             self.trace.emit("mem", "prefetch", addr=addr)
         if self.tlb is not None:
             walk = self.tlb.access(addr)
-            if self.metrics.enabled:
-                self.metrics.inc("mem.tlb.walks" if walk
-                                 else "mem.tlb.hits")
             if walk and self.trace.enabled:
                 self.trace.emit("mem", "tlb_walk", addr=addr,
                                 info=f"latency={walk}")
@@ -261,24 +241,37 @@ class MemoryHierarchy:
 
     # -- utilities --------------------------------------------------------------
 
-    def snapshot_into(self, metrics=None):
-        """Copy end-of-run structure counters into a stats record.
+    def snapshot_into(self, metrics):
+        """Copy the run's memory-system counts into a stats record.
 
-        Eviction/fill totals live inside the per-level :class:`Cache`
-        (and :class:`TLB`) objects; snapshotting them once at the end
-        of a run keeps the per-access hot path free of extra writes.
-        Counters sum under merge, so per-trial snapshots aggregate
-        correctly across a batch.
+        Each event is counted once, in ``stats`` or in a :class:`Cache`'s
+        or the :class:`TLB`'s own; the record gets whole-run totals,
+        non-zero ones only, evictions always.  Counters sum under merge,
+        so per-trial snapshots aggregate correctly across a batch.
         """
-        metrics = metrics if metrics is not None else self.metrics
-        if not metrics.enabled:
-            return metrics
+        stats = self.stats
+        copied = {
+            "mem.l1.hits": stats["l1_hits"],
+            "mem.l1.misses": (stats["prefetch_buffer_hits"]
+                              + stats["l2_hits"]
+                              + stats["memory_accesses"]),
+            "mem.pb.hits": stats["prefetch_buffer_hits"],
+            "mem.l2.hits": stats["l2_hits"],
+            "mem.dram.accesses": stats["memory_accesses"],
+            "mem.writes": stats["writes"],
+            "mem.prefetches": stats["prefetches"],
+        }
         metrics.inc("mem.l1.evictions", self.l1.stats["evictions"])
         if self.l2 is not None:
+            copied["mem.l2.misses"] = stats["memory_accesses"]
             metrics.inc("mem.l2.evictions", self.l2.stats["evictions"])
         if self.tlb is not None:
+            copied["mem.tlb.walks"] = self.tlb.stats["misses"]
+            copied["mem.tlb.hits"] = self.tlb.stats["hits"]
             metrics.inc("mem.tlb.evictions", self.tlb.stats["evictions"])
-        return metrics
+        for name, value in copied.items():
+            if value:
+                metrics.inc(name, value)
 
     def flush_all(self):
         self.l1.flush()

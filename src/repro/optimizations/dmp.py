@@ -30,7 +30,7 @@ aggravates the attack (L2 still fills).
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.isa.opcodes import Op
 from repro.memory.flatmem import MemoryError_
@@ -70,7 +70,6 @@ class PrefetchJob:
     stage: int = 0
     ready_cycle: int = 0
     value: int = 0
-    trace: list = field(default_factory=list)
 
 
 class IndirectMemoryPrefetcher(OptimizationPlugin):
@@ -83,6 +82,11 @@ class IndirectMemoryPrefetcher(OptimizationPlugin):
     #: skip to that point.  Learning hooks are pure (driven by retired
     #: loads), so an empty job queue imposes no constraint.
     ff_policy = FF_WAKEUP
+
+    metric_names = {
+        "jobs_launched": "opt.imp.jobs_launched",
+        "prefetches": "opt.imp.prefetches",
+    }
 
     def ff_next_cycle(self):
         if not self._jobs:
@@ -108,7 +112,7 @@ class IndirectMemoryPrefetcher(OptimizationPlugin):
 
     def __init__(self, levels=3, delta=4, stride_threshold=2,
                  link_threshold=2, stage_latency=8, max_jobs=8,
-                 history_length=6, record_trace=False):
+                 history_length=6):
         super().__init__()
         if levels < 2:
             raise ValueError("an indirect prefetcher needs >= 2 levels")
@@ -120,14 +124,12 @@ class IndirectMemoryPrefetcher(OptimizationPlugin):
         #: Cycles each chained dereference takes.
         self.stage_latency = stage_latency
         self.max_jobs = max_jobs
-        self.record_trace = record_trace
 
         self._strides = {}
         self._samples = {}  # (producer_pc, consumer_pc) -> (value, addr)
         self._links = {}    # (producer_pc, consumer_pc) -> IndirectionLink
         self._recent = deque(maxlen=history_length)
         self._jobs = []
-        self.prefetch_log = []  # (cycle, addr) of every issued prefetch
         self.stats = {"stream_advances": 0, "links_confirmed": 0,
                       "jobs_launched": 0, "prefetches": 0,
                       "out_of_memory_aborts": 0}
@@ -138,7 +140,6 @@ class IndirectMemoryPrefetcher(OptimizationPlugin):
         self._links.clear()
         self._recent.clear()
         self._jobs.clear()
-        self.prefetch_log.clear()
 
     # ------------------------------------------------------------------
     # learning
@@ -282,7 +283,6 @@ class IndirectMemoryPrefetcher(OptimizationPlugin):
             ready_cycle=self.cpu.cycle + self.stage_latency)
         self._jobs.append(job)
         self.stats["jobs_launched"] += 1
-        self.metrics.inc("opt.imp.jobs_launched")
 
     def end_of_cycle(self, free_load_ports):
         if not self._jobs:
@@ -320,13 +320,9 @@ class IndirectMemoryPrefetcher(OptimizationPlugin):
     def _prefetch(self, job, addr):
         self.cpu.hierarchy.prefetch(addr)
         self.stats["prefetches"] += 1
-        self.metrics.inc("opt.imp.prefetches")
-        self.prefetch_log.append((self.cpu.cycle, addr))
         if self.trace.enabled:
             self.trace.emit("opt", self.name, addr=addr,
                             info=f"prefetch_stage{job.stage}")
-        if self.record_trace:
-            job.trace.append(addr)
 
     def drain(self):
         """Run all queued prefetch jobs to completion.

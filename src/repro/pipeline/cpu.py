@@ -87,9 +87,10 @@ class CPU:
     plugins:
         Iterable of :class:`repro.pipeline.plugins.OptimizationPlugin`.
     metrics:
-        A :class:`repro.stats.SimStats` shared with the hierarchy and
-        plug-ins; defaults to the disabled :data:`~repro.stats.NULL_STATS`
+        A :class:`repro.stats.SimStats` shared with the hierarchy;
+        defaults to the disabled :data:`~repro.stats.NULL_STATS`
         (per-cycle recording is skipped behind one ``enabled`` check).
+        :class:`CPUStats` counts are copied in after the run.
     trace:
         A :class:`repro.trace.TraceBuffer` receiving cycle-accurate
         pipeline events, shared with the hierarchy and plug-ins;
@@ -247,7 +248,8 @@ class CPU:
         """Per-cycle structure occupancy (enabled-mode only).
 
         Occupancy integrals are counters (summed across merged trials)
-        paired with the ``pipeline.cycles`` counter, so a merged
+        paired with the ``pipeline.cycles`` counter (copied from
+        :attr:`CPUStats.cycles` at the end of the run), so a merged
         record's average occupancy is ``integral / cycles``; high-water
         marks merge by max.
         """
@@ -256,7 +258,6 @@ class CPU:
         rs = len(self.rs)
         lq = len(self.load_queue)
         sq = len(self.store_queue)
-        metrics.inc("pipeline.cycles")
         metrics.inc("pipeline.rob.occupancy_integral", rob)
         metrics.inc("pipeline.rs.occupancy_integral", rs)
         metrics.inc("pipeline.lq.occupancy_integral", lq)
@@ -283,7 +284,6 @@ class CPU:
         if trace_on:
             self.trace.emit("inst", "flush", cycle=self.cycle,
                             info=f"redirect={redirect}")
-        squashed_before = self.stats.squashed_instructions
         while self.rob and self.rob[-1].seq > seq:
             dyn = self.rob.pop()
             dyn.squashed = True
@@ -294,10 +294,6 @@ class CPU:
             if dyn.pdst is not None:
                 self.rename_map[dyn.inst.rd] = dyn.old_pdst
                 self._free_preg(dyn.pdst)
-        if self.metrics.enabled:
-            self.metrics.inc("pipeline.squashed_instructions",
-                             self.stats.squashed_instructions
-                             - squashed_before)
         self.rs = [d for d in self.rs if not d.squashed]
         self.load_queue = [e for e in self.load_queue if not e.dyn.squashed]
         self.store_queue = [e for e in self.store_queue
@@ -404,8 +400,6 @@ class CPU:
                 head.performed = True
                 head.dequeue_cycle = self.cycle
                 self.stats.silent_stores += 1
-                if metrics_on:
-                    self.metrics.inc("pipeline.sq.silent_dequeues")
                 if trace_on:
                     self.trace.emit("sq", "silent_dequeue",
                                     cycle=self.cycle, seq=head.dyn.seq,
@@ -767,8 +761,6 @@ class CPU:
 
     def _dispatch_stall(self, kind):
         self.stats.dispatch_stalls[kind] += 1
-        if self.metrics.enabled:
-            self.metrics.inc("pipeline.dispatch_stall." + kind)
 
     def _dispatch(self):
         cfg = self.config

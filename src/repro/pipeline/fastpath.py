@@ -468,7 +468,6 @@ class FastPathCPU(CPU):
         rs = len(self.rs)
         lq = len(self.load_queue)
         sq = len(self.store_queue)
-        counters["pipeline.cycles"] = get("pipeline.cycles", 0) + 1
         counters["pipeline.rob.occupancy_integral"] = (
             get("pipeline.rob.occupancy_integral", 0) + rob)
         counters["pipeline.rs.occupancy_integral"] = (
@@ -576,12 +575,13 @@ class FastPathCPU(CPU):
         fp.cycles_skipped += skipped
         fp.fast_forwards += 1
         # -- charge the span's per-cycle accounting as if ticked -------
+        # Dispatch stalls go to CPUStats only; the run's stats record
+        # copies them (and the cycle count) once, at the end of the run.
         stall_kind = self._cycle_stall
         if stall_kind is not None:
             self.stats.dispatch_stalls[stall_kind] += skipped
         metrics = self.metrics
         if metrics.enabled:
-            metrics.inc("pipeline.cycles", skipped)
             metrics.inc("pipeline.rob.occupancy_integral",
                         len(self.rob) * skipped)
             metrics.inc("pipeline.rs.occupancy_integral",
@@ -596,9 +596,6 @@ class FastPathCPU(CPU):
                 metrics.inc("pipeline.sq.head_committed_cycles", skipped)
             if hol_stall:
                 metrics.inc("pipeline.sq.head_of_line_stall_cycles",
-                            skipped)
-            if stall_kind is not None:
-                metrics.inc("pipeline.dispatch_stall." + stall_kind,
                             skipped)
         if hol_stall and self.trace.enabled:
             dyn = head.dyn

@@ -64,6 +64,11 @@ class OptimizationPlugin:
     #: is the conservative one: unknown plug-ins disable fast-forward.
     ff_policy = FF_EVERY_CYCLE
 
+    #: ``stats`` key -> :mod:`repro.stats` counter name.  The engine's
+    #: Session copies these whole-run counts into the run's record; a
+    #: plug-in never writes the record itself.
+    metric_names = {}
+
     def __init__(self):
         self.cpu = None
 
@@ -79,13 +84,6 @@ class OptimizationPlugin:
     def attach(self, cpu):
         """Called once when the plug-in is registered with a core."""
         self.cpu = cpu
-
-    @property
-    def metrics(self):
-        """The attached core's stats record (disabled when detached)."""
-        from repro.stats import NULL_STATS
-        cpu = self.cpu
-        return cpu.metrics if cpu is not None else NULL_STATS
 
     @property
     def trace(self):

@@ -3,11 +3,12 @@
 Every distributional claim in the paper — the Figure 4/5 timing
 deltas, the Figure 6 bsAES histogram, replay-trial convergence — is a
 statement about *why* a run took the cycles it did.  :class:`SimStats`
-is the one record the whole simulator writes into: the pipeline logs
-per-stage occupancy and store-queue head-of-line stalls, the memory
-hierarchy logs per-level hits/misses and miss-latency histograms, the
-optimization plug-ins log their squash/prefetch/prediction outcomes,
-and the engine logs trial bookkeeping.
+is the run's one record of them: the pipeline logs per-stage occupancy
+and store-queue head-of-line stalls, the memory hierarchy its
+miss-latency histogram, and the engine trial bookkeeping.  Counts a
+component already keeps (``CPUStats``, the hierarchy's, caches',
+TLB's and plug-ins' ``stats``) are copied in once, at the end of the
+run, by the engine's ``Session.run``.
 
 Three value kinds with fixed merge semantics:
 

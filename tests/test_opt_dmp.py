@@ -8,6 +8,7 @@ from repro.memory.flatmem import FlatMemory
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.optimizations.dmp import IndirectMemoryPrefetcher
 from repro.pipeline.cpu import CPU
+from repro.trace import TraceBuffer
 
 BASE_Z = 0x1000
 BASE_Y = 0x2000
@@ -39,6 +40,18 @@ def indirection_program(iterations, levels=3):
     return asm.assemble()
 
 
+def traced_cpu(program, hierarchy, imp):
+    """A core recording only ``opt`` events: the IMP emits one per
+    prefetch, tagged with its address."""
+    return CPU(program, hierarchy, plugins=[imp],
+               trace=TraceBuffer(categories=("opt",)))
+
+
+def prefetched(cpu):
+    """Every address the IMP prefetched, read from the core's trace."""
+    return {event[5] for event in cpu.trace.events("opt")}
+
+
 def run_with_imp(iterations=16, levels=3, delta=4, **imp_kwargs):
     memory = FlatMemory(1 << 18)
     for i in range(iterations + 16):
@@ -48,8 +61,8 @@ def run_with_imp(iterations=16, levels=3, delta=4, **imp_kwargs):
     hierarchy = MemoryHierarchy(memory, l1=Cache(num_sets=256, ways=4))
     imp = IndirectMemoryPrefetcher(levels=levels, delta=delta,
                                    **imp_kwargs)
-    cpu = CPU(indirection_program(iterations, levels), hierarchy,
-              plugins=[imp])
+    cpu = traced_cpu(indirection_program(iterations, levels), hierarchy,
+                     imp)
     cpu.run()
     return cpu, imp, hierarchy
 
@@ -94,12 +107,12 @@ def test_four_level_chain_ainsworth_jones_pattern():
         memory.write(BASE_X + 8 * k, 30 + ((k * k) % 13))
     hierarchy = MemoryHierarchy(memory, l1=Cache(num_sets=256, ways=4))
     imp = IndirectMemoryPrefetcher(levels=4, delta=4)
-    cpu = CPU(asm.assemble(), hierarchy, plugins=[imp])
+    cpu = traced_cpu(asm.assemble(), hierarchy, imp)
     cpu.run()
     imp.drain()
-    prefetched = {addr for _c, addr in imp.prefetch_log}
     # The chained walk reaches the fourth array.
-    assert any(base_w <= addr < base_w + 0x1000 for addr in prefetched)
+    assert any(base_w <= addr < base_w + 0x1000
+               for addr in prefetched(cpu))
 
 
 def test_stride_detection():
@@ -116,27 +129,25 @@ def test_links_learned_with_correct_base_and_shift():
 
 
 def test_prefetches_run_ahead_of_the_stream():
-    _cpu, imp, hierarchy = run_with_imp()
+    cpu, imp, _hierarchy = run_with_imp()
     assert imp.stats["jobs_launched"] > 0
     assert imp.stats["prefetches"] >= 3 * 1
-    prefetched = {addr for _c, addr in imp.prefetch_log}
     # At least one prefetch targeted Z ahead of the demand stream.
-    assert any(addr >= BASE_Z for addr in prefetched)
+    assert any(addr >= BASE_Z for addr in prefetched(cpu))
 
 
 def test_two_level_variant_has_single_link_chain():
-    _cpu, imp, _h = run_with_imp(levels=2)
+    cpu, imp, _h = run_with_imp(levels=2)
     assert imp.stats["jobs_launched"] > 0
     # 2 prefetches per job (Z line + Y line), never an X access.
-    prefetched = {addr for _c, addr in imp.prefetch_log}
     assert not any(BASE_X <= addr < BASE_X + 0x1000
-                   for addr in prefetched)
+                   for addr in prefetched(cpu))
 
 
 def test_three_level_prefetches_into_x():
-    _cpu, imp, _h = run_with_imp(levels=3)
-    prefetched = {addr for _c, addr in imp.prefetch_log}
-    assert any(BASE_X <= addr < BASE_X + 0x1000 for addr in prefetched)
+    cpu, _imp, _h = run_with_imp(levels=3)
+    assert any(BASE_X <= addr < BASE_X + 0x1000
+               for addr in prefetched(cpu))
 
 
 def test_no_bounds_knowledge_out_of_bounds_dereference():
@@ -154,15 +165,15 @@ def test_no_bounds_knowledge_out_of_bounds_dereference():
         memory.write(BASE_Y + 8 * j, 100 + j)
     hierarchy = MemoryHierarchy(memory, l1=Cache(num_sets=256, ways=4))
     imp = IndirectMemoryPrefetcher(levels=3, delta=4)
-    cpu = CPU(indirection_program(iterations), hierarchy, plugins=[imp])
+    cpu = traced_cpu(indirection_program(iterations), hierarchy, imp)
     cpu.run()
-    prefetched = {addr for _c, addr in imp.prefetch_log}
+    addrs = prefetched(cpu)
     assert any(hierarchy.l1.line_of(secret_addr) ==
-               hierarchy.l1.line_of(addr) for addr in prefetched)
+               hierarchy.l1.line_of(addr) for addr in addrs)
     # ... and the dependent X prefetch transmits the secret value 7:
     assert any(hierarchy.l1.line_of(addr) ==
                hierarchy.l1.line_of(BASE_X + 7 * 8)
-               for addr in prefetched)
+               for addr in addrs)
 
 
 def test_solver_rejects_non_power_of_two_scale():
@@ -198,7 +209,6 @@ def test_reset_clears_learned_state():
     imp.reset()
     assert imp.links == []
     assert imp.streaming_pcs() == []
-    assert imp.prefetch_log == []
 
 
 def test_forwarded_loads_invisible_to_prefetcher():

@@ -12,10 +12,14 @@ import os
 from repro.__main__ import main as cli_main
 from repro.attacks.amplification import amplified_probe_spec
 from repro.engine import (
-    ResultCache, RunResult, Session, SimStats, execute_spec, merge_all,
-    run_batch,
+    PluginSpec, ResultCache, RunResult, Session, SimStats, execute_spec,
+    merge_all, run_batch,
 )
+from repro.lint.progen import CaseGenerator
 from tests.spec_catalog import attack_specs
+from tests.test_stats_payload_golden import (
+    on_narrow_core, with_deep_memory,
+)
 
 
 def amp_spec(matches, **kwargs):
@@ -28,24 +32,89 @@ def amp_spec(matches, **kwargs):
 # ----------------------------------------------------------------------
 
 
-def test_run_metrics_agree_with_legacy_stats():
-    result = execute_spec(amp_spec(False))
-    counters = result.metrics["counters"]
-    assert counters["pipeline.cycles"] == result.cycles
-    # Memory-system counters mirror the hierarchy's legacy dict (the
-    # flushed probe may legitimately see zero L1 hits, hence .get).
+def copied_counters(session, result):
+    """Each copied counter's value, read from the statistics of the
+    component that owns it: the core, the hierarchy, its TLB and the
+    plug-ins."""
+    stats = result.stats
     hier = result.observations["hierarchy"]
-    assert counters.get("mem.l1.hits", 0) == hier["l1_hits"]
-    assert counters.get("mem.dram.accesses", 0) == \
-        hier["memory_accesses"]
-    assert counters["mem.writes"] == hier["writes"]
-    # Plug-in counters mirror the plug-in's own dict.
-    ss = result.observations["plugins"]["silent-stores"]
-    assert counters["opt.silent_stores.ss_loads_issued"] == \
-        ss["ss_loads_issued"]
-    assert counters["opt.silent_stores.nonsilent"] == \
-        ss["case_b_nonsilent"]
-    assert counters["engine.trials"] == 1
+    plugins = result.observations["plugins"]
+    expected = {
+        "pipeline.cycles": result.cycles,
+        "pipeline.sq.silent_dequeues": stats["silent_stores"],
+        "mem.l1.hits": hier["l1_hits"],
+        "mem.l1.misses": (hier["prefetch_buffer_hits"] + hier["l2_hits"]
+                          + hier["memory_accesses"]),
+        "mem.pb.hits": hier["prefetch_buffer_hits"],
+        "mem.l2.hits": hier["l2_hits"],
+        "mem.dram.accesses": hier["memory_accesses"],
+        "mem.writes": hier["writes"],
+        "mem.prefetches": hier["prefetches"],
+    }
+    for kind, count in stats["dispatch_stalls"].items():
+        expected["pipeline.dispatch_stall." + kind] = count
+    if session.hierarchy.l2 is not None:
+        expected["mem.l2.misses"] = hier["memory_accesses"]
+    tlb = session.hierarchy.tlb
+    if tlb is not None:
+        expected["mem.tlb.walks"] = tlb.stats["misses"]
+        expected["mem.tlb.hits"] = tlb.stats["hits"]
+    ss = plugins.get("silent-stores")
+    if ss is not None:
+        expected.update({
+            "opt.silent_stores.ss_loads_issued": ss["ss_loads_issued"],
+            "opt.silent_stores.squashes": ss["case_a_silent"],
+            "opt.silent_stores.nonsilent": ss["case_b_nonsilent"],
+            "opt.silent_stores.no_port": ss["case_c_no_port"],
+            "opt.silent_stores.late_ss_loads": ss["case_d_late"]})
+    vp = plugins.get("value-prediction")
+    if vp is not None:
+        expected.update({
+            "opt.vp.predictions": vp["predictions"],
+            "opt.vp.correct": vp["correct"],
+            "opt.vp.mispredict_squashes": vp["incorrect"]})
+    imp = plugins.get("indirect-memory-prefetcher")
+    if imp is not None:
+        expected.update({
+            "opt.imp.jobs_launched": imp["jobs_launched"],
+            "opt.imp.prefetches": imp["prefetches"]})
+    return expected
+
+
+def _progen_spec(plugin):
+    case = CaseGenerator(seed=0).cases_for(plugin, 1)[0]
+    return case.spec(plugins=(PluginSpec.of(plugin),))
+
+
+LEGACY_INPUTS = {
+    "amplification": amp_spec(False),
+    "amplification/deep-memory": with_deep_memory(amp_spec(False)),
+    "amplification/narrow-core": on_narrow_core(amp_spec(False)),
+    "silent-stores/narrow-core":
+        on_narrow_core(_progen_spec("silent-stores")),
+    "value-prediction/deep-memory":
+        with_deep_memory(_progen_spec("value-prediction")),
+    "imp/deep-memory":
+        with_deep_memory(_progen_spec("indirect-memory-prefetcher")),
+}
+
+
+def test_run_metrics_agree_with_legacy_stats():
+    for name, spec in sorted(LEGACY_INPUTS.items()):
+        session = Session.from_spec(spec)
+        result = session.run()
+        counters = result.metrics["counters"]
+        # A copied counter equals its owner's and appears only when
+        # non-zero; squashed instructions appear with every flush.
+        for counter, value in copied_counters(session, result).items():
+            assert counters.get(counter, 0) == value, (name, counter)
+            assert (counter in counters) == bool(value), (name, counter)
+        flushed = "pipeline.flushes" in counters
+        assert ("pipeline.squashed_instructions" in counters) == flushed
+        if flushed:
+            assert counters["pipeline.squashed_instructions"] == \
+                result.stats["squashed_instructions"], name
+        assert counters["engine.trials"] == 1, name
 
 
 def test_occupancy_and_high_water_metrics():
@@ -119,18 +188,10 @@ def test_from_parts_session_defaults_to_disabled():
     bare = Session.from_parts(session.cpu.program, session.hierarchy)
     assert not bare.cpu.metrics.enabled
     assert bare.run().metrics == {}
-
-
-def test_from_parts_session_accepts_metrics():
-    spec = amp_spec(False)
-    built = Session.from_spec(spec)
-    metrics = SimStats()
-    session = Session.from_parts(
-        built.cpu.program, spec.hierarchy.build(), metrics=metrics,
-        plugins=[plugin_spec.build() for plugin_spec in spec.plugins])
-    result = session.run()
-    assert result.metrics["counters"]["pipeline.cycles"] == result.cycles
-    assert metrics.counters["engine.trials"] == 1
+    # A second run on the same (now warm) hierarchy has no record
+    # either: whole-run totals would include the first run's events.
+    again = Session.from_parts(session.cpu.program, session.hierarchy)
+    assert again.run().metrics == {}
 
 
 # ----------------------------------------------------------------------
