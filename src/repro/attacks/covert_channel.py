@@ -22,7 +22,12 @@ class PrimeProbeReceiver:
     buffer_base:
         Base address of the attacker's own probing buffer.  Must be
         aligned to ``num_sets * line_size`` so that offset-zero maps to
-        set 0, and must span ``ways * num_sets * line_size`` bytes.
+        set 0, and the ``ways * num_sets * line_size`` bytes it spans
+        must lie inside the hierarchy's memory.
+
+    The way addresses are computed once; :meth:`prime` and
+    :meth:`probe` each hand them to one
+    :meth:`~repro.memory.MemoryHierarchy.read_lines` call.
     """
 
     def __init__(self, hierarchy, buffer_base, cache=None):
@@ -33,9 +38,21 @@ class PrimeProbeReceiver:
             raise ValueError(
                 f"buffer_base {buffer_base:#x} must be aligned to "
                 f"{span:#x}")
+        end = buffer_base + self.cache.ways * span
+        if buffer_base < 0 or end > hierarchy.memory.size:
+            raise ValueError(
+                f"buffer [{buffer_base:#x}, {end:#x}) does not fit in "
+                f"memory of size {hierarchy.memory.size:#x}")
         self.buffer_base = buffer_base
         #: Latency above which a probe access counts as a miss.
         self.miss_threshold = hierarchy.latencies.l1_hit
+        #: ``set_index -> (way 0 address, way 1 address, ...)``.
+        self._set_lines = {
+            set_index: tuple(self.way_address(set_index, way)
+                             for way in range(self.cache.ways))
+            for set_index in range(self.cache.num_sets)}
+        self._all_lines = [addr for lines in self._set_lines.values()
+                           for addr in lines]
 
     def way_address(self, set_index, way):
         """Attacker-buffer address mapping to ``set_index`` (one per way)."""
@@ -43,27 +60,28 @@ class PrimeProbeReceiver:
         return (self.buffer_base + set_index * self.cache.line_size
                 + way * stride)
 
+    def _lines_of(self, target_sets):
+        """Every way address of ``target_sets`` (all sets for None),
+        set by set."""
+        if target_sets is None:
+            return self._all_lines
+        return [addr for set_index in target_sets
+                for addr in self._set_lines[set_index]]
+
     def prime(self, target_sets=None):
         """Fill every target set with the attacker's own lines."""
-        if target_sets is None:
-            target_sets = range(self.cache.num_sets)
-        for set_index in target_sets:
-            for way in range(self.cache.ways):
-                self.hierarchy.read(self.way_address(set_index, way))
+        self.hierarchy.read_lines(self._lines_of(target_sets))
 
     def probe(self, target_sets=None):
         """Re-access primed lines; returns ``{set_index: total_latency}``."""
+        if target_sets is not None:
+            target_sets = list(target_sets)  # read twice below
+        latencies = self.hierarchy.read_lines(self._lines_of(target_sets))
         if target_sets is None:
             target_sets = range(self.cache.num_sets)
-        latencies = {}
-        for set_index in target_sets:
-            total = 0
-            for way in range(self.cache.ways):
-                _value, latency, _level = self.hierarchy.read(
-                    self.way_address(set_index, way))
-                total += latency
-            latencies[set_index] = total
-        return latencies
+        ways = self.cache.ways
+        return {set_index: sum(latencies[i * ways:(i + 1) * ways])
+                for i, set_index in enumerate(target_sets)}
 
     def evicted_sets(self, probe_latencies):
         """Sets where at least one way missed (victim activity)."""

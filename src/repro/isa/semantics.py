@@ -9,6 +9,8 @@ caller that already knows its op is arithmetic (both kernels, through
 ``CPU._compute_result``, and the lint layer's constant folding) pays one
 dict lookup instead of a walk down the opcode list; :func:`alu_result`
 is the checked entry point the golden-model interpreter uses.
+:data:`BRANCH_FUNCS` and :func:`branch_taken` do the same for the
+conditional branches.
 """
 
 from repro.isa.bits import WORD_MASK, mask, to_signed
@@ -74,21 +76,25 @@ def alu_result(op, a, b, imm):
     return func(a, b, imm)
 
 
+#: ``op -> f(a, b)`` for every conditional branch: whether it is taken
+#: on the unsigned 64-bit source-register values ``a`` and ``b``.
+BRANCH_FUNCS = {
+    Op.BEQ: lambda a, b: a == b,
+    Op.BNE: lambda a, b: a != b,
+    Op.BLT: lambda a, b: to_signed(a) < to_signed(b),
+    Op.BGE: lambda a, b: to_signed(a) >= to_signed(b),
+    Op.BLTU: lambda a, b: a < b,
+    Op.BGEU: lambda a, b: a >= b,
+}
+
+
 def branch_taken(op, a, b):
-    """Evaluate a conditional branch on unsigned source values."""
-    if op is Op.BEQ:
-        return a == b
-    if op is Op.BNE:
-        return a != b
-    if op is Op.BLT:
-        return to_signed(a) < to_signed(b)
-    if op is Op.BGE:
-        return to_signed(a) >= to_signed(b)
-    if op is Op.BLTU:
-        return a < b
-    if op is Op.BGEU:
-        return a >= b
-    raise SemanticsError(f"{op} is not a conditional branch")
+    """Evaluate a conditional branch (see :data:`BRANCH_FUNCS`); raises
+    :class:`SemanticsError` for any other op."""
+    func = BRANCH_FUNCS.get(op)
+    if func is None:
+        raise SemanticsError(f"{op} is not a conditional branch")
+    return func(a, b)
 
 
 def effective_address(base, imm):

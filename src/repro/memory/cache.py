@@ -62,13 +62,19 @@ class Cache:
         """Presence check with no replacement-state side effects."""
         return self.tag_of(addr) in self._sets[self.set_index(addr)]
 
-    def touch(self, addr):
-        """Promote ``addr``'s line for LRU purposes if resident."""
-        tags = self._sets[self.set_index(addr)]
-        tag = self.tag_of(addr)
-        if tag in tags and self.policy == ReplacementPolicy.LRU:
+    def lookup(self, addr):
+        """Presence check that also promotes a resident line for LRU:
+        :meth:`contains` plus the promotion, with the set and tag found
+        once.  Like :meth:`contains`, it leaves ``stats`` alone."""
+        line = addr // self.line_size
+        tags = self._sets[line % self.num_sets]
+        tag = line // self.num_sets
+        if tag not in tags:
+            return False
+        if self.policy == ReplacementPolicy.LRU:
             tags.remove(tag)
             tags.append(tag)
+        return True
 
     def access(self, addr, fill=True):
         """Look up ``addr``; on a miss optionally fill its line.

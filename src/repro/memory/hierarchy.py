@@ -111,6 +111,46 @@ class MemoryHierarchy:
         latency, level = self._access_for_latency(addr, fill)
         return value, latency, level
 
+    def read_lines(self, addrs):
+        """Latency-only demand reads of ``addrs`` (a sequence), in order.
+
+        Returns the list of latencies and leaves every structure,
+        counter, RNG and event as ``[self.read(a)[1] for a in addrs]``
+        would, with one difference: all of ``addrs`` are bounds-checked
+        before any is read, so an address outside memory raises
+        :class:`MemoryError_` with no state changed, where per-line reads
+        raise only after the earlier lines changed it.  With an L1 alone
+        (no L2, no TLB, nothing in the prefetch buffer) and the trace
+        and stats record disabled, the reads are L1 lookups and fills;
+        anything else takes the per-line step that :meth:`read` takes.
+        """
+        if not addrs:
+            return []
+        low = min(addrs)
+        self.memory._check(low, max(addrs) + 8 - low)
+        self.epoch += len(addrs)
+        stats = self.stats
+        stats["reads"] += len(addrs)
+        if (self.l2 is not None or self.tlb is not None
+                or self._prefetch_buffer or self.trace.enabled
+                or self.metrics.enabled):
+            step = self._access_for_latency
+            return [step(addr, True)[0] for addr in addrs]
+        lookup = self.l1.lookup
+        fill = self.l1.fill_line
+        lat = self.latencies
+        l1_hit = lat.l1_hit
+        latencies = []
+        for addr in addrs:
+            if lookup(addr):
+                stats["l1_hits"] += 1
+                latencies.append(l1_hit)
+            else:
+                stats["memory_accesses"] += 1
+                fill(addr)
+                latencies.append(lat.memory_latency())
+        return latencies
+
     def access_latency(self, addr, fill=True):
         """Latency-only access (used for instruction-less probes)."""
         self.epoch += 1
@@ -142,8 +182,7 @@ class MemoryHierarchy:
         lat = self.latencies
         metrics_on = self.metrics.enabled
         trace_on = self.trace.enabled
-        if self.l1.contains(addr):
-            self.l1.touch(addr)
+        if self.l1.lookup(addr):
             self.stats["l1_hits"] += 1
             if trace_on:
                 self.trace.emit("mem", "l1_hit", addr=addr)
@@ -162,8 +201,7 @@ class MemoryHierarchy:
                 self.trace.emit("mem", "pb_hit", addr=addr,
                                 info=f"latency={lat.l1_hit + 1}")
             return lat.l1_hit + 1, "pb"
-        if self.l2 is not None and self.l2.contains(addr):
-            self.l2.touch(addr)
+        if self.l2 is not None and self.l2.lookup(addr):
             self.stats["l2_hits"] += 1
             if fill:
                 self._fill_l1(addr)
@@ -206,7 +244,7 @@ class MemoryHierarchy:
         self.epoch += 1
         self.stats["writes"] += 1
         self.memory.write(addr, value, width)
-        self.l1.touch(addr)
+        self.l1.lookup(addr)  # promotes the written line under LRU
 
     # -- prefetches -----------------------------------------------------------
 

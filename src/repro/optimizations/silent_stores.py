@@ -125,8 +125,7 @@ class SilentStorePlugin(OptimizationPlugin):
             self.trace.emit("sq", "ss_load_issued", seq=entry.dyn.seq,
                             pc=entry.dyn.pc, addr=entry.addr)
         hierarchy = self.cpu.hierarchy
-        if hierarchy.line_in_l1(entry.addr):
-            hierarchy.l1.touch(entry.addr)
+        if hierarchy.l1.lookup(entry.addr):
             latency = hierarchy.latencies.l1_hit
         elif self.ss_load_allocates:
             latency = hierarchy.access_latency(entry.addr)

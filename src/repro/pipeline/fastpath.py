@@ -75,8 +75,7 @@ telemetry.
 from bisect import insort
 from operator import attrgetter
 
-from repro.isa.opcodes import Op
-from repro.pipeline.cpu import CPU, SimulationError
+from repro.pipeline.cpu import CPU, FENCE, SimulationError
 from repro.pipeline.dyninst import DynInst, InstState, LQEntry, SQEntry
 from repro.pipeline.plugins import (
     FF_PURE, FF_WAKEUP, OptimizationPlugin,
@@ -205,9 +204,7 @@ class FastPathCPU(CPU):
         # unit's writeback is already on the event wheel at its
         # busy_until, so the wait blocks skipping only when some
         # plug-in's lookup_reuse is not the base-class no-op.
-        self._reuse_hooked = any(
-            type(plugin).lookup_reuse is not OptimizationPlugin.lookup_reuse
-            for plugin in self.plugins)
+        self._reuse_hooked = bool(self._reuse_plugins)
 
     # ------------------------------------------------------------------
     # decoded-instruction templates and the DynInst pool
@@ -244,7 +241,7 @@ class FastPathCPU(CPU):
             if len(self.rob) >= cfg.rob_size:
                 self._dispatch_stall("rob")
                 break
-            if tmpl.op is Op.FENCE:
+            if tmpl.op is FENCE:
                 if self.rob or self.store_queue:
                     self._dispatch_stall("fence")
                     break

@@ -5,9 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.isa.bits import WORD_MASK, to_signed
-from repro.isa.opcodes import DIV_OPS, MUL_OPS, SIMPLE_ALU_OPS, Op
+from repro.isa.opcodes import (
+    BRANCH_OPS, DIV_OPS, MUL_OPS, SIMPLE_ALU_OPS, Op,
+)
 from repro.isa.semantics import (
-    ALU_FUNCS, SemanticsError, alu_result, branch_taken, effective_address,
+    ALU_FUNCS, BRANCH_FUNCS, SemanticsError, alu_result, branch_taken,
+    effective_address,
 )
 
 words = st.integers(min_value=0, max_value=WORD_MASK)
@@ -116,6 +119,17 @@ def test_branch_consistency(a, b):
     assert branch_taken(Op.BGEU, a, b) == (a >= b)
     assert branch_taken(Op.BLT, a, b) == (to_signed(a) < to_signed(b))
     assert branch_taken(Op.BGE, a, b) == (to_signed(a) >= to_signed(b))
+
+
+def test_branch_funcs_cover_exactly_the_branch_ops():
+    assert set(BRANCH_FUNCS) == BRANCH_OPS
+
+
+@pytest.mark.parametrize("op", [op for op in Op if op not in BRANCH_OPS],
+                         ids=lambda op: op.name)
+def test_branch_taken_rejects_every_other_op(op):
+    with pytest.raises(SemanticsError, match="not a conditional branch"):
+        branch_taken(op, 1, 2)
 
 
 def test_non_arith_op_rejected():

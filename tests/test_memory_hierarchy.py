@@ -1,8 +1,17 @@
 """Two-level hierarchy: latencies by hit level, prefetch buffer, fills."""
 
-from repro.memory.cache import Cache
-from repro.memory.flatmem import FlatMemory
+import copy
+import itertools
+import random
+
+import pytest
+
+from repro.memory.cache import Cache, ReplacementPolicy
+from repro.memory.flatmem import FlatMemory, MemoryError_
 from repro.memory.hierarchy import MemoryHierarchy, MemoryLatencies
+from repro.memory.tlb import TLB
+from repro.stats import SimStats
+from repro.trace.buffer import TraceBuffer
 
 
 def build(l2=True, prefetch_buffer_size=0):
@@ -106,3 +115,106 @@ def test_no_l2_configuration():
     assert (latency, level) == (120, "mem")
     _value, latency, level = hierarchy.read(0x100)
     assert (latency, level) == (2, "l1")
+
+
+# -- read_lines against per-line reads ---------------------------------------
+
+POLICIES = (ReplacementPolicy.LRU, ReplacementPolicy.FIFO,
+            ReplacementPolicy.RANDOM)
+
+
+def _random_hierarchy(rng, policy, l2, tlb, pb_lines, jitter, traced,
+                      recorded):
+    hierarchy = MemoryHierarchy(
+        FlatMemory(1 << 16),
+        l1=Cache(num_sets=4, ways=2, policy=policy,
+                 seed=rng.randrange(1 << 16)),
+        l2=(Cache(num_sets=8, ways=4, policy=rng.choice(POLICIES),
+                  seed=rng.randrange(1 << 16)) if l2 else None),
+        latencies=MemoryLatencies(jitter=jitter,
+                                  seed=rng.randrange(1 << 16)),
+        prefetch_buffer_size=pb_lines,
+        tlb=TLB(entries=4, page_size=1024, walk_latency=30) if tlb else None)
+    if recorded:
+        hierarchy.metrics = SimStats()
+    if traced:
+        hierarchy.trace = TraceBuffer(capacity=64, metrics=hierarchy.metrics)
+    for _ in range(rng.randrange(8, 40)):
+        addr = rng.randrange(0, (1 << 16) - 8, 8)
+        kind = rng.random()
+        if kind < 0.6:
+            hierarchy.read(addr)
+        elif kind < 0.85:
+            hierarchy.prefetch(addr)
+        else:
+            hierarchy.request_line_for_store(addr)
+    return hierarchy
+
+
+def _address_lists(rng, hierarchy):
+    """A random list, a same-set list that forces evictions, and a list
+    that revisits resident and buffered lines among a few others."""
+    yield [rng.randrange(0, (1 << 16) - 8, 8) for _ in range(24)]
+    stride = hierarchy.l1.num_sets * hierarchy.l1.line_size
+    base = rng.randrange(0, stride, 8)
+    yield [base + stride * rng.randrange(12) for _ in range(24)]
+    seen = (hierarchy.l1.resident_lines() + hierarchy._prefetch_buffer
+            + [rng.randrange(0, 1 << 12, 64) for _ in range(8)])
+    yield [rng.choice(seen) + rng.randrange(0, 64, 8) for _ in range(24)]
+
+
+def _state(hierarchy):
+    """Everything a demand read can change."""
+    caches = [c for c in (hierarchy.l1, hierarchy.l2) if c is not None]
+    tlb = hierarchy.tlb
+    jitter_rng = hierarchy.latencies._rng
+    return copy.deepcopy({
+        "sets": [cache._sets for cache in caches],
+        "cache_stats": [cache.stats for cache in caches],
+        "cache_rngs": [cache._rng.getstate() for cache in caches],
+        "tlb": None if tlb is None else (tlb._pages, tlb.stats),
+        "prefetch_buffer": hierarchy._prefetch_buffer,
+        "stats": hierarchy.stats,
+        "epoch": hierarchy.epoch,
+        "jitter_rng": None if jitter_rng is None else jitter_rng.getstate(),
+        "trace": hierarchy.trace.as_payload(),
+        "record": hierarchy.metrics.as_dict(),
+    })
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_read_lines_matches_per_line_reads(policy):
+    """Every L2 / TLB / prefetch-buffer / jitter / trace / stats-record
+    combination, warmed up, then three address lists."""
+    rng = random.Random(policy)
+    cases = 0
+    for shape in itertools.product((False, True), (False, True), (0, 2),
+                                   (0, 5), (False, True), (False, True)):
+        hierarchy = _random_hierarchy(rng, policy, *shape)
+        for addrs in _address_lists(rng, hierarchy):
+            batched, per_line = hierarchy, copy.deepcopy(hierarchy)
+            latencies = batched.read_lines(addrs)
+            expected = [per_line.read(addr)[1] for addr in addrs]
+            assert latencies == expected, shape
+            assert _state(batched) == _state(per_line), shape
+            hierarchy = copy.deepcopy(per_line)
+            cases += 1
+    assert cases == 64 * 3
+
+
+def test_read_lines_of_nothing_changes_nothing():
+    hierarchy = build()
+    before = _state(hierarchy)
+    assert hierarchy.read_lines([]) == []
+    assert _state(hierarchy) == before
+
+
+def test_read_lines_checks_every_bound_before_reading():
+    """Per-line reads would have read 0x100 before failing; read_lines
+    fails with no state changed."""
+    hierarchy = build()
+    before = _state(hierarchy)
+    for addrs in ([0x100, (1 << 16) - 4], [0x100, -8]):
+        with pytest.raises(MemoryError_):
+            hierarchy.read_lines(addrs)
+        assert _state(hierarchy) == before
