@@ -29,7 +29,7 @@ from repro.pipeline.config import CPUConfig
 from repro.pipeline.dyninst import (
     DynInst, InstState, LQEntry, SilentState, SQEntry,
 )
-from repro.pipeline.plugins import OptimizationPlugin
+from repro.pipeline.plugins import HOOKS, OptimizationPlugin
 from repro.stats import NULL_STATS
 from repro.trace.buffer import NULL_TRACE
 
@@ -109,16 +109,13 @@ class CPU:
         self.memory = hierarchy.memory
         self.config = config if config is not None else CPUConfig()
         self.plugins = list(plugins)
-        # Only plug-ins that override pack_pair can pack a pair; the
-        # base-class hook always says no.
-        self._pack_plugins = [
-            plugin for plugin in self.plugins
-            if type(plugin).pack_pair is not OptimizationPlugin.pack_pair]
-        # Likewise only overriders of lookup_reuse can report a reuse hit.
-        self._reuse_plugins = [
-            plugin for plugin in self.plugins
-            if type(plugin).lookup_reuse
-            is not OptimizationPlugin.lookup_reuse]
+        # Hook name -> the plug-ins whose class overrides it, in order.
+        # A base-class hook does nothing, so the stages call only these.
+        self._hooked = {
+            hook: [plugin for plugin in self.plugins
+                   if getattr(type(plugin), hook)
+                   is not getattr(OptimizationPlugin, hook)]
+            for hook in HOOKS}
         self.stats = CPUStats()
         self.metrics = metrics if metrics is not None else NULL_STATS
         self.trace = NULL_TRACE
@@ -312,7 +309,7 @@ class CPU:
         self.fetching_halted = False
 
     def _free_preg(self, preg):
-        for plugin in self.plugins:
+        for plugin in self._hooked["reclaim_phys_reg"]:
             if plugin.reclaim_phys_reg(preg):
                 return
         self.free_list.append(preg)
@@ -336,7 +333,7 @@ class CPU:
             if self.trace.enabled:
                 self.trace.emit("inst", "retire", cycle=self.cycle,
                                 seq=dyn.seq, pc=dyn.pc)
-            for plugin in self.plugins:
+            for plugin in self._hooked["on_commit"]:
                 plugin.on_commit(dyn)
             if dyn.pdst is not None and dyn.old_pdst is not None:
                 self._free_preg(dyn.old_pdst)
@@ -355,7 +352,7 @@ class CPU:
                         # Forwarded loads never reached the memory
                         # system, so they stay invisible.
                         if not entry.forwarded:
-                            for plugin in self.plugins:
+                            for plugin in self._hooked["on_load_response"]:
                                 plugin.on_load_response(
                                     dyn, entry.addr, dyn.result)
                         break
@@ -414,7 +411,7 @@ class CPU:
                                     cycle=self.cycle, seq=head.dyn.seq,
                                     pc=head.dyn.pc, addr=head.addr)
                 self.store_queue.pop(0)
-                for plugin in self.plugins:
+                for plugin in self._hooked["on_store_performed"]:
                     plugin.on_store_performed(head)
                 continue
             # Non-silent (or not-yet-decided) store: needs its line in L1.
@@ -474,7 +471,7 @@ class CPU:
                                 seq=head.dyn.seq, pc=head.dyn.pc,
                                 addr=head.addr, info=head.silent.value)
             self.store_queue.pop(0)
-            for plugin in self.plugins:
+            for plugin in self._hooked["on_store_performed"]:
                 plugin.on_store_performed(head)
             break  # one memory write port per cycle
 
@@ -573,7 +570,7 @@ class CPU:
 
     def _find_pack_partner(self, dyn, issued_alu_ops, packed_partners):
         """Operand packing: find an already-issued ALU op to share a slot."""
-        plugins = self._pack_plugins
+        plugins = self._hooked["pack_pair"]
         if not plugins or not dyn.inst.op.is_alu:
             return None
         for partner in issued_alu_ops:
@@ -594,7 +591,7 @@ class CPU:
         result is computed only once the op issues.
         """
         hit = False
-        for plugin in self._reuse_plugins:
+        for plugin in self._hooked["lookup_reuse"]:
             if plugin.lookup_reuse(dyn):
                 hit = True
                 break
@@ -612,7 +609,7 @@ class CPU:
         if unit_index is None:
             return False
         value = self._compute_result(dyn)
-        for plugin in self.plugins:
+        for plugin in self._hooked["execute_latency"]:
             latency = plugin.execute_latency(dyn, latency)
         busy_until[unit_index] = self.cycle + latency
         self.schedule(latency, lambda d=dyn, v=value: self._writeback(d, v))
@@ -621,7 +618,7 @@ class CPU:
     def _issue_alu(self, dyn):
         op = dyn.inst.op
         latency = self.config.latency_alu
-        for plugin in self.plugins:
+        for plugin in self._hooked["execute_latency"]:
             latency = plugin.execute_latency(dyn, latency)
         if op.is_branch:
             self.schedule(latency, lambda d=dyn: self._resolve_branch(d))
@@ -630,7 +627,7 @@ class CPU:
             value = mask(self.cycle)
         else:
             hit = False
-            for plugin in self._reuse_plugins:
+            for plugin in self._hooked["lookup_reuse"]:
                 if plugin.lookup_reuse(dyn):
                     hit = True
                     break
@@ -662,7 +659,7 @@ class CPU:
                     self.trace.emit("sq", "address_resolved",
                                     cycle=self.cycle, seq=dyn.seq,
                                     pc=dyn.pc, addr=addr)
-                for plugin in self.plugins:
+                for plugin in self._hooked["on_store_address_resolved"]:
                     plugin.on_store_address_resolved(entry)
                 return
 
@@ -728,7 +725,7 @@ class CPU:
         if self.trace.enabled:
             self.trace.emit("inst", "complete", cycle=self.cycle,
                             seq=dyn.seq, pc=dyn.pc)
-        for plugin in self.plugins:
+        for plugin in self._hooked["on_result"]:
             plugin.on_result(dyn, value)
         if dyn.vp_predicted and value != dyn.vp_value:
             self.stats.vp_squashes += 1
@@ -800,7 +797,7 @@ class CPU:
                 if self.free_list:
                     pdst = self.free_list.popleft()
                 else:
-                    for plugin in self.plugins:
+                    for plugin in self._hooked["provide_phys_reg"]:
                         pdst = plugin.provide_phys_reg()
                         if pdst is not None:
                             break
@@ -835,7 +832,7 @@ class CPU:
                 self.load_queue.append(LQEntry(dyn))
             if op.is_store:
                 self.store_queue.append(SQEntry(dyn))
-            for plugin in self.plugins:
+            for plugin in self._hooked["on_dispatch"]:
                 plugin.on_dispatch(dyn)
             self.stats.dispatched += 1
             count += 1
@@ -881,11 +878,15 @@ class CPU:
     # ------------------------------------------------------------------
 
     def _plugins_end_of_cycle(self):
-        free_ports = max(0, self.ports["load"])
-        for plugin in self.plugins:
+        plugins = self._hooked["end_of_cycle"]
+        if not plugins:
+            return
+        ports = self.ports
+        free_ports = max(0, ports["load"])
+        for plugin in plugins:
             used = plugin.end_of_cycle(free_ports)
             used = used or 0
-            self.ports["load"] = max(0, self.ports["load"] - used)
+            ports["load"] = max(0, ports["load"] - used)
             free_ports = max(0, free_ports - used)
 
     # ------------------------------------------------------------------

@@ -159,7 +159,9 @@ class _PoolRecycler(OptimizationPlugin):
     Appended *last* to the plug-in list by :class:`FastPathCPU`, so real
     plug-ins observe commit/perform before the object is eligible for
     re-stamping (which can only happen at a later dispatch anyway).  It
-    carries no ``stats`` dict, so it never appears in observations.
+    overrides only ``on_commit`` and ``on_store_performed``, so the
+    kernels call it for those two hooks alone.  It carries no ``stats``
+    dict, so it never appears in observations.
     """
 
     name = "fastpath-pool"
@@ -193,18 +195,12 @@ class FastPathCPU(CPU):
                          plugins=list(plugins) + [_PoolRecycler()],
                          metrics=metrics, trace=trace)
         self._templates = [self._template_for(inst) for inst in program]
-        # Plug-ins whose end_of_cycle is the base-class no-op can be
-        # skipped without any behaviour change (it returns 0 ports).
-        self._eoc_plugins = [
-            plugin for plugin in self.plugins
-            if type(plugin).end_of_cycle
-            is not OptimizationPlugin.end_of_cycle]
         # A mul/div that finds every unit busy retries next cycle.  The
         # retry calls lookup_reuse and no other hook, and the busy
         # unit's writeback is already on the event wheel at its
         # busy_until, so the wait blocks skipping only when some
         # plug-in's lookup_reuse is not the base-class no-op.
-        self._reuse_hooked = bool(self._reuse_plugins)
+        self._reuse_hooked = bool(self._hooked["lookup_reuse"])
 
     # ------------------------------------------------------------------
     # decoded-instruction templates and the DynInst pool
@@ -259,7 +255,7 @@ class FastPathCPU(CPU):
                 if self.free_list:
                     pdst = self.free_list.popleft()
                 else:
-                    for plugin in self.plugins:
+                    for plugin in self._hooked["provide_phys_reg"]:
                         pdst = plugin.provide_phys_reg()
                         if pdst is not None:
                             break
@@ -302,7 +298,7 @@ class FastPathCPU(CPU):
                 self.load_queue.append(LQEntry(dyn))
             elif kind == "store":
                 self.store_queue.append(SQEntry(dyn))
-            for plugin in self.plugins:
+            for plugin in self._hooked["on_dispatch"]:
                 plugin.on_dispatch(dyn)
             if tmpl.needs_rs:
                 self._watch_sources(dyn, tmpl)
@@ -439,18 +435,6 @@ class FastPathCPU(CPU):
             taken_ids = set(map(id, taken))
             self.rs = [d for d in self.rs if id(d) not in taken_ids]
             self._ready = [d for d in ready if id(d) not in taken_ids]
-
-    def _plugins_end_of_cycle(self):
-        plugins = self._eoc_plugins
-        if not plugins:
-            return
-        ports = self.ports
-        free_ports = max(0, ports["load"])
-        for plugin in plugins:
-            used = plugin.end_of_cycle(free_ports)
-            used = used or 0
-            ports["load"] = max(0, ports["load"] - used)
-            free_ports = max(0, free_ports - used)
 
     def _record_cycle_metrics(self):
         # Dict-identical inline of the reference accounting

@@ -1,9 +1,9 @@
 """Optimization plug-in interface.
 
 Each microarchitectural optimization the paper studies is implemented as
-a plug-in that hooks pipeline events.  The baseline core calls every hook
-at a well-defined point in the cycle; a plug-in overrides only what it
-needs:
+a plug-in that hooks pipeline events.  Both kernels call each hook at a
+well-defined point in the cycle, but only on the plug-ins that override
+it (see :data:`HOOKS`).  A plug-in overrides only what it needs:
 
 ===============================  =============================================
 Hook                             Used by
@@ -20,9 +20,16 @@ Hook                             Used by
 ``pack_pair``                    pipeline compression (operand packing)
 ``provide_phys_reg`` /           register-file compression (extra rename
 ``reclaim_phys_reg``             headroom from value duplication)
+``on_commit`` /                  the fast path's internal pool recycler
+``on_store_performed``
 ``end_of_cycle``                 silent stores (port stealing), DMP
                                  (prefetch state machine)
 ===============================  =============================================
+
+A base-class hook does nothing but return its default, so skipping it
+changes no result.  Each core lists a hook's overriders once, in attach
+order, when it is built: a plug-in must not count on a base hook being
+called, and must not be added to ``cpu.plugins`` afterwards.
 
 Fast-forward contract
 ---------------------
@@ -49,10 +56,22 @@ is safe around it via ``ff_policy``:
     the "disabled" arm of the fast-path's disabled-or-exact guarantee.
 """
 
+from repro.trace.buffer import NULL_TRACE
+
 #: ``ff_policy`` values (see the module docstring).
 FF_PURE = "pure"
 FF_WAKEUP = "wakeup"
 FF_EVERY_CYCLE = "every-cycle"
+
+#: Every hook :class:`OptimizationPlugin` defines, in class order.  Each
+#: core lists, per hook, the attached plug-ins whose class overrides it,
+#: and calls only those.
+HOOKS = (
+    "on_dispatch", "provide_phys_reg", "reclaim_phys_reg",
+    "execute_latency", "lookup_reuse", "pack_pair", "on_result",
+    "on_commit", "on_load_response", "on_store_address_resolved",
+    "on_store_performed", "end_of_cycle",
+)
 
 
 class OptimizationPlugin:
@@ -93,7 +112,6 @@ class OptimizationPlugin:
         outcome in ``info``, so a trace attributes each timing
         perturbation to the optimization firing that caused it.
         """
-        from repro.trace import NULL_TRACE
         cpu = self.cpu
         return cpu.trace if cpu is not None else NULL_TRACE
 

@@ -7,19 +7,24 @@
   is on the event wheel, so fast-forward skips the wait.  Under the
   reuse plug-in every waiting cycle is still ticked, because each retry
   is a counted lookup.
-* Operand packing is only tried with plug-ins that override
-  ``pack_pair``; the fast path's internal pool plug-in never packs.
+* A hook is only called on plug-ins that override it: no base-class
+  no-op runs (operand packing, for one, is only tried with plug-ins
+  that override ``pack_pair``; the fast path's pool plug-in never
+  packs), and ``HOOKS`` names every hook the base class defines.
 
 Every run is also compared with the reference kernel, result for
 result.
 """
+
+from types import FunctionType
 
 from repro.engine.specs import HierarchySpec, PluginSpec, SimSpec
 from repro.isa.assembler import Assembler
 from repro.isa.opcodes import Op
 from repro.isa.semantics import ALU_FUNCS
 from repro.pipeline.config import CPUConfig
-from repro.pipeline.plugins import OptimizationPlugin
+from repro.pipeline.plugins import HOOKS, OptimizationPlugin
+from tests.spec_catalog import attack_specs
 
 #: Cycles the fast path skips on the six-DIV program (out of 100) when
 #: every cycle a divide waits for the unit is ticked.
@@ -85,23 +90,39 @@ def test_reuse_lookups_are_unchanged_by_the_wait():
     assert session.cpu.fastpath.cycles_skipped == SIX_DIV_SKIPPED_BEFORE
 
 
-def test_no_pack_pair_calls_without_a_packing_plugin(monkeypatch):
-    calls = []
+def test_hooks_name_every_base_hook():
+    defined = {name for name, value in vars(OptimizationPlugin).items()
+               if isinstance(value, (FunctionType, property))}
+    assert len(set(HOOKS)) == len(HOOKS)
+    assert set(HOOKS) == defined - {"__init__", "attach", "reset",
+                                    "ff_next_cycle", "trace"}
 
-    def counting(self, first, second):
-        calls.append(self)
-        return False
 
-    monkeypatch.setattr(OptimizationPlugin, "pack_pair", counting)
+def _alu_burst_spec():
+    """Twelve ready ALU ops against two ALU ports: the packing path
+    runs with no packing plug-in attached."""
     asm = Assembler()
-    for index in range(1, 13):   # 12 ready ALU ops, 2 ALU ports
+    for index in range(1, 13):
         asm.li(index, index)
     asm.halt()
-    spec = SimSpec(program=asm.assemble(),
+    return SimSpec(program=asm.assemble(),
                    hierarchy=HierarchySpec(memory_size=1 << 12),
                    config=CPUConfig(fetch_width=8, dispatch_width=8))
-    _, fast = _run(spec.replace(fastpath=True))
-    assert calls == []
-    _, reference = _run(spec.replace(fastpath=False))
-    assert fast.to_json() == reference.to_json()
-    assert fast.stats["issued"] == 12
+
+
+def test_no_base_hook_is_called(monkeypatch):
+    calls = []
+    for hook in HOOKS:
+        def counting(self, *args, _hook=hook,
+                     _base=getattr(OptimizationPlugin, hook)):
+            calls.append((type(self).__name__, _hook))
+            return _base(self, *args)
+
+        monkeypatch.setattr(OptimizationPlugin, hook, counting)
+    specs = {**attack_specs(), "alu-burst": _alu_burst_spec()}
+    for name, spec in specs.items():
+        _, fast = _run(spec.replace(fastpath=True))
+        _, reference = _run(spec.replace(fastpath=False))
+        assert calls == [], name
+        assert fast.to_json() == reference.to_json(), name
+    assert fast.stats["issued"] == 12   # the ALU burst, run last
