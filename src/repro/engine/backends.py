@@ -94,9 +94,18 @@ def execute_spec(spec, fingerprint=None):
     spares :meth:`Session.from_spec` from hashing the spec again (the
     hash covers the whole program and memory image, so for short runs
     recomputing it was a measurable fraction of the trial).
+
+    This is the one trial path of both backends and of
+    :func:`~repro.engine.runner.run_spec`.  The session it builds is
+    released (:meth:`Session.release`) once it has produced its
+    result, so reference counting frees the core, hierarchy and memory
+    at once instead of leaving them to the cyclic collector.
     """
     from repro.engine.session import Session
-    return Session.from_spec(spec, fingerprint=fingerprint).run()
+    session = Session.from_spec(spec, fingerprint=fingerprint)
+    result = session.run()
+    session.release()
+    return result
 
 
 def _execute_job(job):

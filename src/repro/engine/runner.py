@@ -6,28 +6,32 @@ of oracle queries, key recovery budgets up to 524,288 of them — and
 every trial is an independent simulator run.  :func:`run_batch` is the
 one fan-out point, and it does exactly three things:
 
-1. build one idempotent :class:`~repro.engine.backends.TrialJob` per
-   spec, keyed by the spec's content fingerprint (derived once and
-   shared by the cache probe, the session build and the stored
-   result);
+1. derive each spec's content fingerprint once (shared by the cache
+   probe, the session build and the stored result);
 2. probe the optional :class:`~repro.engine.cache.ResultCache` once,
    in bulk (:meth:`~repro.engine.cache.ResultCache.probe_many`), so
    the store is scanned per batch, not stat'ed per trial;
-3. hand only the misses to the selected
+3. build one idempotent :class:`~repro.engine.backends.TrialJob` per
+   *distinct* missing fingerprint, hand those to the selected
    :class:`~repro.engine.backends.ExecutionBackend` — serial or process
-   pool — and deposit the fresh results back.
+   pool — and deposit each fresh result back once.
 
-Results come back in input order, bitwise identical across backends,
-because every randomness source in a spec is seeded.  Backend
-selection priority: the explicit ``backend=`` argument (name or
-instance), the ``REPRO_BACKEND`` environment variable, then the
-``workers`` heuristic.
+A fingerprint covers everything that affects a run, so specs that share
+one (repeats within a batch, or specs that differ only in ``label``,
+``meta``, ``taint`` or ``fastpath``) are one simulation: the first
+occurrence gets the executed result and every later one a copy carrying
+its own spec's label.  Results come back in input order, bitwise
+identical across backends, because every randomness source in a spec is
+seeded.  Backend selection priority: the explicit ``backend=`` argument
+(name or instance), the ``REPRO_BACKEND`` environment variable, then
+the ``workers`` heuristic.
 
 :func:`derive_seed` gives deterministic per-trial seeds: hash the base
 seed with the trial index, so trial *i* sees the same perturbation no
 matter how the batch is scheduled.
 """
 
+import dataclasses
 import hashlib
 
 from repro import telemetry
@@ -89,12 +93,19 @@ def run_batch(specs, workers=1, cache=None, bypass_cache=False,
     runs everything in process.  Results are identical whichever
     backend runs them.
 
+    Each distinct missing fingerprint runs once.  The cache probe still
+    counts every occurrence, and each fresh result is deposited once;
+    a later occurrence's result is a separate :class:`RunResult` with
+    ``cached=False`` and its own spec's label.
+
     The process-wide :data:`repro.telemetry.REGISTRY` (when enabled)
-    records every batch: per-backend batch/trial counters
-    (``repro_backend_batches_total{backend=...}``), the per-trial
-    wall-clock histogram ``repro_trial_seconds``, the cache's hit/miss
-    counters, and a phase profile of this function's four steps — job
-    build, cache probe, backend submit, result merge — under
+    records every batch: per-backend batch counters
+    (``repro_backend_batches_total{backend=...}``), executed-trial
+    counters (``repro_backend_trials_total``, one per job), the
+    per-trial wall-clock histogram ``repro_trial_seconds``, the cache's
+    hit/miss counters, and a phase profile of this function's four
+    steps — fingerprinting, cache probe and job build, backend submit,
+    result merge — under
     ``repro_phase_seconds{layer="engine.runner"}``.  These quantities
     depend on scheduling, which is why they live there and never in a
     :class:`RunResult`.
@@ -111,13 +122,22 @@ def run_batch(specs, workers=1, cache=None, bypass_cache=False,
     with tel.phase("engine.runner", "probe"):
         hits = _probe(cache, fingerprints, bypass_cache)
         jobs = []
+        # Fingerprint -> index of its first missing occurrence; each
+        # later occurrence copies that index's result.
+        first = {}
+        repeats = []
         for index, spec in enumerate(specs):
             hit = hits[index] if hits is not None else None
             if hit is not None:
                 results[index] = hit
                 continue
+            fingerprint = fingerprints[index]
+            if fingerprint in first:
+                repeats.append((index, first[fingerprint]))
+                continue
+            first[fingerprint] = index
             jobs.append(TrialJob(index=index, spec=spec,
-                                 fingerprint=fingerprints[index]))
+                                 fingerprint=fingerprint))
 
     chosen = resolve_backend(backend, workers=workers,
                              chunksize=chunksize, pending=len(jobs))
@@ -137,6 +157,9 @@ def run_batch(specs, workers=1, cache=None, bypass_cache=False,
                             trial.elapsed_us / 1e6,
                             help="Wall-clock seconds per executed "
                                  "trial", backend=chosen.name)
+            for index, source in repeats:
+                results[index] = dataclasses.replace(
+                    results[source], label=specs[index].label)
 
     if cache is not None:
         with tel.phase("engine.runner", "merge"):

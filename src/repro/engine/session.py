@@ -18,6 +18,11 @@ JSON-serializable — the unit the result cache stores and benches dump
 under ``benchmarks/results/*.json``.  The counts the core, hierarchy
 and plug-ins keep reach a spec-built run's :mod:`repro.stats` record
 once, copied at the end of the run.
+
+A trial the engine runs (:func:`~repro.engine.backends.execute_spec`)
+is released with :meth:`Session.release` right after its run, so
+reference counting frees it; a session a caller builds and runs itself
+stays as it is.
 """
 
 import dataclasses
@@ -70,7 +75,12 @@ class RunResult:
 
 
 class Session:
-    """One built simulation: program + memory system + core + plug-ins."""
+    """One built simulation: program + memory system + core + plug-ins.
+
+    The plug-ins hold the core (``plugin.cpu``) and the core's event
+    wheel holds closures over it, so a session is a reference cycle
+    until :meth:`release` breaks it.
+    """
 
     def __init__(self, cpu, spec=None, fingerprint=""):
         self.cpu = cpu
@@ -131,6 +141,23 @@ class Session:
 
     def arch_reg(self, index):
         return self.cpu.arch_reg(index)
+
+    def release(self):
+        """Break the finished core's reference cycles.
+
+        Each plug-in's ``cpu`` back-reference, the callbacks still on
+        the halted core's event wheel and a trace buffer's clock tie
+        the core, its hierarchy and its memory into cycles that only
+        the cyclic collector frees.  Clearing them lets reference
+        counting free the session as soon as its last holder drops it.
+        The plug-ins' ``stats`` stay readable; a released session must
+        not run again.
+        """
+        cpu = self.cpu
+        for plugin in cpu.plugins:
+            plugin.cpu = None
+        cpu._events.clear()
+        cpu.trace.set_clock(None)
 
     # -- running -------------------------------------------------------
 

@@ -21,6 +21,7 @@ pickle.
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -446,8 +447,8 @@ class SimSpec:
         payload = {
             "result_version": 3,
             "program": self.program.encode().hex(),
-            "config": _fp_canonical(self.config if self.config is not None
-                                    else CPUConfig()),
+            "config": (_default_config_canonical() if self.config is None
+                       else _fp_canonical(self.config)),
             "hierarchy": _fp_canonical(self.hierarchy),
             "plugins": _fp_canonical(self.plugins),
             "mem_writes": _canonical(self.mem_writes),
@@ -481,10 +482,11 @@ def _fp_canonical(obj):
     hierarchy description and plug-in set; canonicalizing those nested
     dataclasses dominates the hash cost.  Only hashable components hit
     the memo: a :class:`CPUConfig` is a mutable, unhashable dataclass,
-    so configs were never memoized and always take the plain
-    :func:`_canonical` path.  Cached values are shared, so this variant
-    is only for :meth:`SimSpec.fingerprint`, which serializes the
-    result without mutating it.
+    so a spec's own config always takes the plain :func:`_canonical`
+    path (the default config has :func:`_default_config_canonical`).
+    Cached values are shared, so this variant is only for
+    :meth:`SimSpec.fingerprint`, which serializes the result without
+    mutating it.
     """
     try:
         cached = _FP_CANONICAL_CACHE.get(obj)
@@ -494,6 +496,20 @@ def _fp_canonical(obj):
         cached = _canonical(obj)
         _FP_CANONICAL_CACHE[obj] = cached
     return cached
+
+
+@functools.cache
+def _default_config_canonical():
+    """:func:`_canonical` of ``CPUConfig()``, built once per process.
+
+    Nearly every spec leaves ``config`` at ``None``, which fingerprints
+    as the default config.  A config a spec carries is still
+    canonicalized per fingerprint: :class:`CPUConfig` is mutable and
+    unhashable, so no memo could tell when it changed.  Like
+    :func:`_fp_canonical`'s, the value is shared and must not be
+    mutated.
+    """
+    return _canonical(CPUConfig())
 
 
 #: Exact types :func:`_canonical` returns unchanged (subclasses such as

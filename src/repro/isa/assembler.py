@@ -64,11 +64,6 @@ def parse_reg(reg):
 class Program:
     """An assembled program: a list of instructions plus its label map.
 
-    Construction interns every instruction's operand tuple
-    (:meth:`Instruction.intern_key`): labels are resolved by now, so the
-    semantic key is final, and equal static instructions — across
-    programs and trials — share one tuple object.
-
     ``secret_regions`` / ``public_regions`` carry the ``.secret`` /
     ``.public`` assembler directives: canonicalized ``(start, end)``
     byte ranges (end exclusive) naming which memory the program treats
@@ -85,8 +80,6 @@ class Program:
         self.secret_regions = normalize_regions(secret_regions, ".secret")
         self.public_regions = normalize_regions(public_regions, ".public")
         self._encoding = None
-        for inst in instructions:
-            inst.intern_key()
 
     def __len__(self):
         return len(self.instructions)

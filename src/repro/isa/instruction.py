@@ -1,13 +1,8 @@
 """The static instruction representation shared by all simulator layers."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.isa.opcodes import Op
-
-#: Process-wide intern table for operand tuples.  Programs are tiny
-#: (static instructions, not dynamic ones), so this is bounded by the
-#: number of distinct static instructions ever assembled.
-_KEY_INTERN = {}
 
 
 @dataclass(slots=True)
@@ -20,14 +15,6 @@ class Instruction:
     the machine is word-indexed at the instruction level (one pc per
     instruction) which keeps control flow simple without losing anything
     the paper's experiments need.
-
-    ``key`` is the interned operand tuple (op, rd, rs1, rs2, imm, width,
-    target) assigned when the instruction enters a
-    :class:`~repro.isa.assembler.Program`.  Two instructions with equal
-    semantics share one tuple object, so per-instruction structures
-    keyed on semantics (the fast-path decoded-template cache) get
-    identity-speed lookups.  It excludes ``pc``/``annotation`` — neither
-    affects execution — and never enters equality or the wire encoding.
     """
 
     op: Op
@@ -39,7 +26,6 @@ class Instruction:
     target: object = None
     pc: int = -1
     annotation: str = ""
-    key: object = field(default=None, compare=False, repr=False)
 
     @property
     def is_load(self):
@@ -52,17 +38,6 @@ class Instruction:
     @property
     def is_branch(self):
         return self.op.is_branch
-
-    def intern_key(self):
-        """Assign (and return) the interned operand tuple for ``self``.
-
-        Called after label resolution: ``target`` must be in its final
-        form, since the tuple captures it.
-        """
-        key = (self.op, self.rd, self.rs1, self.rs2, self.imm,
-               self.width, self.target)
-        self.key = _KEY_INTERN.setdefault(key, key)
-        return self.key
 
     def __str__(self):
         parts = [self.op.value]

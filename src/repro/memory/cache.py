@@ -24,7 +24,8 @@ class Cache:
         Geometry.  ``line_size`` must be a power of two.
     policy:
         One of :class:`ReplacementPolicy`.  ``random`` uses ``seed`` for
-        reproducibility.
+        reproducibility; its generator is seeded on the first random
+        eviction, so LRU and FIFO caches never build one.
     """
 
     def __init__(self, num_sets=64, ways=4, line_size=64,
@@ -37,7 +38,8 @@ class Cache:
         self.ways = ways
         self.line_size = line_size
         self.policy = policy
-        self._rng = random.Random(seed)
+        self.seed = seed
+        self._rng = None
         # Each set is a list of tags; for LRU the most recently used tag is
         # last, for FIFO the oldest inserted is first.
         self._sets = [[] for _ in range(num_sets)]
@@ -96,6 +98,8 @@ class Cache:
         evicted = None
         if len(tags) >= self.ways:
             if self.policy == ReplacementPolicy.RANDOM:
+                if self._rng is None:
+                    self._rng = random.Random(self.seed)
                 victim = self._rng.randrange(len(tags))
             else:
                 victim = 0  # LRU and FIFO both evict the head.

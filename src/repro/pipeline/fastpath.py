@@ -14,18 +14,20 @@ source registers need renaming, whether there is a destination, the
 issue port kind, ...) is a pure function of a static instruction, yet
 the reference core re-derives it per dynamic instance from the opcode's
 flags (``op.reads_rs1``, ``op.writes_rd``, ...; see
-:mod:`repro.isa.opcodes`) and the register fields.  Templates are
-decoded once per distinct static instruction — keyed by the interned
-operand tuple (:meth:`repro.isa.Instruction.intern_key`), so equal
-instructions anywhere in a process share one template — and dispatch
-becomes a cheap stamp.  :class:`~repro.pipeline.dyninst.DynInst`
-objects are recycled through a free-list pool (:meth:`DynInst.stamp`
-re-initializes every slot).  Only provably unreferenced objects are
-pooled: non-store instructions at commit (their single completion event
-has fired, their queue entries are gone) and stores when their queue
-entry performs.  Squashed instructions are *not* pooled — squash-guarded
-events and lazy waiter lists may still reference them, and a recycled
-object would make those guards lie.
+:mod:`repro.isa.opcodes`) and the register fields.  A template depends
+only on the opcode and on which of ``rd``, ``rs1`` and ``rs2`` are
+``x0``, so it is decoded once per such combination — keyed by
+``(op, rd != 0, rs1 != 0, rs2 != 0)`` in a process-wide table of at
+most eight entries per opcode, whatever immediates and register
+numbers the programs carry — and dispatch becomes a cheap stamp.
+:class:`~repro.pipeline.dyninst.DynInst` objects are recycled through
+a free-list pool (:meth:`DynInst.stamp` re-initializes every slot).
+Only provably unreferenced objects are pooled: non-store instructions
+at commit (their single completion event has fired, their queue
+entries are gone) and stores when their queue entry performs.
+Squashed instructions are *not* pooled — squash-guarded events and
+lazy waiter lists may still reference them, and a recycled object
+would make those guards lie.
 
 **Idle-cycle fast-forward.**  After each executed cycle the core checks
 whether the cycle was *quiet*: no events fired, nothing dispatched /
@@ -83,8 +85,9 @@ from repro.pipeline.plugins import (
 
 _SEQ = attrgetter("seq")
 
-#: Process-wide decoded-template cache, keyed by the interned operand
-#: tuple.  Bounded by the number of distinct static instructions.
+#: Process-wide decoded-template cache, keyed by ``(op, rd != 0,
+#: rs1 != 0, rs2 != 0)``: everything :class:`InstTemplate` reads.
+#: Bounded by eight entries per opcode.
 _TEMPLATE_CACHE = {}
 
 #: Free-list pool ceiling per core; beyond this, retired DynInsts go to
@@ -207,9 +210,7 @@ class FastPathCPU(CPU):
     # ------------------------------------------------------------------
 
     def _template_for(self, inst):
-        key = inst.key
-        if key is None:
-            key = inst.intern_key()
+        key = (inst.op, inst.rd != 0, inst.rs1 != 0, inst.rs2 != 0)
         tmpl = _TEMPLATE_CACHE.get(key)
         if tmpl is None:
             tmpl = InstTemplate(inst)

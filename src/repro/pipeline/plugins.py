@@ -101,7 +101,13 @@ class OptimizationPlugin:
         return None
 
     def attach(self, cpu):
-        """Called once when the plug-in is registered with a core."""
+        """Called once when the plug-in is registered with a core.
+
+        ``cpu`` is a back-reference: the core lists the plug-in, so the
+        two form a reference cycle.  The engine breaks it once a trial
+        has produced its result (:meth:`repro.engine.Session.release`),
+        after which ``cpu`` is ``None`` and ``stats`` stay readable.
+        """
         self.cpu = cpu
 
     @property

@@ -13,14 +13,19 @@ pins that three ways:
   priority: explicit instance or name > ``REPRO_BACKEND`` env >
   ``workers`` heuristic;
 * the mechanics underneath — bulk cache probes, job descriptors, pool
-  lifecycle — behave as documented.
+  lifecycle, one simulation per distinct fingerprint — behave as
+  documented.
 """
+
+import os
 
 import pytest
 
+from repro import telemetry
 from repro.engine import (
     BACKEND_NAMES, PoolBackend, REPRO_BACKEND_ENV, ResultCache, SimSpec,
-    TraceSpec, TrialJob, derive_seed, resolve_backend, run_batch,
+    TaintSpec, TraceSpec, TrialJob, derive_seed, resolve_backend,
+    run_batch,
 )
 from repro.engine.backends import ExecutedTrial
 from repro.engine.runner import execute_spec, run_spec
@@ -238,3 +243,48 @@ def test_run_batch_bulk_probe_and_duck_typed_cache(tmp_path):
     assert duck.gets == len(specs)
     assert len(duck.stored) == len(specs)
     assert _serialized(third) == _serialized(first)
+
+
+def _shared_fingerprint_batch():
+    """One spec under three labels, a copy that differs only in
+    ``meta`` and ``taint`` (both outside the fingerprint), and the same
+    program over another memory image (a fingerprint of its own)."""
+    base = attack_specs()["compsimp"]
+    other_image = base.replace(
+        mem_writes=((0x1000, 5, 8),) + base.mem_writes[1:],
+        label="other-image")
+    annotated = base.replace(label="annotated", meta=(("note", "copy"),),
+                             taint=TaintSpec.of(secret_regs=(5,)))
+    return [base.replace(label="first"), base.replace(label="second"),
+            other_image, base.replace(label="third"), annotated]
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_one_simulation_per_distinct_fingerprint(backend, monkeypatch,
+                                                 tmp_path):
+    monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
+    specs = _shared_fingerprint_batch()
+    expected = [execute_spec(spec) for spec in specs]
+    distinct = {spec.fingerprint() for spec in specs}
+    assert len(distinct) == 2
+    # The other memory image changes the run, not only its hash.
+    assert expected[2].cycles != expected[0].cycles
+    registry = telemetry.REGISTRY
+    saved = registry.enabled
+    registry.set_enabled(True)
+    cache = ResultCache(path=str(tmp_path / "cache"))
+    try:
+        for batch_cache in (None, cache):
+            registry.reset()
+            results = run_batch(specs, backend=backend, cache=batch_cache)
+            assert _serialized(results) == _serialized(expected)
+            assert len({id(result) for result in results}) == len(specs)
+            assert not any(result.cached for result in results)
+            assert registry.value("repro_backend_trials_total",
+                                  backend=backend) == len(distinct)
+    finally:
+        registry.set_enabled(saved)
+        registry.reset()
+    assert (cache.hits, cache.misses) == (0, len(specs))
+    assert len(cache) == len(distinct)
+    assert len(os.listdir(cache.path)) == len(distinct)

@@ -5,18 +5,23 @@ its run: building the same spec twice — in this process or across a
 worker pool — must produce identical statistics and observations.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.engine import (
     HierarchySpec, LatencySpec, PluginSpec, ResultCache, Session,
-    SimSpec, derive_seed, run_batch, run_trials,
+    SimSpec, TraceSpec, derive_seed, execute_spec, run_batch, run_trials,
 )
 from repro.isa.assembler import Assembler
+from repro.lint.progen import CaseGenerator, TRIGGER_TEMPLATES
 from repro.memory.cache import Cache
 from repro.memory.flatmem import FlatMemory
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline import SimulationError
 from repro.pipeline.config import CPUConfig
+from tests.spec_catalog import attack_specs
 
 
 def probe_program(store_value=42):
@@ -179,3 +184,37 @@ def test_run_replay_accepts_specs():
     fast_precondition, _cycles = series.fastest()
     assert fast_precondition == 42          # the silent (matching) store
     assert series.outliers() == [series.fastest()]
+
+
+@pytest.mark.parametrize("fastpath", [True, False])
+def test_finished_trials_free_their_sessions(monkeypatch, fastpath):
+    """A trial's core, hierarchy and memory are freed by reference
+    counting as soon as its result is returned: with the cyclic
+    collector off, no core built by ``execute_spec`` stays alive."""
+    cores = []
+    build = Session.from_spec.__func__
+
+    def tracking(cls, spec, fingerprint=None):
+        session = build(cls, spec, fingerprint)
+        cores.append(weakref.ref(session.cpu))
+        return session
+
+    monkeypatch.setattr(Session, "from_spec", classmethod(tracking))
+    catalog = list(attack_specs().values())
+    specs = catalog + [spec.replace(trace=TraceSpec()) for spec in catalog]
+    for plugin in sorted(TRIGGER_TEMPLATES):
+        budget = len(TRIGGER_TEMPLATES[plugin]) + 1
+        specs += [case.spec((PluginSpec.of(plugin),))
+                  for case in CaseGenerator(seed=0).cases_for(plugin,
+                                                              budget)]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for spec in specs:
+            execute_spec(spec.replace(fastpath=fastpath))
+        alive = sum(core() is not None for core in cores)
+    finally:
+        if collecting:
+            gc.enable()
+    assert len(cores) == len(specs)
+    assert alive == 0

@@ -1,5 +1,7 @@
 """Set-associative cache model: geometry, policies, invariants."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +66,31 @@ def test_random_policy_is_seeded_deterministic():
         results.append(evicted)
     assert results[0] == results[1]
     assert results[0] in (0x000, 0x040)
+
+
+@pytest.mark.parametrize("policy", [ReplacementPolicy.LRU,
+                                    ReplacementPolicy.FIFO])
+def test_deterministic_policies_build_no_rng(policy):
+    cache = Cache(num_sets=1, ways=2, policy=policy, seed=7)
+    evictions = 0
+    for line in range(102):
+        _hit, evicted = cache.access(line * 64)
+        evictions += evicted is not None
+    assert evictions == 100
+    assert cache._rng is None
+
+
+def test_random_victims_follow_the_seeded_stream():
+    ways, seed = 4, 11
+    cache = Cache(num_sets=1, ways=ways, policy=ReplacementPolicy.RANDOM,
+                  seed=seed)
+    draws = random.Random(seed)
+    for line in range(ways):
+        cache.access(line * 64)
+    for line in range(ways, ways + 64):
+        resident = list(cache._sets[0])
+        _hit, evicted = cache.access(line * 64)
+        assert evicted == resident[draws.randrange(ways)] * 64, line
 
 
 def test_no_fill_access_leaves_state():

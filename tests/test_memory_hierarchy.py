@@ -171,7 +171,8 @@ def _state(hierarchy):
     return copy.deepcopy({
         "sets": [cache._sets for cache in caches],
         "cache_stats": [cache.stats for cache in caches],
-        "cache_rngs": [cache._rng.getstate() for cache in caches],
+        "cache_rngs": [None if cache._rng is None else cache._rng.getstate()
+                       for cache in caches],
         "tlb": None if tlb is None else (tlb._pages, tlb.stats),
         "prefetch_buffer": hierarchy._prefetch_buffer,
         "stats": hierarchy.stats,
