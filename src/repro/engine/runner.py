@@ -20,7 +20,9 @@ A fingerprint covers everything that affects a run, so specs that share
 one (repeats within a batch, or specs that differ only in ``label``,
 ``meta``, ``taint`` or ``fastpath``) are one simulation: the first
 occurrence gets the executed result and every later one a copy carrying
-its own spec's label.  Results come back in input order, bitwise
+its own spec's label.  A cache hit likewise carries the label of the
+spec that asked for it, not of the one that deposited it; stored
+entries never change.  Results come back in input order, bitwise
 identical across backends, because every randomness source in a spec is
 seeded.  Backend selection priority: the explicit ``backend=`` argument
 (name or instance), the ``REPRO_BACKEND`` environment variable, then
@@ -55,17 +57,26 @@ def run_spec(spec, cache=None, bypass_cache=False):
     """Run one spec through the optional result cache.
 
     The fingerprint is derived exactly once and shared by the cache
-    probe, the session build and the stored result.
+    probe, the session build and the stored result.  A hit carries
+    ``spec``'s label.
     """
     fingerprint = spec.fingerprint()
     if cache is not None and not bypass_cache:
         hit = cache.get(fingerprint)
         if hit is not None:
-            return hit
+            return _relabel(hit, spec.label)
     result = execute_spec(spec, fingerprint)
     if cache is not None:
         cache.put(result)
     return result
+
+
+def _relabel(result, label):
+    """``result`` carrying ``label``: a cache hit answers the spec that
+    asked for it, not the one that deposited it."""
+    if result.label == label:
+        return result
+    return dataclasses.replace(result, label=label)
 
 
 def _probe(cache, fingerprints, bypass_cache):
@@ -96,7 +107,8 @@ def run_batch(specs, workers=1, cache=None, bypass_cache=False,
     Each distinct missing fingerprint runs once.  The cache probe still
     counts every occurrence, and each fresh result is deposited once;
     a later occurrence's result is a separate :class:`RunResult` with
-    ``cached=False`` and its own spec's label.
+    ``cached=False`` and its own spec's label.  A cache hit keeps
+    ``cached=True`` and also carries its own spec's label.
 
     The process-wide :data:`repro.telemetry.REGISTRY` (when enabled)
     records every batch: per-backend batch counters
@@ -129,7 +141,7 @@ def run_batch(specs, workers=1, cache=None, bypass_cache=False,
         for index, spec in enumerate(specs):
             hit = hits[index] if hits is not None else None
             if hit is not None:
-                results[index] = hit
+                results[index] = _relabel(hit, spec.label)
                 continue
             fingerprint = fingerprints[index]
             if fingerprint in first:

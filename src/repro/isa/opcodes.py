@@ -8,9 +8,10 @@ modeled after RV64I plus the M extension and a cycle counter.
 Each opcode is decoded once, at import: every :class:`Op` member carries
 the boolean flags listed in :data:`OP_FLAGS`, each one its membership in
 the matching op set below, so callers read ``op.is_load`` or
-``op.reads_rs2`` instead of testing set membership.  ``Op`` hashes by
-identity, so the sets and any ``Op``-keyed dict hash in C rather than
-through ``Enum.__hash__``.
+``op.reads_rs2`` instead of testing set membership.  From those flags it
+also gets ``issue_sources``, the source operands whose readiness gates
+issue.  ``Op`` hashes by identity, so the sets and any ``Op``-keyed dict
+hash in C rather than through ``Enum.__hash__``.
 """
 
 import enum
@@ -19,8 +20,9 @@ import enum
 class Op(enum.Enum):
     """Every opcode understood by the assembler, interpreter and pipeline.
 
-    The flags are annotations, not values, so they are not members;
-    each member gets them at import from :data:`OP_FLAGS`.
+    The flags and ``issue_sources`` are annotations, not values, so
+    they are not members; each member gets the flags at import from
+    :data:`OP_FLAGS`, and ``issue_sources`` from its flags.
     """
 
     is_alu: bool        # single-cycle ALU op, immediates and LI included
@@ -34,6 +36,10 @@ class Op(enum.Enum):
     reads_rs1: bool
     reads_rs2: bool     # a store's rs2 is its data operand
     needs_rs: bool      # takes a reservation-station entry
+    # Operand indices whose readiness gates issue: rs1 if read, and rs2
+    # if read by anything but a store (its data operand does not gate
+    # address generation).
+    issue_sources: tuple
 
     # Members are singletons: hash them by identity, in C.
     __hash__ = object.__hash__
@@ -127,4 +133,6 @@ OP_FLAGS = {
 for _op in Op:
     for _flag, _ops in OP_FLAGS.items():
         setattr(_op, _flag, _op in _ops)
+    _op.issue_sources = ((0,) if _op.reads_rs1 else ()) + (
+        (1,) if _op.reads_rs2 and not _op.is_store else ())
 del _op, _flag, _ops

@@ -480,18 +480,14 @@ class CPU:
     # ------------------------------------------------------------------
 
     def _sources_ready(self, dyn):
-        op = dyn.inst.op
-        needed = []
-        if op.reads_rs1:
-            needed.append(0)
-        if op.reads_rs2 and not op.is_store:
-            needed.append(1)
-        for index in needed:
-            preg = dyn.src_pregs[index]
+        sources = dyn.inst.op.issue_sources
+        src_pregs = dyn.src_pregs
+        for index in sources:
+            preg = src_pregs[index]
             if preg is not None and not self.prf_ready[preg]:
                 return False
-        for index in needed:
-            preg = dyn.src_pregs[index]
+        for index in sources:
+            preg = src_pregs[index]
             dyn.src_values[index] = (
                 self.prf_value[preg] if preg is not None else 0)
         return True

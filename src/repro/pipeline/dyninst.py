@@ -36,20 +36,10 @@ class DynInst:
         "seq", "inst", "pc", "state", "squashed",
         "src_pregs", "src_values", "pdst", "old_pdst", "result",
         "pred_taken", "pred_target", "issue_cycle", "done_cycle",
-        "vp_predicted", "vp_value", "reused", "exec_info",
-        "tmpl", "waits",
+        "vp_predicted", "vp_value", "reused", "exec_info", "waits",
     )
 
     def __init__(self, seq, inst):
-        self.stamp(seq, inst)
-
-    def stamp(self, seq, inst):
-        """(Re)initialize for a new dynamic instance of ``inst``.
-
-        This is the whole-object reset the fast path's free-list pool
-        relies on: recycling an object and stamping it is equivalent to
-        constructing a fresh one.  Every slot must be (re)assigned here.
-        """
         self.seq = seq
         self.inst = inst
         self.pc = inst.pc
@@ -70,7 +60,6 @@ class DynInst:
         self.vp_value = None
         self.reused = False
         self.exec_info = None  # free-form tag set by optimization plug-ins
-        self.tmpl = None   # fast-path decoded template (reference: unused)
         self.waits = 0     # fast-path ready-list wait count (reference: unused)
 
     def __repr__(self):

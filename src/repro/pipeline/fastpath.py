@@ -7,27 +7,8 @@ state, :class:`~repro.pipeline.cpu.CPUStats`, :mod:`repro.stats`
 metrics and :mod:`repro.trace` event streams.  It changes how the
 simulation is computed, never what it computes — the same contract
 production simulators make for their fast paths (gem5's O3 event
-queue, Sniper's interval core).  Three mechanisms:
-
-**Decoded-instruction templates.**  Operand-class analysis (which
-source registers need renaming, whether there is a destination, the
-issue port kind, ...) is a pure function of a static instruction, yet
-the reference core re-derives it per dynamic instance from the opcode's
-flags (``op.reads_rs1``, ``op.writes_rd``, ...; see
-:mod:`repro.isa.opcodes`) and the register fields.  A template depends
-only on the opcode and on which of ``rd``, ``rs1`` and ``rs2`` are
-``x0``, so it is decoded once per such combination — keyed by
-``(op, rd != 0, rs1 != 0, rs2 != 0)`` in a process-wide table of at
-most eight entries per opcode, whatever immediates and register
-numbers the programs carry — and dispatch becomes a cheap stamp.
-:class:`~repro.pipeline.dyninst.DynInst` objects are recycled through
-a free-list pool (:meth:`DynInst.stamp` re-initializes every slot).
-Only provably unreferenced objects are pooled: non-store instructions
-at commit (their single completion event has fired, their queue
-entries are gone) and stores when their queue entry performs.
-Squashed instructions are *not* pooled — squash-guarded events and
-lazy waiter lists may still reference them, and a recycled object
-would make those guards lie.
+queue, Sniper's interval core).  Fetch, dispatch, commit and the
+load/store queue are the reference stages; two mechanisms differ:
 
 **Idle-cycle fast-forward.**  After each executed cycle the core checks
 whether the cycle was *quiet*: no events fired, nothing dispatched /
@@ -54,16 +35,28 @@ defaults to ``FF_EVERY_CYCLE``, which pins the jump target to the next
 cycle — fast-forward around unknown plug-ins is *disabled*, never
 approximate.
 
-**Stage work-lists.**  The reference issue stage re-scans the whole
-reservation-station window every cycle, re-testing operand readiness
-per entry.  Here a seq-ordered ready list holds exactly the
-instructions whose needed sources are all ready; instructions with
-unready sources register as waiters on those physical registers and are
-woken (and re-inserted in program order) by the producing writeback.
+**The issue ready list.**  The reference issue stage re-scans the
+whole reservation-station window every cycle, re-testing operand
+readiness per entry.  Here a seq-ordered ready list holds exactly the
+instructions whose issue-gating sources (``op.issue_sources``, the one
+rule both kernels read) are all ready; instructions with unready
+sources register as waiters on those physical registers and are woken
+(and re-inserted in program order) by the producing writeback.
 Program-order issue priority — and therefore port allocation, packing
 and timing — is preserved exactly; source values are still captured at
 scan time, which matters when a value-predicted producer is corrected
 in the same cycle a consumer issues.
+
+Dispatch is the reference stage; the new reservation-station entries
+are registered with the ready list after its loop, not one by one.
+That is exact because no source's readiness changes during the loop:
+no writeback fires in it (the cycle's events fired before commit), and
+no register is freed in it (commit and squash ran earlier in the
+cycle).  Rename marks only fresh destination registers not ready, and
+a fresh register comes off the free list, so no in-flight source reads
+it.  Value prediction's ``on_dispatch`` marks ready only the
+dispatching instruction's own destination, which no older instruction
+reads.
 
 The speedup telemetry (:class:`FastPathStats`, exposed as
 ``cpu.fastpath``) deliberately stays **out** of the run's stats,
@@ -77,75 +70,33 @@ telemetry.
 from bisect import insort
 from operator import attrgetter
 
-from repro.pipeline.cpu import CPU, FENCE, SimulationError
-from repro.pipeline.dyninst import DynInst, InstState, LQEntry, SQEntry
-from repro.pipeline.plugins import (
-    FF_PURE, FF_WAKEUP, OptimizationPlugin,
-)
+from repro.pipeline.cpu import CPU, SimulationError
+from repro.pipeline.dyninst import InstState
+from repro.pipeline.plugins import FF_PURE, FF_WAKEUP
 
 _SEQ = attrgetter("seq")
 
-#: Process-wide decoded-template cache, keyed by ``(op, rd != 0,
-#: rs1 != 0, rs2 != 0)``: everything :class:`InstTemplate` reads.
-#: Bounded by eight entries per opcode.
-_TEMPLATE_CACHE = {}
-
-#: Free-list pool ceiling per core; beyond this, retired DynInsts go to
-#: the garbage collector like in the reference core.
-_POOL_CAP = 512
-
-
-class InstTemplate:
-    """Everything decode-time about one static instruction.
-
-    ``kind`` selects the issue path (``alu``/``load``/``store``/
-    ``mul``/``div``); ``src_needed`` are the operand indices whose
-    readiness gates issue (note a store's data operand does not gate
-    its address generation — exactly the reference
-    ``_sources_ready`` rule).
-    """
-
-    __slots__ = ("op", "kind", "needs_rs", "wants_dest", "ren1", "ren2",
-                 "src_needed")
-
-    def __init__(self, inst):
-        op = inst.op
-        self.op = op
-        if op.is_load:
-            self.kind = "load"
-        elif op.is_store:
-            self.kind = "store"
-        elif op.is_mul:
-            self.kind = "mul"
-        elif op.is_div:
-            self.kind = "div"
-        else:
-            self.kind = "alu"
-        self.needs_rs = op.needs_rs
-        self.wants_dest = op.writes_rd and inst.rd != 0
-        self.ren1 = op.reads_rs1 and inst.rs1 != 0
-        self.ren2 = op.reads_rs2 and inst.rs2 != 0
-        needed = []
-        if op.reads_rs1:
-            needed.append(0)
-        if op.reads_rs2 and not op.is_store:
-            needed.append(1)
-        self.src_needed = tuple(needed)
-
 
 class FastPathStats:
-    """Fast-path telemetry; never part of a :class:`RunResult`."""
+    """Fast-path telemetry; never part of a :class:`RunResult`.
 
-    __slots__ = ("cycles_skipped", "fast_forwards", "template_hits",
-                 "template_misses", "pool_reuses", "pool_allocations")
+    ``template_hits``, ``template_misses``, ``pool_reuses`` and
+    ``pool_allocations`` always read 0 and are left out of
+    :meth:`as_dict`: the kernel has no decoded templates or instruction
+    pool, but the repository benchmark (``bench/run.py``) still reads
+    those counters by name after every trial.
+    """
+
+    __slots__ = ("cycles_skipped", "fast_forwards")
+
+    template_hits = 0
+    template_misses = 0
+    pool_reuses = 0
+    pool_allocations = 0
 
     def __init__(self):
         self.cycles_skipped = 0
         self.fast_forwards = 0
-        self.template_hits = 0
-        self.template_misses = 0
-        self.pool_reuses = 0
-        self.pool_allocations = 0
 
     def as_dict(self):
         return {"fastpath." + name: getattr(self, name)
@@ -156,48 +107,19 @@ class FastPathStats:
         return f"<FastPathStats {inner}>"
 
 
-class _PoolRecycler(OptimizationPlugin):
-    """Internal hook that returns dead DynInsts to the core's pool.
-
-    Appended *last* to the plug-in list by :class:`FastPathCPU`, so real
-    plug-ins observe commit/perform before the object is eligible for
-    re-stamping (which can only happen at a later dispatch anyway).  It
-    overrides only ``on_commit`` and ``on_store_performed``, so the
-    kernels call it for those two hooks alone.  It carries no ``stats``
-    dict, so it never appears in observations.
-    """
-
-    name = "fastpath-pool"
-    ff_policy = FF_PURE
-
-    def on_commit(self, dyn):
-        # Stores stay referenced by their SQ entry until they perform.
-        if dyn.tmpl is not None and dyn.tmpl.kind != "store":
-            self.cpu._recycle(dyn)
-
-    def on_store_performed(self, entry):
-        dyn = entry.dyn
-        if (dyn.tmpl is not None and not dyn.squashed
-                and dyn.state is InstState.COMMITTED):
-            self.cpu._recycle(dyn)
-
-
 class FastPathCPU(CPU):
-    """The reference core with templates, work-lists and fast-forward."""
+    """The reference core with an issue ready list and fast-forward."""
 
     def __init__(self, program, hierarchy, config=None, plugins=(),
                  metrics=None, trace=None):
         self.fastpath = FastPathStats()
-        self._pool = []
         self._ready = []        # dispatched, all needed sources ready
         self._waiters = {}      # preg -> [DynInst] awaiting its writeback
         self._cycle_stall = None
         self._issue_blocked = False
         self._quiet = False
         super().__init__(program, hierarchy, config=config,
-                         plugins=list(plugins) + [_PoolRecycler()],
-                         metrics=metrics, trace=trace)
-        self._templates = [self._template_for(inst) for inst in program]
+                         plugins=plugins, metrics=metrics, trace=trace)
         # A mul/div that finds every unit busy retries next cycle.  The
         # retry calls lookup_reuse and no other hook, and the busy
         # unit's writeback is already on the event wheel at its
@@ -206,105 +128,15 @@ class FastPathCPU(CPU):
         self._reuse_hooked = bool(self._hooked["lookup_reuse"])
 
     # ------------------------------------------------------------------
-    # decoded-instruction templates and the DynInst pool
-    # ------------------------------------------------------------------
-
-    def _template_for(self, inst):
-        key = (inst.op, inst.rd != 0, inst.rs1 != 0, inst.rs2 != 0)
-        tmpl = _TEMPLATE_CACHE.get(key)
-        if tmpl is None:
-            tmpl = InstTemplate(inst)
-            _TEMPLATE_CACHE[key] = tmpl
-            self.fastpath.template_misses += 1
-        return tmpl
-
-    def _recycle(self, dyn):
-        if len(self._pool) < _POOL_CAP:
-            self._pool.append(dyn)
-
-    # ------------------------------------------------------------------
-    # dispatch: template stamp instead of re-decode
+    # dispatch: the reference stage, then ready-list registration
     # ------------------------------------------------------------------
 
     def _dispatch(self):
-        cfg = self.config
-        templates = self._templates
-        fp = self.fastpath
-        count = 0
-        while self.fetch_buffer and count < cfg.dispatch_width:
-            inst, pred_taken, pred_target = self.fetch_buffer[0]
-            tmpl = templates[inst.pc]
-            kind = tmpl.kind
-            if len(self.rob) >= cfg.rob_size:
-                self._dispatch_stall("rob")
-                break
-            if tmpl.op is FENCE:
-                if self.rob or self.store_queue:
-                    self._dispatch_stall("fence")
-                    break
-            if tmpl.needs_rs and len(self.rs) >= cfg.rs_size:
-                self._dispatch_stall("rs")
-                break
-            if kind == "load" and len(self.load_queue) >= cfg.load_queue_size:
-                self._dispatch_stall("lq")
-                break
-            if kind == "store" and len(self.store_queue) >= cfg.store_queue_size:
-                self._dispatch_stall("sq")
-                break
-            pdst = None
-            if tmpl.wants_dest:
-                if self.free_list:
-                    pdst = self.free_list.popleft()
-                else:
-                    for plugin in self._hooked["provide_phys_reg"]:
-                        pdst = plugin.provide_phys_reg()
-                        if pdst is not None:
-                            break
-                if pdst is None:
-                    self._dispatch_stall("preg")
-                    break
-            self.fetch_buffer.popleft()
-            if self._pool:
-                dyn = self._pool.pop()
-                dyn.stamp(self._seq, inst)
-                fp.pool_reuses += 1
-            else:
-                dyn = DynInst(self._seq, inst)
-                fp.pool_allocations += 1
-            dyn.tmpl = tmpl
-            fp.template_hits += 1
-            self._seq += 1
-            dyn.pred_taken = pred_taken
-            dyn.pred_target = pred_target
-            if tmpl.ren1:
-                dyn.src_pregs[0] = self.rename_map[inst.rs1]
-            if tmpl.ren2:
-                dyn.src_pregs[1] = self.rename_map[inst.rs2]
-            if tmpl.wants_dest:
-                dyn.pdst = pdst
-                dyn.old_pdst = self.rename_map[inst.rd]
-                self.rename_map[inst.rd] = pdst
-                self.prf_ready[pdst] = False
-                self.arch_version[inst.rd] += 1
-            if self.trace.enabled:
-                self.trace.emit("inst", "dispatch", cycle=self.cycle,
-                                seq=dyn.seq, pc=dyn.pc, info=str(inst))
-            self.rob.append(dyn)
-            if tmpl.needs_rs:
-                self.rs.append(dyn)
-            else:
-                dyn.state = InstState.DONE
-                dyn.done_cycle = self.cycle
-            if kind == "load":
-                self.load_queue.append(LQEntry(dyn))
-            elif kind == "store":
-                self.store_queue.append(SQEntry(dyn))
-            for plugin in self._hooked["on_dispatch"]:
-                plugin.on_dispatch(dyn)
-            if tmpl.needs_rs:
-                self._watch_sources(dyn, tmpl)
-            self.stats.dispatched += 1
-            count += 1
+        rs = self.rs
+        first = len(rs)
+        super()._dispatch()
+        if len(rs) > first:
+            self._watch_sources(rs[first:])
 
     def _dispatch_stall(self, kind):
         self._cycle_stall = kind
@@ -314,18 +146,23 @@ class FastPathCPU(CPU):
     # issue: ready work-list instead of full-window scan
     # ------------------------------------------------------------------
 
-    def _watch_sources(self, dyn, tmpl):
-        waits = 0
+    def _watch_sources(self, entries):
+        """Put each new entry on the ready list, or on the waiter list
+        of every issue-gating source register not yet ready."""
         prf_ready = self.prf_ready
         waiters = self._waiters
-        for index in tmpl.src_needed:
-            preg = dyn.src_pregs[index]
-            if preg is not None and not prf_ready[preg]:
-                waiters.setdefault(preg, []).append(dyn)
-                waits += 1
-        dyn.waits = waits
-        if waits == 0:
-            self._ready.append(dyn)  # dispatch order == seq order
+        ready = self._ready
+        for dyn in entries:
+            waits = 0
+            src_pregs = dyn.src_pregs
+            for index in dyn.inst.op.issue_sources:
+                preg = src_pregs[index]
+                if preg is not None and not prf_ready[preg]:
+                    waiters.setdefault(preg, []).append(dyn)
+                    waits += 1
+            dyn.waits = waits
+            if waits == 0:
+                ready.append(dyn)  # dispatch order == seq order
 
     def _wake(self, preg):
         waiters = self._waiters.pop(preg, None)
@@ -333,8 +170,7 @@ class FastPathCPU(CPU):
             return
         for dyn in waiters:
             # Stale entries: squashed waiters stay in the list until
-            # the register is rewritten; skipping them here is the
-            # reason squashed DynInsts are never pool-recycled.
+            # the register is rewritten.
             if dyn.squashed:
                 continue
             dyn.waits -= 1
@@ -369,18 +205,44 @@ class FastPathCPU(CPU):
         for dyn in ready:
             if issued >= cfg.issue_width:
                 break
-            tmpl = dyn.tmpl
+            op = dyn.inst.op
             src_pregs = dyn.src_pregs
             src_values = dyn.src_values
             # Capture operand values at scan time, as the reference
             # scan does: a value-predicted producer corrected earlier
             # this cycle must be read back corrected.
-            for index in tmpl.src_needed:
+            for index in op.issue_sources:
                 preg = src_pregs[index]
                 src_values[index] = (prf_value[preg]
                                      if preg is not None else 0)
-            kind = tmpl.kind
-            if kind == "alu":
+            if op.is_load:
+                if ports["load"] <= 0:
+                    self._issue_blocked = True
+                    continue
+                if not self._try_issue_load(dyn):
+                    # Disambiguation/forwarding wait: the retry is
+                    # side-effect-free, so it does not block skipping.
+                    continue
+                ports["load"] -= 1
+            elif op.is_store:
+                if ports["store"] <= 0:
+                    self._issue_blocked = True
+                    continue
+                ports["store"] -= 1
+                self._issue_store_agen(dyn)
+            elif op.is_mul:
+                if not self._issue_arith(dyn, cfg.latency_mul,
+                                         self.mul_busy_until):
+                    if self._reuse_hooked:
+                        self._issue_blocked = True
+                    continue
+            elif op.is_div:
+                if not self._issue_arith(dyn, cfg.latency_div,
+                                         self.div_busy_until):
+                    if self._reuse_hooked:
+                        self._issue_blocked = True
+                    continue
+            else:  # ALU-class: simple ops, branches, LI, RDCYCLE
                 if ports["alu"] > 0:
                     ports["alu"] -= 1
                     self._issue_alu(dyn)
@@ -395,33 +257,6 @@ class FastPathCPU(CPU):
                     self.stats.packed_alu_pairs += 1
                     self._issue_alu(dyn)
                     issued_alu_ops.append(dyn)
-            elif kind == "load":
-                if ports["load"] <= 0:
-                    self._issue_blocked = True
-                    continue
-                if not self._try_issue_load(dyn):
-                    # Disambiguation/forwarding wait: the retry is
-                    # side-effect-free, so it does not block skipping.
-                    continue
-                ports["load"] -= 1
-            elif kind == "store":
-                if ports["store"] <= 0:
-                    self._issue_blocked = True
-                    continue
-                ports["store"] -= 1
-                self._issue_store_agen(dyn)
-            elif kind == "mul":
-                if not self._issue_arith(dyn, cfg.latency_mul,
-                                         self.mul_busy_until):
-                    if self._reuse_hooked:
-                        self._issue_blocked = True
-                    continue
-            else:  # div
-                if not self._issue_arith(dyn, cfg.latency_div,
-                                         self.div_busy_until):
-                    if self._reuse_hooked:
-                        self._issue_blocked = True
-                    continue
             dyn.state = InstState.ISSUED
             dyn.issue_cycle = self.cycle
             issued += 1

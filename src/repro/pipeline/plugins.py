@@ -8,7 +8,8 @@ it (see :data:`HOOKS`).  A plug-in overrides only what it needs:
 ===============================  =============================================
 Hook                             Used by
 ===============================  =============================================
-``on_dispatch``                  value prediction (predict at rename)
+``on_dispatch``                  value prediction (predict at rename),
+                                 computation reuse (Sn operand versions)
 ``execute_latency``              computation simplification, early-
                                  terminating multiplication
 ``lookup_reuse``                 computation reuse (memoization hit)
@@ -20,8 +21,8 @@ Hook                             Used by
 ``pack_pair``                    pipeline compression (operand packing)
 ``provide_phys_reg`` /           register-file compression (extra rename
 ``reclaim_phys_reg``             headroom from value duplication)
-``on_commit`` /                  the fast path's internal pool recycler
-``on_store_performed``
+``on_store_performed``           silent stores (count the Figure 4 case)
+``on_commit``                    none built in
 ``end_of_cycle``                 silent stores (port stealing), DMP
                                  (prefetch state machine)
 ===============================  =============================================

@@ -30,7 +30,7 @@ class SMTCore:
                  cpu_cls=CPU):
         # ``cpu_cls`` admits the fast-path core; note the SMT loop
         # drives threads via ``step()``, so idle-cycle fast-forward
-        # never engages here — only the decode/work-list wins apply.
+        # never engages here — only the issue ready list applies.
         self.thread_a = cpu_cls(program_a, hierarchy, config=config_a,
                                 plugins=list(plugins_a))
         self.thread_b = cpu_cls(program_b, hierarchy, config=config_b,

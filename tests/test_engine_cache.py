@@ -73,7 +73,31 @@ def test_label_and_meta_do_not_affect_fingerprint():
     assert base.fingerprint() == relabeled.fingerprint()
     cache = ResultCache()
     run_spec(base, cache=cache)
-    assert run_spec(relabeled, cache=cache).cached
+    hit = run_spec(relabeled, cache=cache)
+    assert hit.cached
+    assert hit.label == "x"
+
+
+def test_a_cache_hit_carries_the_requesting_label(tmp_path):
+    """A hit answers the spec that asked, whoever deposited it: in a
+    later batch, through ``run_spec`` and from a fresh cache on the same
+    directory.  The stored entry keeps the depositor's label."""
+    path = str(tmp_path / "cache")
+    cache = ResultCache(path=path)
+    [first] = run_batch([probe_spec(label="first-caller")], cache=cache)
+    assert not first.cached and first.label == "first-caller"
+    [second] = run_batch([probe_spec(label="second-caller")], cache=cache)
+    third = run_spec(probe_spec(label="third-caller"), cache=cache)
+    [fourth] = run_batch([probe_spec(label="fourth-caller")],
+                         cache=ResultCache(path=path))
+    for hit, label in ((second, "second-caller"), (third, "third-caller"),
+                       (fourth, "fourth-caller")):
+        assert hit.cached, label
+        assert hit.label == label
+        assert hit.cycles == first.cycles
+        assert hit.observations == first.observations
+    assert ResultCache(path=path).get(first.fingerprint).label == \
+        "first-caller"
 
 
 def test_bypass_flag_skips_lookup_but_refreshes():

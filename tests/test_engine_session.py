@@ -121,6 +121,17 @@ def test_register_preload_and_recording():
     assert result.observations["regs"]["3"] == 42
 
 
+def test_both_kernels_attach_exactly_the_spec_plugins():
+    """The kernel choice adds no plug-in of its own: a session lists
+    the spec's plug-ins, in order, under either kernel."""
+    for name, spec in attack_specs().items():
+        expected = [plugin.name for plugin in spec.plugins]
+        for fastpath in (True, False):
+            session = Session.from_spec(spec.replace(fastpath=fastpath))
+            assert [p.name for p in session.plugins] == expected, \
+                (name, fastpath)
+
+
 def test_from_parts_session_is_not_content_addressed():
     """Persistent-hierarchy callers run fine but never enter the cache."""
     hierarchy = MemoryHierarchy(FlatMemory(1 << 16), l1=Cache())

@@ -1,13 +1,16 @@
 """Differential suite: the fast-path kernel must be bitwise-exact.
 
 :class:`~repro.pipeline.fastpath.FastPathCPU` buys wall-clock speed
-from a decoded-template cache, idle-cycle fast-forward and issue
-work-lists — none of which may change a single observable.  This suite
-pins that contract three ways:
+from idle-cycle fast-forward and an issue ready list — neither of which
+may change a single observable.  This suite pins that contract three
+ways:
 
 * every catalog spec (one per attack module) runs under both kernels
   and the full serialized :class:`RunResult` — cycles, retired stream,
-  stats, metrics, fingerprint — must match byte for byte;
+  stats, metrics, fingerprint — must match byte for byte; the gate is
+  itself tested, by patching in a fast-forward that overshoots its
+  target by one cycle and a ready list that ignores operand readiness,
+  each of which it must catch;
 * the same holds with event tracing on (fast-forwarded spans must
   synthesize the exact per-cycle stall events the reference emits) and
   across serial vs pooled scheduling;
@@ -19,12 +22,11 @@ No result cache is involved anywhere here: a cache hit would make the
 comparison vacuous (both kernels share fingerprints by design).
 """
 
-import json
-
 from hypothesis import given
 
 from repro.engine import TraceSpec, derive_seed, run_batch
 from repro.engine.runner import execute_spec
+from repro.pipeline.fastpath import FastPathCPU
 from tests.spec_catalog import attack_specs
 from tests.test_property_roundtrip import BOUNDED, sim_specs
 
@@ -38,14 +40,57 @@ def _catalog_specs(**overrides):
     return specs
 
 
-def test_catalog_specs_bitwise_identical_across_kernels():
-    for spec in _catalog_specs():
+def _outcome(spec):
+    """Serialized result, or the failure identity if the run dies."""
+    try:
+        return ("ok", execute_spec(spec).to_json())
+    except Exception as exc:  # noqa: BLE001 — compared across kernels
+        return (type(exc).__name__, str(exc))
+
+
+def _diverging_labels(specs):
+    """Labels of the specs whose fast-path outcome differs from the
+    reference kernel's serialized result."""
+    diverging = []
+    for spec in specs:
         reference = execute_spec(spec.replace(fastpath=False))
-        fastpath = execute_spec(spec.replace(fastpath=True))
-        assert reference.to_json() == fastpath.to_json(), spec.label
         # Sanity: the comparison is not vacuous.
         assert reference.cycles > 0, spec.label
         assert reference.stats["retired"] > 0, spec.label
+        if _outcome(spec.replace(fastpath=True)) != ("ok",
+                                                     reference.to_json()):
+            diverging.append(spec.label)
+    return diverging
+
+
+def test_catalog_specs_bitwise_identical_across_kernels():
+    assert _diverging_labels(_catalog_specs()) == []
+
+
+def test_the_catalog_gate_catches_fast_path_mutants(monkeypatch):
+    """The gate above fails on a broken fast path: each mutant, patched
+    in alone, makes at least one catalog spec diverge."""
+    fast_forward = FastPathCPU._fast_forward
+
+    def overshoot(self, limit):
+        # Jump one cycle past the fast-forward target.
+        before = self.cycle
+        fast_forward(self, limit)
+        if self.cycle != before:
+            self.cycle += 1
+
+    def unwatched(self, entries):
+        # Every new entry is ready; no waiter is registered.
+        self._ready.extend(entries)
+
+    # Every reference run halts within 700 cycles; the cap keeps a
+    # mutant that loses an event from ticking to the default limit.
+    specs = _catalog_specs(max_cycles=5_000)
+    for name, mutant in (("_fast_forward", overshoot),
+                         ("_watch_sources", unwatched)):
+        with monkeypatch.context() as patch:
+            patch.setattr(FastPathCPU, name, mutant)
+            assert _diverging_labels(specs), name
 
 
 def test_traced_catalog_specs_identical_across_kernels():
@@ -69,14 +114,6 @@ def test_pooled_fastpath_matches_serial_reference():
     assert len(reference) == len(fastpath) == len(specs)
     for spec, ref, fast in zip(specs, reference, fastpath):
         assert ref.to_json() == fast.to_json(), spec.label
-
-
-def _outcome(spec):
-    """Serialized result, or the failure identity if the run dies."""
-    try:
-        return ("ok", json.loads(execute_spec(spec).to_json()))
-    except Exception as exc:  # noqa: BLE001 — compared across kernels
-        return (type(exc).__name__, str(exc))
 
 
 @BOUNDED

@@ -1,4 +1,5 @@
-"""The opcode decode table: per-member flags and identity hashing."""
+"""The opcode decode table: per-member flags, the issue-gating sources
+and identity hashing."""
 
 import os
 import subprocess
@@ -50,7 +51,7 @@ TRUTH_TABLES = {
 
 
 def test_every_flag_is_declared_and_decoded():
-    assert set(Op.__annotations__) == set(OP_FLAGS)
+    assert set(Op.__annotations__) == set(OP_FLAGS) | {"issue_sources"}
     assert set(OP_FLAGS) == set(CLASS_SETS) | set(TRUTH_TABLES)
     assert not set(OP_FLAGS) & set(Op.__members__)
 
@@ -66,6 +67,19 @@ def test_flag_is_membership_in_its_set(flag):
 @pytest.mark.parametrize("flag", sorted(TRUTH_TABLES))
 def test_operand_flags_match_the_truth_table(flag):
     assert {op.name for op in Op if getattr(op, flag)} == TRUTH_TABLES[flag]
+
+
+def test_issue_sources_follow_the_operand_flags():
+    """Issue waits for rs1 when the op reads it, and for rs2 when it
+    reads it and is not a store (a store's data does not gate its
+    address generation)."""
+    for op in Op:
+        expected = ((0,) if op.reads_rs1 else ()) + (
+            (1,) if op.reads_rs2 and not op.is_store else ())
+        assert op.issue_sources == expected, op
+    assert Op.STORE.issue_sources == (0,)
+    assert Op.ADD.issue_sources == (0, 1)
+    assert Op.LI.issue_sources == ()
 
 
 def test_ops_hash_by_identity():

@@ -9,26 +9,20 @@
   is a counted lookup.
 * A hook is only called on plug-ins that override it: no base-class
   no-op runs (operand packing, for one, is only tried with plug-ins
-  that override ``pack_pair``; the fast path's pool plug-in never
-  packs), and ``HOOKS`` names every hook the base class defines.
-* The fast path decodes one template per opcode and choice of which of
-  ``rd``, ``rs1`` and ``rs2`` are ``x0``: instructions that differ in
-  anything else share it, so the process-wide table stops growing.
+  that override ``pack_pair``), and ``HOOKS`` names every hook the base
+  class defines.
 
 Every run is also compared with the reference kernel, result for
 result.
 """
 
-from itertools import product
 from types import FunctionType
 
 from repro.engine.specs import HierarchySpec, PluginSpec, SimSpec
 from repro.isa.assembler import Assembler
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.isa.semantics import ALU_FUNCS
 from repro.pipeline.config import CPUConfig
-from repro.pipeline.fastpath import _TEMPLATE_CACHE, InstTemplate
 from repro.pipeline.plugins import HOOKS, OptimizationPlugin
 from tests.spec_catalog import attack_specs
 
@@ -133,44 +127,3 @@ def test_no_base_hook_is_called(monkeypatch):
         assert fast.to_json() == reference.to_json(), name
     assert fast.stats["issued"] == 12   # the ALU burst, run last
 
-
-def _slots(template):
-    return {name: getattr(template, name) for name in InstTemplate.__slots__}
-
-
-def _li_spec(imm):
-    asm = Assembler()
-    asm.li(1, imm)
-    asm.add(2, 1, 1)
-    asm.halt()
-    return SimSpec(program=asm.assemble(),
-                   hierarchy=HierarchySpec(memory_size=1 << 12))
-
-
-def test_templates_are_keyed_by_opcode_and_x0_operands():
-    """Every opcode under every x0/non-x0 choice of rd, rs1 and rs2:
-    two instructions that differ in register numbers, immediate, width
-    and target share one template, and it decodes both exactly as a
-    fresh :class:`InstTemplate` does."""
-    cpu = _li_spec(0).build().cpu
-    for op, rd, rs1, rs2 in product(Op, (False, True), (False, True),
-                                    (False, True)):
-        first = Instruction(op=op, rd=3 * rd, rs1=4 * rs1, rs2=5 * rs2,
-                            imm=1, width=8, target=None, pc=0)
-        second = Instruction(op=op, rd=31 * rd, rs1=17 * rs1,
-                             rs2=9 * rs2, imm=-7, width=4, target=2,
-                             pc=1)
-        template = cpu._template_for(first)
-        assert cpu._template_for(second) is template, (op, rd, rs1, rs2)
-        for inst in (first, second):
-            assert _slots(template) == _slots(InstTemplate(inst)), inst
-
-
-def test_immediates_do_not_grow_the_template_table():
-    _li_spec(0).build().run()
-    size = len(_TEMPLATE_CACHE)
-    for imm in range(1, 200):
-        session = _li_spec(imm).build()
-        session.run()
-        assert session.cpu.fastpath.template_misses == 0, imm
-    assert len(_TEMPLATE_CACHE) == size
