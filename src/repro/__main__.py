@@ -53,10 +53,11 @@ setting ``REPRO_BACKEND=NAME``) that selects the execution backend —
 Results are bitwise identical across backends; only scheduling and
 wall-clock change.
 
-Bad input — an unknown command, a flag without its value, an argument
-a command does not take, a malformed or out-of-range number, a plug-in
-list naming no contracted optimization, a missing file, an unwritable
-``--out`` — prints a message and exits 2.
+Bad input — an unknown command, an unknown backend name (from
+``--backend`` or ``REPRO_BACKEND``), a flag without its value, an
+argument a command does not take, a malformed or out-of-range number, a
+plug-in list naming no contracted optimization, a missing file, an
+unwritable ``--out`` — prints a message and exits 2.
 """
 
 import json
@@ -487,25 +488,30 @@ COMMANDS = {"tables": cmd_tables, "urg": cmd_urg, "fig6": cmd_fig6,
 
 
 def _route_backend(argv):
-    """Apply the global ``--backend NAME`` flag: route every engine
-    batch this command runs through the named execution backend (same
-    effect as setting ``REPRO_BACKEND`` in the environment)."""
+    """Route every engine batch this command runs through the backend
+    named by the global ``--backend NAME`` flag, else by
+    ``REPRO_BACKEND``.  One check covers both sources: an unknown name
+    is a :class:`UsageError` (before the flag's value is exported); an
+    empty ``REPRO_BACKEND`` means no override."""
     import os
     from repro.engine import BACKEND_NAMES, REPRO_BACKEND_ENV
-    name = flag_value(argv, "--backend",
+    flag = flag_value(argv, "--backend",
                       "usage: python -m repro [command] --backend "
                       + "|".join(BACKEND_NAMES))
-    if name not in BACKEND_NAMES:
-        raise UsageError(f"unknown backend {name!r}; known: "
-                         f"{list(BACKEND_NAMES)}")
-    os.environ[REPRO_BACKEND_ENV] = name
+    name = (flag if flag is not None
+            else os.environ.get(REPRO_BACKEND_ENV) or None)
+    if name is not None and name not in BACKEND_NAMES:
+        source = "--backend" if flag is not None else REPRO_BACKEND_ENV
+        raise UsageError(f"unknown backend {name!r} (from {source}); "
+                         f"known: {list(BACKEND_NAMES)}")
+    if flag is not None:
+        os.environ[REPRO_BACKEND_ENV] = flag
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if "--backend" in argv:
-            _route_backend(argv)
+        _route_backend(argv)
         command = argv[0] if argv else "tables"
         if command not in COMMANDS:
             raise UsageError(__doc__)

@@ -154,6 +154,12 @@ class CPU:
         self.halted = False
         self._seq = 0
         self._squash_req = None  # (seq, redirect_pc)
+        # Raised by the issue stage when a ready instruction is held
+        # back and its retry next cycle may act before any scheduled
+        # event: ports refill every cycle, and under a plug-in that
+        # overrides lookup_reuse a mul/div retry is a counted lookup.
+        # Only the fast path reads it (FastPathCPU.step).
+        self._issue_blocked = False
 
         for plugin in self.plugins:
             plugin.attach(self)
@@ -520,22 +526,28 @@ class CPU:
             op = dyn.inst.op
             if op.is_load:
                 if ports["load"] <= 0:
+                    self._issue_blocked = True
                     continue
                 if not self._try_issue_load(dyn):
                     continue
                 ports["load"] -= 1
             elif op.is_store:
                 if ports["store"] <= 0:
+                    self._issue_blocked = True
                     continue
                 ports["store"] -= 1
                 self._issue_store_agen(dyn)
             elif op.is_mul:
                 if not self._issue_arith(dyn, cfg.latency_mul,
                                          self.mul_busy_until):
+                    if self._hooked["lookup_reuse"]:
+                        self._issue_blocked = True
                     continue
             elif op.is_div:
                 if not self._issue_arith(dyn, cfg.latency_div,
                                          self.div_busy_until):
+                    if self._hooked["lookup_reuse"]:
+                        self._issue_blocked = True
                     continue
             else:  # ALU-class: simple ops, branches, LI, RDCYCLE
                 if ports["alu"] > 0:
@@ -546,6 +558,7 @@ class CPU:
                     partner = self._find_pack_partner(
                         dyn, issued_alu_ops, packed_partners)
                     if partner is None:
+                        self._issue_blocked = True
                         continue
                     packed_partners.add(id(partner))
                     self.stats.packed_alu_pairs += 1

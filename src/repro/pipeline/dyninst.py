@@ -36,7 +36,7 @@ class DynInst:
         "seq", "inst", "pc", "state", "squashed",
         "src_pregs", "src_values", "pdst", "old_pdst", "result",
         "pred_taken", "pred_target", "issue_cycle", "done_cycle",
-        "vp_predicted", "vp_value", "reused", "exec_info", "waits",
+        "vp_predicted", "vp_value", "reused", "exec_info",
     )
 
     def __init__(self, seq, inst):
@@ -60,7 +60,6 @@ class DynInst:
         self.vp_value = None
         self.reused = False
         self.exec_info = None  # free-form tag set by optimization plug-ins
-        self.waits = 0     # fast-path ready-list wait count (reference: unused)
 
     def __repr__(self):
         return (f"<DynInst #{self.seq} pc={self.pc} {self.inst.op.value} "

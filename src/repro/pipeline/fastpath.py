@@ -7,21 +7,28 @@ state, :class:`~repro.pipeline.cpu.CPUStats`, :mod:`repro.stats`
 metrics and :mod:`repro.trace` event streams.  It changes how the
 simulation is computed, never what it computes — the same contract
 production simulators make for their fast paths (gem5's O3 event
-queue, Sniper's interval core).  Fetch, dispatch, commit and the
-load/store queue are the reference stages; two mechanisms differ:
+queue, Sniper's interval core).  Every pipeline stage is the
+reference stage; the one mechanism added is idle-cycle fast-forward.
 
-**Idle-cycle fast-forward.**  After each executed cycle the core checks
-whether the cycle was *quiet*: no events fired, nothing dispatched /
-issued / retired / squashed / dequeued, fetch idle, no memory-system
-activity (:attr:`MemoryHierarchy.epoch`), and no ready instruction
-blocked in a way whose retry has plug-in-visible side effects (a
-mul/div waiting for a busy unit counts only under a plug-in that
-overrides ``lookup_reuse``; without one its retry calls no hook that
-does anything, and the unit's writeback is already on the event
-wheel).  A quiet cycle proves the machine is in a fixpoint that only a
-*timed* input can break, and every timed input is enumerable — the
-event wheel: the earliest scheduled event (FU completions, writebacks,
-load responses, SS-Load returns), the store-queue head's
+After each executed cycle the core checks whether the cycle was
+*quiet*: no events fired, nothing dispatched / issued / retired /
+squashed / dequeued, fetch idle, no memory-system activity
+(:attr:`MemoryHierarchy.epoch`), and no ready instruction blocked in a
+way whose retry may act without a timed input.  The reference issue
+stage raises ``_issue_blocked`` for exactly those retries: a load or
+store that finds its port exhausted, an ALU op that finds no port and
+no packing partner (ports refill every cycle), and a mul/div that
+finds every unit busy while some plug-in overrides ``lookup_reuse``
+(each retry is a lookup that plug-in counts).  Other blocked retries
+do not count: an instruction whose sources are not ready, a load held
+by disambiguation or forwarding, and a mul/div waiting without such a
+plug-in (its retry calls no hook that does anything, and the busy
+unit's writeback is already on the event wheel).
+
+A quiet cycle proves the machine is in a fixpoint that only a *timed*
+input can break, and every timed input is enumerable — the event
+wheel: the earliest scheduled event (FU completions, writebacks, load
+responses, SS-Load returns), the store-queue head's
 dequeue-eligibility or DRAM-fill-ready cycle, and each plug-in's
 declared wakeup
 (:attr:`~repro.pipeline.plugins.OptimizationPlugin.ff_policy`).  The
@@ -35,29 +42,6 @@ defaults to ``FF_EVERY_CYCLE``, which pins the jump target to the next
 cycle — fast-forward around unknown plug-ins is *disabled*, never
 approximate.
 
-**The issue ready list.**  The reference issue stage re-scans the
-whole reservation-station window every cycle, re-testing operand
-readiness per entry.  Here a seq-ordered ready list holds exactly the
-instructions whose issue-gating sources (``op.issue_sources``, the one
-rule both kernels read) are all ready; instructions with unready
-sources register as waiters on those physical registers and are woken
-(and re-inserted in program order) by the producing writeback.
-Program-order issue priority — and therefore port allocation, packing
-and timing — is preserved exactly; source values are still captured at
-scan time, which matters when a value-predicted producer is corrected
-in the same cycle a consumer issues.
-
-Dispatch is the reference stage; the new reservation-station entries
-are registered with the ready list after its loop, not one by one.
-That is exact because no source's readiness changes during the loop:
-no writeback fires in it (the cycle's events fired before commit), and
-no register is freed in it (commit and squash ran earlier in the
-cycle).  Rename marks only fresh destination registers not ready, and
-a fresh register comes off the free list, so no in-flight source reads
-it.  Value prediction's ``on_dispatch`` marks ready only the
-dispatching instruction's own destination, which no older instruction
-reads.
-
 The speedup telemetry (:class:`FastPathStats`, exposed as
 ``cpu.fastpath``) deliberately stays **out** of the run's stats,
 metrics and :class:`~repro.engine.session.RunResult`: a reference run
@@ -67,14 +51,8 @@ Wall-clock-ish quantities live caller-side, like the engine's batch
 telemetry.
 """
 
-from bisect import insort
-from operator import attrgetter
-
 from repro.pipeline.cpu import CPU, SimulationError
-from repro.pipeline.dyninst import InstState
 from repro.pipeline.plugins import FF_PURE, FF_WAKEUP
-
-_SEQ = attrgetter("seq")
 
 
 class FastPathStats:
@@ -108,169 +86,19 @@ class FastPathStats:
 
 
 class FastPathCPU(CPU):
-    """The reference core with an issue ready list and fast-forward."""
+    """The reference core with idle-cycle fast-forward."""
 
     def __init__(self, program, hierarchy, config=None, plugins=(),
                  metrics=None, trace=None):
         self.fastpath = FastPathStats()
-        self._ready = []        # dispatched, all needed sources ready
-        self._waiters = {}      # preg -> [DynInst] awaiting its writeback
         self._cycle_stall = None
-        self._issue_blocked = False
         self._quiet = False
         super().__init__(program, hierarchy, config=config,
                          plugins=plugins, metrics=metrics, trace=trace)
-        # A mul/div that finds every unit busy retries next cycle.  The
-        # retry calls lookup_reuse and no other hook, and the busy
-        # unit's writeback is already on the event wheel at its
-        # busy_until, so the wait blocks skipping only when some
-        # plug-in's lookup_reuse is not the base-class no-op.
-        self._reuse_hooked = bool(self._hooked["lookup_reuse"])
-
-    # ------------------------------------------------------------------
-    # dispatch: the reference stage, then ready-list registration
-    # ------------------------------------------------------------------
-
-    def _dispatch(self):
-        rs = self.rs
-        first = len(rs)
-        super()._dispatch()
-        if len(rs) > first:
-            self._watch_sources(rs[first:])
 
     def _dispatch_stall(self, kind):
         self._cycle_stall = kind
         super()._dispatch_stall(kind)
-
-    # ------------------------------------------------------------------
-    # issue: ready work-list instead of full-window scan
-    # ------------------------------------------------------------------
-
-    def _watch_sources(self, entries):
-        """Put each new entry on the ready list, or on the waiter list
-        of every issue-gating source register not yet ready."""
-        prf_ready = self.prf_ready
-        waiters = self._waiters
-        ready = self._ready
-        for dyn in entries:
-            waits = 0
-            src_pregs = dyn.src_pregs
-            for index in dyn.inst.op.issue_sources:
-                preg = src_pregs[index]
-                if preg is not None and not prf_ready[preg]:
-                    waiters.setdefault(preg, []).append(dyn)
-                    waits += 1
-            dyn.waits = waits
-            if waits == 0:
-                ready.append(dyn)  # dispatch order == seq order
-
-    def _wake(self, preg):
-        waiters = self._waiters.pop(preg, None)
-        if not waiters:
-            return
-        for dyn in waiters:
-            # Stale entries: squashed waiters stay in the list until
-            # the register is rewritten.
-            if dyn.squashed:
-                continue
-            dyn.waits -= 1
-            if dyn.waits == 0 and dyn.state is InstState.DISPATCHED:
-                insort(self._ready, dyn, key=_SEQ)
-
-    def _writeback(self, dyn, value):
-        if dyn.squashed:
-            return
-        super()._writeback(dyn, value)
-        if dyn.pdst is not None:
-            self._wake(dyn.pdst)
-
-    def _apply_squash(self):
-        if self._squash_req is None:
-            return
-        super()._apply_squash()
-        self._ready = [d for d in self._ready if not d.squashed]
-
-    def _issue(self):
-        ready = self._ready
-        if not ready:
-            return
-        cfg = self.config
-        ports = self.ports
-        issued = 0
-        issued_alu_ops = ports["alu_issued"]
-        packed_partners = ports["packed"]
-        taken = None
-        prf_value = self.prf_value
-        trace_on = self.trace.enabled
-        for dyn in ready:
-            if issued >= cfg.issue_width:
-                break
-            op = dyn.inst.op
-            src_pregs = dyn.src_pregs
-            src_values = dyn.src_values
-            # Capture operand values at scan time, as the reference
-            # scan does: a value-predicted producer corrected earlier
-            # this cycle must be read back corrected.
-            for index in op.issue_sources:
-                preg = src_pregs[index]
-                src_values[index] = (prf_value[preg]
-                                     if preg is not None else 0)
-            if op.is_load:
-                if ports["load"] <= 0:
-                    self._issue_blocked = True
-                    continue
-                if not self._try_issue_load(dyn):
-                    # Disambiguation/forwarding wait: the retry is
-                    # side-effect-free, so it does not block skipping.
-                    continue
-                ports["load"] -= 1
-            elif op.is_store:
-                if ports["store"] <= 0:
-                    self._issue_blocked = True
-                    continue
-                ports["store"] -= 1
-                self._issue_store_agen(dyn)
-            elif op.is_mul:
-                if not self._issue_arith(dyn, cfg.latency_mul,
-                                         self.mul_busy_until):
-                    if self._reuse_hooked:
-                        self._issue_blocked = True
-                    continue
-            elif op.is_div:
-                if not self._issue_arith(dyn, cfg.latency_div,
-                                         self.div_busy_until):
-                    if self._reuse_hooked:
-                        self._issue_blocked = True
-                    continue
-            else:  # ALU-class: simple ops, branches, LI, RDCYCLE
-                if ports["alu"] > 0:
-                    ports["alu"] -= 1
-                    self._issue_alu(dyn)
-                    issued_alu_ops.append(dyn)
-                else:
-                    partner = self._find_pack_partner(
-                        dyn, issued_alu_ops, packed_partners)
-                    if partner is None:
-                        self._issue_blocked = True
-                        continue
-                    packed_partners.add(id(partner))
-                    self.stats.packed_alu_pairs += 1
-                    self._issue_alu(dyn)
-                    issued_alu_ops.append(dyn)
-            dyn.state = InstState.ISSUED
-            dyn.issue_cycle = self.cycle
-            issued += 1
-            self.stats.issued += 1
-            if trace_on:
-                self.trace.emit("inst", "issue", cycle=self.cycle,
-                                seq=dyn.seq, pc=dyn.pc)
-            if taken is None:
-                taken = []
-            taken.append(dyn)
-        if taken:
-            taken_ids = set(map(id, taken))
-            self.rs = [d for d in self.rs if id(d) not in taken_ids]
-            self._ready = [d for d in ready if id(d) not in taken_ids]
 
     def _record_cycle_metrics(self):
         # Dict-identical inline of the reference accounting

@@ -26,15 +26,13 @@ class SMTCore:
     """Two CPUs in lockstep with shared execution resources."""
 
     def __init__(self, program_a, program_b, hierarchy, config_a=None,
-                 config_b=None, plugins_a=(), plugins_b=(),
-                 cpu_cls=CPU):
-        # ``cpu_cls`` admits the fast-path core; note the SMT loop
-        # drives threads via ``step()``, so idle-cycle fast-forward
-        # never engages here — only the issue ready list applies.
-        self.thread_a = cpu_cls(program_a, hierarchy, config=config_a,
-                                plugins=list(plugins_a))
-        self.thread_b = cpu_cls(program_b, hierarchy, config=config_b,
-                                plugins=list(plugins_b))
+                 config_b=None, plugins_a=(), plugins_b=()):
+        # Reference cores: this loop drives each thread through
+        # ``step()``, where the fast path's fast-forward never engages.
+        self.thread_a = CPU(program_a, hierarchy, config=config_a,
+                            plugins=list(plugins_a))
+        self.thread_b = CPU(program_b, hierarchy, config=config_b,
+                            plugins=list(plugins_b))
         # Share the per-cycle port budget and the arithmetic units.
         self.thread_b.ports = self.thread_a.ports
         self.thread_b.mul_busy_until = self.thread_a.mul_busy_until

@@ -51,6 +51,7 @@ def test_unknown_command_shows_usage(capsys):
     ["nope"],
     ["--backend"],
     ["tables", "--backend", "lockstep"],
+    ["tables", "--backend", ""],
     ["trace", "--out"],
     ["bench", "--out"],
     ["synthesize", "--budget", "x"],
@@ -106,6 +107,25 @@ def test_global_backend_flag(capsys, monkeypatch):
     assert main(["tables", "--backend", "warp-drive"]) == 2
     assert "unknown backend" in capsys.readouterr().out
     assert REPRO_BACKEND_ENV not in os.environ
+
+
+@pytest.mark.parametrize("argv", [["fig6"], ["precision", "--budget", "1"]],
+                         ids=" ".join)
+def test_unknown_backend_in_the_environment_exits_2(argv, capsys,
+                                                    monkeypatch):
+    from repro.engine import REPRO_BACKEND_ENV
+    monkeypatch.setenv(REPRO_BACKEND_ENV, "bogus")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "unknown backend 'bogus'" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_an_empty_backend_in_the_environment_means_no_override(
+        monkeypatch):
+    from repro.engine import REPRO_BACKEND_ENV
+    monkeypatch.setenv(REPRO_BACKEND_ENV, "")
+    assert main(["tables"]) == 0
 
 
 def test_bench_command(tmp_path, capsys):

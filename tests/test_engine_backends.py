@@ -8,7 +8,8 @@ pins that three ways:
 
 * the full attack-spec catalog runs under serial and pool and the
   serialized results must match byte for byte (plain, with event
-  tracing on, and as secret-variant cohorts);
+  tracing on, and as secret-variant cohorts); the gate is itself
+  tested, by patching in a pool that returns its results reversed;
 * backend *selection* is deterministic and follows the documented
   priority: explicit instance or name > ``REPRO_BACKEND`` env >
   ``workers`` heuristic;
@@ -50,16 +51,36 @@ def _serialized(results):
 # the contract: bitwise identity across backends
 # ----------------------------------------------------------------------
 
-def test_catalog_bitwise_identical_across_backends():
-    specs = _catalog_specs()
+def _labels_differing_across_backends(specs):
+    """Labels of the specs whose pooled result differs from the serial
+    one, byte for byte."""
     serial = run_batch(specs, backend="serial")
     pooled = run_batch(specs, backend="pool")
-    assert len(serial) == len(specs)
+    assert len(serial) == len(pooled) == len(specs)
+    differing = []
     for spec, ref, pool in zip(specs, serial, pooled):
-        assert ref.to_json() == pool.to_json(), spec.label
         # Sanity: the comparison is not vacuous.
         assert ref.cycles > 0, spec.label
         assert ref.stats["retired"] > 0, spec.label
+        if ref.to_json() != pool.to_json():
+            differing.append(spec.label)
+    return differing
+
+
+def test_catalog_bitwise_identical_across_backends():
+    assert _labels_differing_across_backends(_catalog_specs()) == []
+
+
+def test_the_backend_gate_catches_reordered_pool_results(monkeypatch):
+    """The gate above fails when the pool hands results back out of
+    input order."""
+    pool_map = PoolBackend._map
+
+    def reversed_map(self, pool, jobs, timed):
+        return pool_map(self, pool, jobs, timed)[::-1]
+
+    monkeypatch.setattr(PoolBackend, "_map", reversed_map)
+    assert _labels_differing_across_backends(_catalog_specs())
 
 
 def test_traced_catalog_identical_across_backends():

@@ -1,16 +1,15 @@
 """Differential suite: the fast-path kernel must be bitwise-exact.
 
 :class:`~repro.pipeline.fastpath.FastPathCPU` buys wall-clock speed
-from idle-cycle fast-forward and an issue ready list — neither of which
-may change a single observable.  This suite pins that contract three
-ways:
+from idle-cycle fast-forward, which may not change a single
+observable.  This suite pins that contract three ways:
 
 * every catalog spec (one per attack module) runs under both kernels
   and the full serialized :class:`RunResult` — cycles, retired stream,
   stats, metrics, fingerprint — must match byte for byte; the gate is
   itself tested, by patching in a fast-forward that overshoots its
-  target by one cycle and a ready list that ignores operand readiness,
-  each of which it must catch;
+  target by one cycle and a quiet-cycle test blind to blocked issue
+  retries, each of which it must catch;
 * the same holds with event tracing on (fast-forwarded spans must
   synthesize the exact per-cycle stall events the reference emits) and
   across serial vs pooled scheduling;
@@ -79,17 +78,21 @@ def test_the_catalog_gate_catches_fast_path_mutants(monkeypatch):
         if self.cycle != before:
             self.cycle += 1
 
-    def unwatched(self, entries):
-        # Every new entry is ready; no waiter is registered.
-        self._ready.extend(entries)
+    # The issue stage's blocked-retry signal always reads False, so a
+    # cycle whose retry would act still counts as quiet.  A class-level
+    # data descriptor wins over the instance attribute CPU.__init__
+    # sets, so every write to it is dropped.
+    blind = property(lambda self: False, lambda self, value: None)
 
     # Every reference run halts within 700 cycles; the cap keeps a
     # mutant that loses an event from ticking to the default limit.
     specs = _catalog_specs(max_cycles=5_000)
     for name, mutant in (("_fast_forward", overshoot),
-                         ("_watch_sources", unwatched)):
+                         ("_issue_blocked", blind)):
         with monkeypatch.context() as patch:
-            patch.setattr(FastPathCPU, name, mutant)
+            # ``_issue_blocked`` is an instance attribute, so the class
+            # has none to replace.
+            patch.setattr(FastPathCPU, name, mutant, raising=False)
             assert _diverging_labels(specs), name
 
 

@@ -2,11 +2,12 @@
 
 * A multiply/divide computes its result only when it issues (on a reuse
   hit or once it finds a free unit), not on every cycle it waits.
-* On the fast path, a mul/div waiting for a busy unit no longer forces
-  a tick when no plug-in does reuse lookups: the busy unit's writeback
-  is on the event wheel, so fast-forward skips the wait.  Under the
-  reuse plug-in every waiting cycle is still ticked, because each retry
-  is a counted lookup.
+* A mul/div waiting for a busy unit raises the issue stage's
+  blocked-retry signal (``_issue_blocked``, which only the fast path
+  reads) only when some plug-in does reuse lookups.  Without one, the
+  busy unit's writeback is on the event wheel, so fast-forward skips
+  the wait.  Under the reuse plug-in every waiting cycle is still
+  ticked, because each retry is a counted lookup.
 * A hook is only called on plug-ins that override it: no base-class
   no-op runs (operand packing, for one, is only tried with plug-ins
   that override ``pack_pair``), and ``HOOKS`` names every hook the base
