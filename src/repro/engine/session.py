@@ -165,35 +165,46 @@ class Session:
         """Run to completion and package a :class:`RunResult`.
 
         The cycle limit is ``max_cycles``, else the spec's
-        ``max_cycles``, else the core config's default.
+        ``max_cycles``, else the core config's default.  A spec-built
+        run's stats record gets the counts the core (occupancy
+        included), hierarchy and plug-ins kept, copied in once here.
         """
         spec = self.spec
+        cpu = self.cpu
         if max_cycles is None and spec is not None:
             max_cycles = spec.max_cycles
-        stats = self.cpu.run(max_cycles=max_cycles)
+        stats = cpu.run(max_cycles=max_cycles)
         observations = {
             "hierarchy": dict(self.hierarchy.stats),
             "plugins": {plugin.name: dict(plugin.stats)
-                        for plugin in self.cpu.plugins
+                        for plugin in cpu.plugins
                         if isinstance(getattr(plugin, "stats", None),
                                       dict)},
         }
         if spec is not None and spec.record_regs:
             observations["regs"] = {
-                str(index): self.cpu.arch_reg(index)
+                str(index): cpu.arch_reg(index)
                 for index in spec.record_regs}
-        metrics = self.cpu.metrics
+        metrics = cpu.metrics
         if metrics.enabled:
             metrics.inc("engine.trials")
             # The core's and plug-ins' whole-run counts, with the key
-            # presence per-event writes gave them: non-zero ones only,
-            # but squashed instructions with every flush.
+            # presence per-cycle and per-event writes gave them: every
+            # occupancy integral and peak, other counts when non-zero,
+            # and squashed instructions with every flush.
+            for queue in ("rob", "rs", "lq", "sq"):
+                metrics.inc(f"pipeline.{queue}.occupancy_integral",
+                            getattr(cpu, queue + "_integral"))
+                metrics.peak(f"pipeline.{queue}.high_water",
+                             getattr(cpu, queue + "_peak"))
             copied = [("pipeline.cycles", stats.cycles),
-                      ("pipeline.sq.silent_dequeues", stats.silent_stores)]
+                      ("pipeline.sq.silent_dequeues", stats.silent_stores),
+                      ("pipeline.sq.head_committed_cycles",
+                       cpu.sq_head_committed_cycles)]
             copied += [("pipeline.dispatch_stall." + kind, count)
                        for kind, count in stats.dispatch_stalls.items()]
             copied += [(name, plugin.stats[key])
-                       for plugin in self.cpu.plugins
+                       for plugin in cpu.plugins
                        for key, name in plugin.metric_names.items()]
             for name, value in copied:
                 if value:
@@ -211,4 +222,4 @@ class Session:
             stats=stats.as_dict(),
             observations=observations,
             metrics=metrics.as_dict() if metrics.enabled else {},
-            trace=self.cpu.trace.as_payload() if traced else {})
+            trace=cpu.trace.as_payload() if traced else {})

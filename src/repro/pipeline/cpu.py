@@ -105,6 +105,9 @@ class CPU:
     def __init__(self, program, hierarchy, config=None, plugins=(),
                  metrics=None, trace=None):
         self.program = program
+        # Fetch reads the (immutable) instruction list directly.
+        self._instructions = program.instructions
+        self._program_len = len(program.instructions)
         self.hierarchy = hierarchy
         self.memory = hierarchy.memory
         self.config = config if config is not None else CPUConfig()
@@ -116,6 +119,7 @@ class CPU:
                    if getattr(type(plugin), hook)
                    is not getattr(OptimizationPlugin, hook)]
             for hook in HOOKS}
+        self._end_of_cycle = self._hooked["end_of_cycle"]
         self.stats = CPUStats()
         self.metrics = metrics if metrics is not None else NULL_STATS
         self.trace = NULL_TRACE
@@ -158,8 +162,15 @@ class CPU:
         # back and its retry next cycle may act before any scheduled
         # event: ports refill every cycle, and under a plug-in that
         # overrides lookup_reuse a mul/div retry is a counted lookup.
-        # Only the fast path reads it (FastPathCPU.step).
+        # Only the fast path reads it (FastPathCPU.run).
         self._issue_blocked = False
+
+        # Occupancy integrals and high-water marks, and the cycles a
+        # committed store sat at the SQ head (see _record_cycle_metrics).
+        self.rob_integral = self.rs_integral = 0
+        self.lq_integral = self.sq_integral = 0
+        self.rob_peak = self.rs_peak = self.lq_peak = self.sq_peak = 0
+        self.sq_head_committed_cycles = 0
 
         for plugin in self.plugins:
             plugin.attach(self)
@@ -203,12 +214,12 @@ class CPU:
 
     def schedule(self, delay, fn):
         """Run ``fn`` at ``self.cycle + delay`` (delay >= 1)."""
-        when = self.cycle + max(1, delay)
-        self._events.setdefault(when, []).append(fn)
-
-    def _fire_events(self):
-        for fn in self._events.pop(self.cycle, ()):  # insertion order
-            fn()
+        when = self.cycle + (delay if delay > 1 else 1)
+        due = self._events.get(when)
+        if due is None:
+            self._events[when] = [fn]
+        else:
+            due.append(fn)
 
     def request_squash(self, seq, redirect_pc):
         """Squash everything younger than ``seq``; refetch at ``redirect_pc``."""
@@ -231,63 +242,75 @@ class CPU:
         return self.stats
 
     def step(self):
-        """Advance one cycle."""
+        """Advance one cycle: fire the due events, then run squash,
+        commit, store-queue upkeep, issue, dispatch, fetch and the
+        plug-ins' end-of-cycle work.  A stage with no input (no pending
+        squash; an empty ROB, store queue, reservation station or fetch
+        buffer; halted fetch; no ``end_of_cycle`` override) is not
+        called: it would do nothing."""
         self.cycle += 1
         if self.metrics.enabled:
             self._record_cycle_metrics()
         if self._owns_ports:
             self.refill_ports()
-        self._fire_events()
-        self._apply_squash()
-        self._commit()
-        if self.halted:
-            self.stats.cycles = self.cycle
-            return
-        self._lsq_step()
-        self._issue()
-        self._dispatch()
-        self._fetch()
-        self._plugins_end_of_cycle()
+        for fn in self._events.pop(self.cycle, ()):  # scheduling order
+            fn()
+        if self._squash_req is not None:
+            self._apply_squash()
+        if self.rob:
+            self._commit()
+            if self.halted:
+                self.stats.cycles = self.cycle
+                return
+        if self.store_queue:
+            self._lsq_step()
+        if self.rs:
+            self._issue()
+        if self.fetch_buffer:
+            self._dispatch()
+        if not self.fetching_halted:
+            self._fetch()
+        if self._end_of_cycle:
+            self._plugins_end_of_cycle()
         # End-of-program fallback for programs without an explicit HALT.
         if (not self.rob and not self.fetch_buffer and not self.store_queue
-                and (self.fetching_halted or self.fetch_pc >= len(self.program))
-                and not self.fetch_buffer):
+                and (self.fetching_halted
+                     or self.fetch_pc >= self._program_len)):
             if not any(self._events.values()):
                 self.halted = True
                 self.stats.cycles = self.cycle
 
     def _record_cycle_metrics(self):
-        """Per-cycle structure occupancy (enabled-mode only).
+        """Count this cycle's structure occupancy (enabled-mode only).
 
-        Occupancy integrals are counters (summed across merged trials)
-        paired with the ``pipeline.cycles`` counter (copied from
-        :attr:`CPUStats.cycles` at the end of the run), so a merged
-        record's average occupancy is ``integral / cycles``; high-water
-        marks merge by max.
-        """
-        metrics = self.metrics
+        :meth:`Session.run` copies the counts into the stats record:
+        integrals as counters paired with ``pipeline.cycles`` (a merged
+        record's mean occupancy is ``integral / cycles``), high-water
+        marks as maxima."""
         rob = len(self.rob)
         rs = len(self.rs)
         lq = len(self.load_queue)
         sq = len(self.store_queue)
-        metrics.inc("pipeline.rob.occupancy_integral", rob)
-        metrics.inc("pipeline.rs.occupancy_integral", rs)
-        metrics.inc("pipeline.lq.occupancy_integral", lq)
-        metrics.inc("pipeline.sq.occupancy_integral", sq)
-        metrics.peak("pipeline.rob.high_water", rob)
-        metrics.peak("pipeline.rs.high_water", rs)
-        metrics.peak("pipeline.lq.high_water", lq)
-        metrics.peak("pipeline.sq.high_water", sq)
+        self.rob_integral += rob
+        self.rs_integral += rs
+        self.lq_integral += lq
+        self.sq_integral += sq
+        if rob > self.rob_peak:
+            self.rob_peak = rob
+        if rs > self.rs_peak:
+            self.rs_peak = rs
+        if lq > self.lq_peak:
+            self.lq_peak = lq
+        if sq > self.sq_peak:
+            self.sq_peak = sq
         if sq and self.store_queue[0].committed:
-            metrics.inc("pipeline.sq.head_committed_cycles")
+            self.sq_head_committed_cycles += 1
 
     # ------------------------------------------------------------------
     # squash / recovery
     # ------------------------------------------------------------------
 
     def _apply_squash(self):
-        if self._squash_req is None:
-            return
         seq, redirect = self._squash_req
         self._squash_req = None
         if self.metrics.enabled:
@@ -330,7 +353,8 @@ class CPU:
             dyn = self.rob[0]
             if dyn.state is not InstState.DONE:
                 break
-            if dyn.inst.op is HALT and self.store_queue:
+            op = dyn.inst.op
+            if op is HALT and self.store_queue:
                 break  # drain outstanding stores before halting
             self.rob.popleft()
             dyn.state = InstState.COMMITTED
@@ -343,13 +367,13 @@ class CPU:
                 plugin.on_commit(dyn)
             if dyn.pdst is not None and dyn.old_pdst is not None:
                 self._free_preg(dyn.old_pdst)
-            if dyn.inst.is_store:
+            if op.is_store:
                 for entry in self.store_queue:
                     if entry.dyn is dyn:
                         entry.committed = True
                         entry.committed_cycle = self.cycle
                         break
-            elif dyn.inst.is_load:
+            elif op.is_load:
                 for index, entry in enumerate(self.load_queue):
                     if entry.dyn is dyn:
                         del self.load_queue[index]
@@ -362,7 +386,7 @@ class CPU:
                                 plugin.on_load_response(
                                     dyn, entry.addr, dyn.result)
                         break
-            if dyn.inst.op is HALT:
+            if op is HALT:
                 self.halted = True
                 return
 
@@ -505,10 +529,10 @@ class CPU:
         self.ports["load"] = self.config.num_load_ports
         self.ports["store"] = self.config.num_store_ports
         # ALU ops issued this cycle (across SMT siblings when shared):
-        # the candidates for operand packing, and the already-packed
-        # bookkeeping.
+        # the candidates for operand packing, and the ones already
+        # packed (at most ``issue_width`` per thread).
         self.ports["alu_issued"] = []
-        self.ports["packed"] = set()
+        self.ports["packed"] = []
 
     def _issue(self):
         cfg = self.config
@@ -516,9 +540,10 @@ class CPU:
         issued = 0
         issued_alu_ops = ports["alu_issued"]
         packed_partners = ports["packed"]
+        rs = self.rs
         taken = []
 
-        for dyn in self.rs:
+        for dyn in rs:
             if issued >= cfg.issue_width:
                 break
             if not self._sources_ready(dyn):
@@ -560,7 +585,7 @@ class CPU:
                     if partner is None:
                         self._issue_blocked = True
                         continue
-                    packed_partners.add(id(partner))
+                    packed_partners.append(partner)
                     self.stats.packed_alu_pairs += 1
                     self._issue_alu(dyn)
                     issued_alu_ops.append(dyn)
@@ -573,9 +598,8 @@ class CPU:
                                 seq=dyn.seq, pc=dyn.pc)
             taken.append(dyn)
 
-        if taken:
-            taken_ids = {id(d) for d in taken}
-            self.rs = [d for d in self.rs if id(d) not in taken_ids]
+        for dyn in taken:
+            rs.remove(dyn)  # DynInst has no __eq__: by identity
 
     def _find_pack_partner(self, dyn, issued_alu_ops, packed_partners):
         """Operand packing: find an already-issued ALU op to share a slot."""
@@ -583,7 +607,7 @@ class CPU:
         if not plugins or not dyn.inst.op.is_alu:
             return None
         for partner in issued_alu_ops:
-            if id(partner) in packed_partners:
+            if partner in packed_partners:
                 continue
             if not partner.inst.op.is_alu:
                 continue
@@ -779,19 +803,23 @@ class CPU:
 
     def _dispatch(self):
         cfg = self.config
+        fetch_buffer = self.fetch_buffer
+        rob = self.rob
+        rs = self.rs
+        rename_map = self.rename_map
         count = 0
-        while self.fetch_buffer and count < cfg.dispatch_width:
-            inst, pred_taken, pred_target = self.fetch_buffer[0]
+        while fetch_buffer and count < cfg.dispatch_width:
+            inst, pred_taken, pred_target = fetch_buffer[0]
             op = inst.op
-            if len(self.rob) >= cfg.rob_size:
+            if len(rob) >= cfg.rob_size:
                 self._dispatch_stall("rob")
                 break
             if op is FENCE:
-                if self.rob or self.store_queue:
+                if rob or self.store_queue:
                     self._dispatch_stall("fence")
                     break
             needs_rs = op.needs_rs
-            if needs_rs and len(self.rs) >= cfg.rs_size:
+            if needs_rs and len(rs) >= cfg.rs_size:
                 self._dispatch_stall("rs")
                 break
             if op.is_load and len(self.load_queue) >= cfg.load_queue_size:
@@ -813,27 +841,27 @@ class CPU:
                 if pdst is None:
                     self._dispatch_stall("preg")
                     break
-            self.fetch_buffer.popleft()
+            fetch_buffer.popleft()
             dyn = DynInst(self._seq, inst)
             self._seq += 1
             dyn.pred_taken = pred_taken
             dyn.pred_target = pred_target
             if op.reads_rs1 and inst.rs1 != 0:
-                dyn.src_pregs[0] = self.rename_map[inst.rs1]
+                dyn.src_pregs[0] = rename_map[inst.rs1]
             if op.reads_rs2 and inst.rs2 != 0:
-                dyn.src_pregs[1] = self.rename_map[inst.rs2]
+                dyn.src_pregs[1] = rename_map[inst.rs2]
             if wants_dest:
                 dyn.pdst = pdst
-                dyn.old_pdst = self.rename_map[inst.rd]
-                self.rename_map[inst.rd] = pdst
+                dyn.old_pdst = rename_map[inst.rd]
+                rename_map[inst.rd] = pdst
                 self.prf_ready[pdst] = False
                 self.arch_version[inst.rd] += 1
             if self.trace.enabled:
                 self.trace.emit("inst", "dispatch", cycle=self.cycle,
                                 seq=dyn.seq, pc=dyn.pc, info=str(inst))
-            self.rob.append(dyn)
+            rob.append(dyn)
             if needs_rs:
-                self.rs.append(dyn)
+                rs.append(dyn)
             else:
                 dyn.state = InstState.DONE
                 dyn.done_cycle = self.cycle
@@ -851,17 +879,15 @@ class CPU:
     # ------------------------------------------------------------------
 
     def _fetch(self):
-        if self.fetching_halted:
-            return
         cfg = self.config
         fetched = 0
         capacity = 2 * cfg.fetch_width
         trace_on = self.trace.enabled
         while fetched < cfg.fetch_width and len(self.fetch_buffer) < capacity:
-            if not 0 <= self.fetch_pc < len(self.program):
+            if not 0 <= self.fetch_pc < self._program_len:
                 self.fetching_halted = True
                 break
-            inst = self.program[self.fetch_pc]
+            inst = self._instructions[self.fetch_pc]
             op = inst.op
             if trace_on:
                 self.trace.emit("fetch", "fetch", cycle=self.cycle,
@@ -887,12 +913,9 @@ class CPU:
     # ------------------------------------------------------------------
 
     def _plugins_end_of_cycle(self):
-        plugins = self._hooked["end_of_cycle"]
-        if not plugins:
-            return
         ports = self.ports
         free_ports = max(0, ports["load"])
-        for plugin in plugins:
+        for plugin in self._end_of_cycle:
             used = plugin.end_of_cycle(free_ports)
             used = used or 0
             ports["load"] = max(0, ports["load"] - used)

@@ -10,20 +10,22 @@ production simulators make for their fast paths (gem5's O3 event
 queue, Sniper's interval core).  Every pipeline stage is the
 reference stage; the one mechanism added is idle-cycle fast-forward.
 
-After each executed cycle the core checks whether the cycle was
-*quiet*: no events fired, nothing dispatched / issued / retired /
-squashed / dequeued, fetch idle, no memory-system activity
-(:attr:`MemoryHierarchy.epoch`), and no ready instruction blocked in a
-way whose retry may act without a timed input.  The reference issue
-stage raises ``_issue_blocked`` for exactly those retries: a load or
-store that finds its port exhausted, an ALU op that finds no port and
-no packing partner (ports refill every cycle), and a mul/div that
-finds every unit busy while some plug-in overrides ``lookup_reuse``
-(each retry is a lookup that plug-in counts).  Other blocked retries
-do not count: an instruction whose sources are not ready, a load held
-by disambiguation or forwarding, and a mul/div waiting without such a
-plug-in (its retry calls no hook that does anything, and the busy
-unit's writeback is already on the event wheel).
+Its run loop steps the reference :meth:`~repro.pipeline.cpu.CPU.step`
+and checks whether each cycle was *quiet*: no events fired, nothing
+dispatched / issued / retired / squashed / dequeued, fetch idle, no
+memory-system activity (:attr:`MemoryHierarchy.epoch`), and no ready
+instruction blocked in a way whose retry may act without a timed
+input.  The reference issue stage raises ``_issue_blocked`` for
+exactly those retries: a load or store that finds its port exhausted,
+an ALU op that finds no port and no packing partner (ports refill
+every cycle), and a mul/div that finds every unit busy while some
+plug-in overrides ``lookup_reuse`` (each retry is a lookup that
+plug-in counts).  Other blocked retries do not count: an instruction
+whose sources are not ready, a load held by disambiguation or
+forwarding, and a mul/div waiting without such a plug-in (its retry
+calls no hook that does anything, and the busy unit's writeback is
+already on the event wheel).  A cycle with events due or a squash
+pending cannot be quiet, so the loop skips its before/after snapshot.
 
 A quiet cycle proves the machine is in a fixpoint that only a *timed*
 input can break, and every timed input is enumerable — the event
@@ -33,7 +35,9 @@ dequeue-eligibility or DRAM-fill-ready cycle, and each plug-in's
 declared wakeup
 (:attr:`~repro.pipeline.plugins.OptimizationPlugin.ff_policy`).  The
 clock jumps to the earliest of those, charging the skipped span's
-per-cycle accounting exactly as if ticked: occupancy integrals,
+per-cycle accounting exactly as if ticked: the core's occupancy
+integrals and committed-SQ-head count (copied into the stats record at
+the end of the run, like every stepped cycle's),
 ``pipeline.sq.head_of_line_stall_cycles`` (the Figure 5 amplification
 counter — the >100-cycle gap must survive fast-forward bit-exactly),
 per-cycle ``sq/hol_stall`` trace events with explicit cycle stamps, and
@@ -92,7 +96,6 @@ class FastPathCPU(CPU):
                  metrics=None, trace=None):
         self.fastpath = FastPathStats()
         self._cycle_stall = None
-        self._quiet = False
         super().__init__(program, hierarchy, config=config,
                          plugins=plugins, metrics=metrics, trace=trace)
 
@@ -100,74 +103,39 @@ class FastPathCPU(CPU):
         self._cycle_stall = kind
         super()._dispatch_stall(kind)
 
-    def _record_cycle_metrics(self):
-        # Dict-identical inline of the reference accounting
-        # (:meth:`CPU._record_cycle_metrics`): on the fast path this is
-        # the hottest per-executed-cycle block, and SimStats.inc/peak
-        # are plain dict updates worth the call elision.
-        metrics = self.metrics
-        counters = metrics.counters
-        maxima = metrics.maxima
-        get = counters.get
-        rob = len(self.rob)
-        rs = len(self.rs)
-        lq = len(self.load_queue)
-        sq = len(self.store_queue)
-        counters["pipeline.rob.occupancy_integral"] = (
-            get("pipeline.rob.occupancy_integral", 0) + rob)
-        counters["pipeline.rs.occupancy_integral"] = (
-            get("pipeline.rs.occupancy_integral", 0) + rs)
-        counters["pipeline.lq.occupancy_integral"] = (
-            get("pipeline.lq.occupancy_integral", 0) + lq)
-        counters["pipeline.sq.occupancy_integral"] = (
-            get("pipeline.sq.occupancy_integral", 0) + sq)
-        if rob > maxima.get("pipeline.rob.high_water", rob - 1):
-            maxima["pipeline.rob.high_water"] = rob
-        if rs > maxima.get("pipeline.rs.high_water", rs - 1):
-            maxima["pipeline.rs.high_water"] = rs
-        if lq > maxima.get("pipeline.lq.high_water", lq - 1):
-            maxima["pipeline.lq.high_water"] = lq
-        if sq > maxima.get("pipeline.sq.high_water", sq - 1):
-            maxima["pipeline.sq.high_water"] = sq
-        if sq and self.store_queue[0].committed:
-            counters["pipeline.sq.head_committed_cycles"] = (
-                get("pipeline.sq.head_committed_cycles", 0) + 1)
-
     # ------------------------------------------------------------------
     # quiet-cycle detection and fast-forward
     # ------------------------------------------------------------------
 
-    def step(self):
-        stats = self.stats
-        events_due = (self.cycle + 1) in self._events
-        squash_before = self._squash_req is not None
-        before = (stats.retired, stats.issued, stats.dispatched,
-                  stats.silent_stores, stats.stores_performed,
-                  stats.squashed_instructions, len(self.fetch_buffer),
-                  self.fetch_pc, self.fetching_halted,
-                  self.hierarchy.epoch)
-        self._cycle_stall = None
-        self._issue_blocked = False
-        super().step()
-        after = (stats.retired, stats.issued, stats.dispatched,
-                 stats.silent_stores, stats.stores_performed,
-                 stats.squashed_instructions, len(self.fetch_buffer),
-                 self.fetch_pc, self.fetching_halted,
-                 self.hierarchy.epoch)
-        self._quiet = not (events_due or squash_before or self.halted
-                           or self._issue_blocked
-                           or self._squash_req is not None
-                           or before != after)
-
     def run(self, max_cycles=None):
         limit = (max_cycles if max_cycles is not None
                  else self.config.max_cycles)
+        stats = self.stats
         while not self.halted:
             if self.cycle >= limit:
                 raise SimulationError(
                     f"exceeded {limit} cycles without halting")
+            # A cycle with due events or a pending squash is not quiet.
+            if self.cycle + 1 in self._events or self._squash_req is not None:
+                self.step()
+                continue
+            before = (stats.retired, stats.issued, stats.dispatched,
+                      stats.silent_stores, stats.stores_performed,
+                      stats.squashed_instructions, len(self.fetch_buffer),
+                      self.fetch_pc, self.fetching_halted,
+                      self.hierarchy.epoch)
+            self._cycle_stall = None
+            self._issue_blocked = False
             self.step()
-            if self._quiet:
+            if not (self.halted or self._issue_blocked
+                    or self._squash_req is not None
+                    or before != (stats.retired, stats.issued,
+                                  stats.dispatched, stats.silent_stores,
+                                  stats.stores_performed,
+                                  stats.squashed_instructions,
+                                  len(self.fetch_buffer), self.fetch_pc,
+                                  self.fetching_halted,
+                                  self.hierarchy.epoch)):
                 self._fast_forward(limit)
         self.stats.cycles = self.cycle
         return self.stats
@@ -227,18 +195,14 @@ class FastPathCPU(CPU):
             self.stats.dispatch_stalls[stall_kind] += skipped
         metrics = self.metrics
         if metrics.enabled:
-            metrics.inc("pipeline.rob.occupancy_integral",
-                        len(self.rob) * skipped)
-            metrics.inc("pipeline.rs.occupancy_integral",
-                        len(self.rs) * skipped)
-            metrics.inc("pipeline.lq.occupancy_integral",
-                        len(self.load_queue) * skipped)
-            metrics.inc("pipeline.sq.occupancy_integral",
-                        len(self.store_queue) * skipped)
+            self.rob_integral += len(self.rob) * skipped
+            self.rs_integral += len(self.rs) * skipped
+            self.lq_integral += len(self.load_queue) * skipped
+            self.sq_integral += len(self.store_queue) * skipped
             # High-water peaks were already recorded this cycle at the
             # same occupancies; re-peaking would be a no-op.
             if head_waiting:
-                metrics.inc("pipeline.sq.head_committed_cycles", skipped)
+                self.sq_head_committed_cycles += skipped
             if hol_stall:
                 metrics.inc("pipeline.sq.head_of_line_stall_cycles",
                             skipped)

@@ -4,12 +4,15 @@
 from idle-cycle fast-forward, which may not change a single
 observable.  This suite pins that contract three ways:
 
-* every catalog spec (one per attack module) runs under both kernels
-  and the full serialized :class:`RunResult` — cycles, retired stream,
-  stats, metrics, fingerprint — must match byte for byte; the gate is
-  itself tested, by patching in a fast-forward that overshoots its
-  target by one cycle and a quiet-cycle test blind to blocked issue
-  retries, each of which it must catch;
+* every catalog spec (one per attack module) and a bare amplified
+  probe run under both kernels and the full serialized
+  :class:`RunResult` — cycles, retired stream, stats, metrics,
+  fingerprint — must match byte for byte; the gate is itself tested
+  with five fast-path mutants, each of which it must catch: a
+  fast-forward that overshoots its target by one cycle, one that skips
+  the occupancy charge and one that skips only the committed-SQ-head
+  count, and a quiet-cycle test blind to blocked issue retries or to
+  due events;
 * the same holds with event tracing on (fast-forwarded spans must
   synthesize the exact per-cycle stall events the reference emits) and
   across serial vs pooled scheduling;
@@ -23,6 +26,7 @@ comparison vacuous (both kernels share fingerprints by design).
 
 from hypothesis import given
 
+from repro.attacks.amplification import amplified_probe_spec
 from repro.engine import TraceSpec, derive_seed, run_batch
 from repro.engine.runner import execute_spec
 from repro.pipeline.fastpath import FastPathCPU
@@ -31,8 +35,14 @@ from tests.test_property_roundtrip import BOUNDED, sim_specs
 
 
 def _catalog_specs(**overrides):
+    """The catalog plus a bare amplified probe (a store between two
+    fences): no catalog spec diverges under a quiet-cycle test blind
+    to due events, and the probe does."""
+    named = sorted(attack_specs().items())
+    named.append(("bare-probe",
+                  amplified_probe_spec(0x1234, 0x4321, gadget=False)))
     specs = []
-    for index, (name, spec) in enumerate(sorted(attack_specs().items())):
+    for index, (name, spec) in enumerate(named):
         specs.append(spec.replace(seed=derive_seed(index, 0),
                                   label=f"{name}/fastpath-diff",
                                   **overrides))
@@ -78,22 +88,52 @@ def test_the_catalog_gate_catches_fast_path_mutants(monkeypatch):
         if self.cycle != before:
             self.cycle += 1
 
+    # Skip the occupancy charge of the fast-forwarded span, or only
+    # its committed-SQ-head cycles.  Read through ``vars``, a renamed
+    # counter does not raise: a stale mutant then diverges nowhere and
+    # fails this test instead of passing on the error.
+    def uncharged(self, limit, names=("rob_integral", "rs_integral",
+                                      "lq_integral", "sq_integral",
+                                      "sq_head_committed_cycles")):
+        saved = {name: vars(self).get(name) for name in names}
+        fast_forward(self, limit)
+        vars(self).update(saved)
+
+    def head_uncharged(self, limit):
+        uncharged(self, limit, names=("sq_head_committed_cycles",))
+
     # The issue stage's blocked-retry signal always reads False, so a
     # cycle whose retry would act still counts as quiet.  A class-level
     # data descriptor wins over the instance attribute CPU.__init__
     # sets, so every write to it is dropped.
     blind = property(lambda self: False, lambda self, value: None)
 
+    class NoneDue(dict):
+        def __contains__(self, cycle):
+            return False
+
+    init = FastPathCPU.__init__
+
+    def events_blind(self, *args, **kwargs):
+        # The quiet-cycle test never sees an event due, so a cycle
+        # whose events fire still counts as quiet.
+        init(self, *args, **kwargs)
+        self._events = NoneDue(self._events)
+
     # Every reference run halts within 700 cycles; the cap keeps a
     # mutant that loses an event from ticking to the default limit.
     specs = _catalog_specs(max_cycles=5_000)
-    for name, mutant in (("_fast_forward", overshoot),
-                         ("_issue_blocked", blind)):
+    for label, name, mutant in (
+            ("overshoot", "_fast_forward", overshoot),
+            ("uncharged", "_fast_forward", uncharged),
+            ("head_uncharged", "_fast_forward", head_uncharged),
+            ("blind", "_issue_blocked", blind),
+            ("events_blind", "__init__", events_blind)):
         with monkeypatch.context() as patch:
             # ``_issue_blocked`` is an instance attribute, so the class
             # has none to replace.
             patch.setattr(FastPathCPU, name, mutant, raising=False)
-            assert _diverging_labels(specs), name
+            assert _diverging_labels(specs), label
 
 
 def test_traced_catalog_specs_identical_across_kernels():

@@ -17,6 +17,7 @@ from repro.engine import (
 )
 from repro.lint.progen import CaseGenerator
 from tests.spec_catalog import attack_specs
+from tests.test_fastpath_equivalence import _catalog_specs
 from tests.test_stats_payload_golden import (
     on_narrow_core, with_deep_memory,
 )
@@ -128,6 +129,37 @@ def test_occupancy_and_high_water_metrics():
         assert peak >= 1
         assert 0 < integral <= peak * cycles
     assert maxima["pipeline.sq.high_water"] <= 5  # gadget SQ size
+
+
+def test_occupancy_metrics_are_the_per_cycle_samples():
+    """Each occupancy integral is the sum, and each high-water mark the
+    largest, of the structure's size at the start of every stepped
+    cycle; the committed-SQ-head counter counts the cycles that began
+    with a committed store at the head, and is absent when there are
+    none."""
+    for spec in _catalog_specs():
+        session = Session.from_spec(spec.replace(fastpath=False))
+        cpu = session.cpu
+        samples = {"rob": [], "rs": [], "lq": [], "sq": []}
+        head_committed = 0
+        while not cpu.halted:
+            samples["rob"].append(len(cpu.rob))
+            samples["rs"].append(len(cpu.rs))
+            samples["lq"].append(len(cpu.load_queue))
+            samples["sq"].append(len(cpu.store_queue))
+            if cpu.store_queue and cpu.store_queue[0].committed:
+                head_committed += 1
+            cpu.step()
+        result = session.run()
+        counters = result.metrics["counters"]
+        maxima = result.metrics["maxima"]
+        for queue, sizes in samples.items():
+            assert counters[f"pipeline.{queue}.occupancy_integral"] == \
+                sum(sizes), (spec.label, queue)
+            assert maxima[f"pipeline.{queue}.high_water"] == max(sizes), \
+                (spec.label, queue)
+        assert counters.get("pipeline.sq.head_committed_cycles") == \
+            (head_committed or None), spec.label
 
 
 def test_silent_run_squashes_are_counted():
