@@ -350,6 +350,8 @@ def cmd_lint(*args):
             program = assemble_file(path)
         except (OSError, AssemblyError) as error:
             raise UsageError(f"lint: {error}") from None
+        except ValueError as error:         # not UTF-8 text
+            raise UsageError(f"lint: {path}: {error}") from None
         reports.append(lint_program(program, contracts=contracts,
                                     program_name=path,
                                     path_sensitive=path_sensitive))

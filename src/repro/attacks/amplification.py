@@ -46,13 +46,18 @@ class GadgetLayout:
     flush_area_base: int      # A' region: lines conflicting with set(S)
 
     def flush_addresses(self, cache):
-        """One address per way, all mapping to ``set(S)``."""
-        target_set = cache.set_index(self.target_addr)
-        base_set = cache.set_index(self.flush_area_base)
+        """One address per way, all mapping to ``set(S)``.
+
+        ``cache`` is a :class:`~repro.memory.Cache` or its
+        :class:`~repro.engine.CacheSpec`: only its geometry
+        (``num_sets``, ``ways``, ``line_size``) is read.
+        """
+        num_sets, line_size = cache.num_sets, cache.line_size
+        target_set = (self.target_addr // line_size) % num_sets
+        base_set = (self.flush_area_base // line_size) % num_sets
         first = (self.flush_area_base
-                 + ((target_set - base_set) % cache.num_sets)
-                 * cache.line_size)
-        way_stride = cache.num_sets * cache.line_size
+                 + ((target_set - base_set) % num_sets) * line_size)
+        way_stride = num_sets * line_size
         return [first + way * way_stride for way in range(cache.ways)]
 
 
@@ -74,7 +79,9 @@ def emit_gadget(asm, layout, cache, ptr_reg=4, value_reg=5):
     """Emit delay + flush sub-gadgets into ``asm``.
 
     Must be followed by the target store.  ``ptr_reg`` receives the
-    flush pointer; ``value_reg`` is a scratch destination.
+    flush pointer; ``value_reg`` is a scratch destination.  ``cache``
+    is a :class:`~repro.memory.Cache` or a
+    :class:`~repro.engine.CacheSpec` (only its geometry is read).
     """
     way_stride = cache.num_sets * cache.line_size
     asm.annotate("delay sub-gadget: pointer-chasing miss")
@@ -147,13 +154,12 @@ def amplified_probe_spec(secret_value, store_value, *, width=2,
     """
     layout = layout if layout is not None else DEFAULT_LAYOUT
     cache_spec = cache_spec if cache_spec is not None else CacheSpec()
-    l1 = cache_spec.build()
     mem_writes = [(layout.target_addr, secret_value, width)]
     if gadget:
         program = build_timing_probe(
-            layout, l1, store_value, warm_addresses=warm_addresses,
+            layout, cache_spec, store_value, warm_addresses=warm_addresses,
             backpressure_stores=backpressure_stores)
-        mem_writes.append(flush_pointer_write(layout, l1))
+        mem_writes.append(flush_pointer_write(layout, cache_spec))
     else:
         asm = Assembler()
         asm.li(1, layout.target_addr)

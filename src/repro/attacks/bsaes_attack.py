@@ -95,7 +95,7 @@ class BSAESSilentStoreAttack:
     # the simulated encryption tail (spill stage + gadget)
     # ------------------------------------------------------------------
 
-    def _build_program(self, planes, target_slot, cache):
+    def _build_program(self, planes, target_slot, l1_spec):
         cfg = self.config
         layout = GadgetLayout(
             target_addr=cfg.slot_addr(target_slot),
@@ -110,7 +110,7 @@ class BSAESSilentStoreAttack:
         for slot in range(target_slot):
             asm.li(3, planes[slot])
             asm.store(3, 1, cfg.slot_stride * slot, width=2)
-        emit_gadget(asm, layout, cache)
+        emit_gadget(asm, layout, l1_spec)
         asm.annotate("target store: spills the attacked plane")
         asm.li(6, planes[target_slot])
         asm.store(6, 1, cfg.slot_stride * target_slot, width=2)
@@ -121,6 +121,20 @@ class BSAESSilentStoreAttack:
         asm.halt()
         return asm.assemble(), layout
 
+    def _spec_parts(self):
+        """The frozen parts every measure spec of this configuration
+        shares: ``(hierarchy, plug-ins, taint)``."""
+        cfg = self.config
+        hierarchy = HierarchySpec(
+            memory_size=cfg.memory_size,
+            l1=CacheSpec(num_sets=cfg.num_l1_sets, ways=cfg.l1_ways,
+                         line_size=cfg.line_size),
+            latencies=LatencySpec.from_latencies(cfg.latencies))
+        taint = TaintSpec.of(secret=tuple(
+            (cfg.slot_addr(slot), cfg.slot_addr(slot) + 2)
+            for slot in range(NUM_SLOTS)))
+        return hierarchy, (PluginSpec.of("silent-stores"),), taint
+
     def measure_spec(self, attacker_planes, target_slot,
                      leftover_planes=None, label="", trial_seed=0):
         """One timed "encryption call" as a declarative engine spec.
@@ -128,29 +142,32 @@ class BSAESSilentStoreAttack:
         ``leftover_planes`` defaults to the victim's stack leftovers
         (the real attack); calibration passes attacker-known values.
         """
+        return self._measure_spec(self._spec_parts(), attacker_planes,
+                                  target_slot, leftover_planes, label,
+                                  trial_seed)
+
+    def _measure_spec(self, parts, attacker_planes, target_slot,
+                      leftover_planes, label, trial_seed):
+        """:meth:`measure_spec` on ``parts`` from :meth:`_spec_parts`.
+
+        Only the program, memory image, label, seed and config are the
+        spec's own; the config is mutable, so each spec gets one.
+        """
         cfg = self.config
         if leftover_planes is None:
             leftover_planes = self.server.leftover_planes
-        l1_spec = CacheSpec(num_sets=cfg.num_l1_sets, ways=cfg.l1_ways,
-                            line_size=cfg.line_size)
-        l1 = l1_spec.build()
+        hierarchy, plugins, taint = parts
         program, layout = self._build_program(
-            [int(p) for p in attacker_planes], target_slot, l1)
+            [int(p) for p in attacker_planes], target_slot, hierarchy.l1)
         mem_writes = [(cfg.slot_addr(slot), int(leftover_planes[slot]), 2)
                       for slot in range(NUM_SLOTS)]
-        mem_writes.append(flush_pointer_write(layout, l1))
+        mem_writes.append(flush_pointer_write(layout, hierarchy.l1))
         return SimSpec(
             program=program,
             config=CPUConfig(store_queue_size=cfg.store_queue_size),
-            hierarchy=HierarchySpec(
-                memory_size=cfg.memory_size, l1=l1_spec,
-                latencies=LatencySpec.from_latencies(cfg.latencies)),
-            plugins=(PluginSpec.of("silent-stores"),),
+            hierarchy=hierarchy, plugins=plugins,
             mem_writes=tuple(mem_writes), seed=trial_seed, label=label,
-            taint=TaintSpec.of(
-                secret=tuple((cfg.slot_addr(slot),
-                              cfg.slot_addr(slot) + 2)
-                             for slot in range(NUM_SLOTS))))
+            taint=taint)
 
     def measure(self, attacker_planes, target_slot,
                 leftover_planes=None):
@@ -279,26 +296,28 @@ class BSAESSilentStoreAttack:
         """The Figure 6 trial batch as engine specs (label: guess type).
 
         Non-target slots vary across runs, as they would across real
-        encryption calls.
+        encryption calls.  The specs share one set of frozen parts
+        (hierarchy, plug-ins, taint), so the batch builds and
+        fingerprints them once.
         """
         rng = np.random.default_rng(seed)
         victim = self.server.leftover_planes
         jitter = bool(self.config.latencies.jitter)
+        parts = self._spec_parts()
         specs = []
         for run in range(runs_per_type):
             noise = rng.integers(0, 1 << 16, size=NUM_SLOTS)
             correct = list(noise)
             correct[target_slot] = victim[target_slot]
-            specs.append(self.measure_spec(
-                correct, target_slot, label=f"correct/{run}",
-                trial_seed=derive_seed(seed, 2 * run) if jitter else 0))
+            specs.append(self._measure_spec(
+                parts, correct, target_slot, None, f"correct/{run}",
+                derive_seed(seed, 2 * run) if jitter else 0))
             incorrect = list(noise)
             incorrect[target_slot] = victim[target_slot] ^ int(
                 rng.integers(1, 1 << 16))
-            specs.append(self.measure_spec(
-                incorrect, target_slot, label=f"incorrect/{run}",
-                trial_seed=(derive_seed(seed, 2 * run + 1)
-                            if jitter else 0)))
+            specs.append(self._measure_spec(
+                parts, incorrect, target_slot, None, f"incorrect/{run}",
+                derive_seed(seed, 2 * run + 1) if jitter else 0))
         return specs
 
     def histogram_runs(self, runs_per_type=30, target_slot=4, seed=7,

@@ -67,7 +67,6 @@ class SilentStoreWidthOracle:
     def _measure_spec(self, guess, offset, width, secret_override=None):
         secret = self.secret if secret_override is None else secret_override
         l1_spec = CacheSpec(num_sets=64, ways=4)
-        l1 = l1_spec.build()
         layout = GadgetLayout(target_addr=self.slot_addr + offset,
                               delay_ptr_addr=self.delay_ptr_addr,
                               flush_area_base=self.flush_area_base)
@@ -75,7 +74,7 @@ class SilentStoreWidthOracle:
         asm.li(1, self.slot_addr + offset)
         asm.load(2, 1, 0)
         asm.fence()
-        emit_gadget(asm, layout, l1)
+        emit_gadget(asm, layout, l1_spec)
         asm.li(6, guess)
         asm.store(6, 1, 0, width=width)
         asm.fence()
@@ -86,7 +85,7 @@ class SilentStoreWidthOracle:
             hierarchy=HierarchySpec(memory_size=1 << 20, l1=l1_spec),
             plugins=(PluginSpec.of("silent-stores"),),
             mem_writes=((self.slot_addr, secret, self.secret_width),
-                        flush_pointer_write(layout, l1)),
+                        flush_pointer_write(layout, l1_spec)),
             label=f"query/{offset}/{width}/{guess:#x}",
             taint=TaintSpec.of(
                 secret=((self.slot_addr,

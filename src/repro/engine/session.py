@@ -187,31 +187,38 @@ class Session:
                 for index in spec.record_regs}
         metrics = cpu.metrics
         if metrics.enabled:
-            metrics.inc("engine.trials")
+            inc, peak = metrics.inc, metrics.peak
+            inc("engine.trials")
             # The core's and plug-ins' whole-run counts, with the key
             # presence per-cycle and per-event writes gave them: every
             # occupancy integral and peak, other counts when non-zero,
             # and squashed instructions with every flush.
-            for queue in ("rob", "rs", "lq", "sq"):
-                metrics.inc(f"pipeline.{queue}.occupancy_integral",
-                            getattr(cpu, queue + "_integral"))
-                metrics.peak(f"pipeline.{queue}.high_water",
-                             getattr(cpu, queue + "_peak"))
-            copied = [("pipeline.cycles", stats.cycles),
-                      ("pipeline.sq.silent_dequeues", stats.silent_stores),
-                      ("pipeline.sq.head_committed_cycles",
-                       cpu.sq_head_committed_cycles)]
-            copied += [("pipeline.dispatch_stall." + kind, count)
-                       for kind, count in stats.dispatch_stalls.items()]
-            copied += [(name, plugin.stats[key])
-                       for plugin in cpu.plugins
-                       for key, name in plugin.metric_names.items()]
-            for name, value in copied:
-                if value:
-                    metrics.inc(name, value)
+            inc("pipeline.rob.occupancy_integral", cpu.rob_integral)
+            inc("pipeline.rs.occupancy_integral", cpu.rs_integral)
+            inc("pipeline.lq.occupancy_integral", cpu.lq_integral)
+            inc("pipeline.sq.occupancy_integral", cpu.sq_integral)
+            peak("pipeline.rob.high_water", cpu.rob_peak)
+            peak("pipeline.rs.high_water", cpu.rs_peak)
+            peak("pipeline.lq.high_water", cpu.lq_peak)
+            peak("pipeline.sq.high_water", cpu.sq_peak)
+            if stats.cycles:
+                inc("pipeline.cycles", stats.cycles)
+            if stats.silent_stores:
+                inc("pipeline.sq.silent_dequeues", stats.silent_stores)
+            if cpu.sq_head_committed_cycles:
+                inc("pipeline.sq.head_committed_cycles",
+                    cpu.sq_head_committed_cycles)
+            for kind, count in stats.dispatch_stalls.items():
+                if count:
+                    inc("pipeline.dispatch_stall." + kind, count)
+            for plugin in cpu.plugins:
+                counts = plugin.stats
+                for key, name in plugin.metric_names.items():
+                    if counts[key]:
+                        inc(name, counts[key])
             if "pipeline.flushes" in metrics.counters:
-                metrics.inc("pipeline.squashed_instructions",
-                            stats.squashed_instructions)
+                inc("pipeline.squashed_instructions",
+                    stats.squashed_instructions)
             self.hierarchy.snapshot_into(metrics)
         traced = spec is not None and spec.trace is not None
         return RunResult(

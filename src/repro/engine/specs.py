@@ -21,9 +21,9 @@ pickle.
 
 import dataclasses
 import enum
-import functools
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field
 
 from repro.isa.assembler import Program, normalize_regions
@@ -435,6 +435,13 @@ class SimSpec:
         with lint metadata keeps every previously cached result (and
         golden-fingerprint pin) valid.
 
+        The hashed bytes are what ``json.dumps(payload, sort_keys=True,
+        separators=(",", ":"))`` gives for the dict of those fields,
+        joined from one text per key: a frozen component keeps its text
+        on itself (:func:`_fp_text`), a config's is memoized under a
+        typed key (:func:`_config_text`), and the spec's own values take
+        two encoder calls.
+
         The digest is memoized on the (frozen) instance: sweeps and
         repeated batches fingerprint the same spec object many times,
         and the hash is a pure function of its content.  ``replace()``
@@ -444,72 +451,116 @@ class SimSpec:
         memo = self.__dict__.get("_fingerprint_memo")
         if memo is not None:
             return memo
-        payload = {
-            "result_version": 3,
-            "program": self.program.encode().hex(),
-            "config": (_default_config_canonical() if self.config is None
-                       else _fp_canonical(self.config)),
-            "hierarchy": _fp_canonical(self.hierarchy),
-            "plugins": _fp_canonical(self.plugins),
-            "mem_writes": _canonical(self.mem_writes),
+        plugins = self.plugins
+        if type(plugins) in (tuple, list):
+            plugins_text = "[" + ",".join(map(_fp_text, plugins)) + "]"
+        else:
+            plugins_text = _fp_text(plugins)
+        # The keys between "hierarchy" and "plugins", and those between
+        # "program" and "trace", each in one encoder call.
+        head = _ENCODER.encode({
+            "max_cycles": self.max_cycles,
             "mem_blobs": [[addr, bytes(data).hex()]
                           for addr, data in self.mem_blobs],
-            "regs": _canonical(self.regs),
-            "max_cycles": self.max_cycles,
-            "seed": self.seed,
+            "mem_writes": _canonical(self.mem_writes)})
+        tail = _ENCODER.encode({
             "record_regs": _canonical(self.record_regs),
-        }
+            "regs": _canonical(self.regs),
+            "result_version": 3,
+            "seed": self.seed})
+        pairs = ['"config":' + _config_text(self.config),
+                 '"hierarchy":' + _fp_text(self.hierarchy),
+                 head[1:-1],
+                 '"plugins":' + plugins_text,
+                 '"program":"' + self.program.encode().hex() + '"',
+                 tail[1:-1]]
         if not self.collect_stats:
-            payload["collect_stats"] = False
+            pairs.insert(0, '"collect_stats":false')
         if self.trace is not None:
-            payload["trace"] = _canonical(self.trace)
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            pairs.append('"trace":' + _fp_text(self.trace))
+        blob = "{" + ",".join(pairs) + "}"
         digest = hashlib.sha256(blob.encode()).hexdigest()
         object.__setattr__(self, "_fingerprint_memo", digest)
         return digest
 
 
-#: Memo for :func:`_fp_canonical`, keyed by the (hashable, frozen)
-#: spec component itself.  Bounded by the number of distinct configs
-#: and hierarchy geometries a process touches.
-_FP_CANONICAL_CACHE = {}
+#: The fingerprint's JSON encoder: what ``json.dumps(value,
+#: sort_keys=True, separators=(",", ":"))`` builds on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _fp_canonical(obj):
-    """:func:`_canonical`, memoized for hashable spec components.
+def _fp_text(value):
+    """``value``'s fingerprint text: ``_ENCODER.encode(_canonical(value))``.
 
-    Trial batches re-fingerprint thousands of specs that share one
-    hierarchy description and plug-in set; canonicalizing those nested
-    dataclasses dominates the hash cost.  Only hashable components hit
-    the memo: a :class:`CPUConfig` is a mutable, unhashable dataclass,
-    so a spec's own config always takes the plain :func:`_canonical`
-    path (the default config has :func:`_default_config_canonical`).
-    Cached values are shared, so this variant is only for
-    :meth:`SimSpec.fingerprint`, which serializes the result without
-    mutating it.
+    A frozen spec component (a hierarchy, cache, latency, TLB, plug-in
+    or trace spec) joins its fields' texts in key order and keeps the
+    result on itself, as a :class:`SimSpec` keeps its digest, so the
+    specs that share it serialize it once.  A component that holds an
+    unhashable (mutable) value keeps nothing.  The text is the
+    object's own, never an equal one's: ``LatencySpec(jitter=0)`` and
+    ``LatencySpec(jitter=False)`` are equal but serialize as ``0`` and
+    ``false``.
     """
-    try:
-        cached = _FP_CANONICAL_CACHE.get(obj)
-    except TypeError:           # unhashable (mutable config, dict kwarg)
-        return _canonical(obj)
-    if cached is None:
-        cached = _canonical(obj)
-        _FP_CANONICAL_CACHE[obj] = cached
-    return cached
+    keys = _COMPONENT_KEYS.get(type(value))
+    if keys is None:
+        if value is None:
+            return "null"
+        if type(value) is int:
+            return int.__repr__(value)
+        return _ENCODER.encode(_canonical(value))
+    text = value.__dict__.get("_fingerprint_text")
+    if text is None:
+        text = "{" + ",".join([
+            piece if name is None
+            else piece + _fp_text(getattr(value, name))
+            for piece, name in keys]) + "}"
+        try:
+            hash(value)
+        except TypeError:       # holds a mutable value: keep nothing
+            return text
+        object.__setattr__(value, "_fingerprint_text", text)
+    return text
 
 
-@functools.cache
-def _default_config_canonical():
-    """:func:`_canonical` of ``CPUConfig()``, built once per process.
+#: Every :class:`CPUConfig` field but ``plugin_options``, in one call.
+_config_scalars = operator.attrgetter(*(
+    f.name for f in dataclasses.fields(CPUConfig)
+    if f.name != "plugin_options"))
 
-    Nearly every spec leaves ``config`` at ``None``, which fingerprints
-    as the default config.  A config a spec carries is still
-    canonicalized per fingerprint: :class:`CPUConfig` is mutable and
-    unhashable, so no memo could tell when it changed.  Like
-    :func:`_fp_canonical`'s, the value is shared and must not be
-    mutated.
+#: Field types whose values serialize alike whenever they are equal
+#: *and* of one type (``0 == False`` but they serialize as ``0`` and
+#: ``false``; floats are left out, where ``0.0 == -0.0``).
+_KEYED_TYPES = frozenset((int, bool, str, type(None)))
+
+#: :func:`_config_text` memo: ``(field types, field values)`` -> text.
+_CONFIG_TEXTS = {}
+
+
+def _config_text(config):
+    """A spec's config text for the fingerprint (``None``: the default).
+
+    :class:`CPUConfig` is mutable and unhashable, so it cannot keep its
+    text on itself like a frozen component.  Its text is memoized under
+    a key made of every field's type and value, and only when every
+    field is an ``int``, ``bool``, ``str`` or ``None`` and
+    ``plugin_options`` is empty; any other config is serialized every
+    time.
     """
-    return _canonical(CPUConfig())
+    if config is None:
+        return _DEFAULT_CONFIG_TEXT
+    if type(config) is not CPUConfig \
+            or type(config.plugin_options) is not dict \
+            or config.plugin_options:
+        return _fp_text(config)
+    values = _config_scalars(config)
+    types = tuple(map(type, values))
+    if not _KEYED_TYPES.issuperset(types):
+        return _fp_text(config)
+    key = (types, values)
+    text = _CONFIG_TEXTS.get(key)
+    if text is None:
+        text = _CONFIG_TEXTS[key] = _fp_text(config)
+    return text
 
 
 #: Exact types :func:`_canonical` returns unchanged (subclasses such as
@@ -523,14 +574,15 @@ _FIELD_NAMES = {}
 def _canonical(obj):
     """Canonical JSON-able form for fingerprinting nested specs.
 
-    Scalars and int tuples, which make up nearly every spec field, are
-    answered first.
+    Scalars and plain tuples and lists, which make up nearly every spec
+    field, are answered first.
     """
     cls = type(obj)
     if cls in _SCALAR_TYPES:
         return obj
-    if cls is tuple and all(type(item) is int for item in obj):
-        return list(obj)
+    if cls is tuple or cls is list:
+        return [item if type(item) in _SCALAR_TYPES else _canonical(item)
+                for item in obj]
     names = _FIELD_NAMES.get(cls)
     if names is None and dataclasses.is_dataclass(cls):
         names = _FIELD_NAMES[cls] = tuple(
@@ -550,6 +602,32 @@ def _canonical(obj):
     if isinstance(obj, (int, float, str)):
         return obj
     raise SpecError(f"cannot fingerprint {type(obj).__name__}: {obj!r}")
+
+
+def _component_keys(cls):
+    """The ``(piece, field)`` pairs :func:`_fp_text` joins for ``cls``.
+
+    They come in the key order ``sort_keys`` gives :func:`_canonical`'s
+    dict of ``cls``.  The ``"__type__"`` piece is whole (its field is
+    None); each other piece is a field's ``"name":`` prefix.
+    """
+    names = [f.name for f in dataclasses.fields(cls)
+             if not f.name.startswith("_")]
+    return tuple(
+        (_ENCODER.encode("__type__") + ":" + _ENCODER.encode(cls.__name__),
+         None) if key == "__type__" else (_ENCODER.encode(key) + ":", key)
+        for key in sorted(names + ["__type__"]))
+
+
+#: The frozen spec components that keep their fingerprint text.
+_COMPONENT_KEYS = {
+    cls: _component_keys(cls)
+    for cls in (CacheSpec, TLBSpec, LatencySpec, HierarchySpec,
+                PluginSpec, TraceSpec)}
+
+#: The text of ``CPUConfig()``, which every spec that leaves ``config``
+#: at None fingerprints as.
+_DEFAULT_CONFIG_TEXT = _fp_text(CPUConfig())
 
 
 def _spec_types():

@@ -52,6 +52,8 @@ def normalize_regions(regions, kind="region"):
 
 def parse_reg(reg):
     """Accept ``'x12'`` or ``12`` and return the architectural index."""
+    if type(reg) is int and 0 <= reg < NUM_ARCH_REGS:
+        return reg
     if isinstance(reg, str):
         if not reg.startswith("x"):
             raise AssemblyError(f"bad register name {reg!r}")
@@ -105,12 +107,12 @@ class Program:
         variants of one spec all fingerprint the same program).
         """
         if self._encoding is None:
-            records = []
-            for inst in self.instructions:
-                target = -1 if inst.target is None else int(inst.target)
-                records.append(f"{inst.op.value},{inst.rd},{inst.rs1},"
-                               f"{inst.rs2},{inst.imm},{inst.width},"
-                               f"{target}")
+            # ``op._value_`` is the member's value without the
+            # ``Enum.value`` descriptor.
+            records = [f"{inst.op._value_},{inst.rd},{inst.rs1},"
+                       f"{inst.rs2},{inst.imm},{inst.width},"
+                       f"{-1 if inst.target is None else int(inst.target)}"
+                       for inst in self.instructions]
             for start, end in self.secret_regions:
                 records.append(f".secret,{start},{end}")
             for start, end in self.public_regions:
@@ -191,12 +193,11 @@ class Assembler:
         return self
 
     def _emit(self, op, rd=0, rs1=0, rs2=0, imm=0, width=8, target=None):
-        inst = Instruction(op=op, rd=rd, rs1=rs1, rs2=rs2, imm=imm,
-                           width=width, target=target,
-                           pc=len(self._instructions),
-                           annotation=self._annotation)
+        # Positional, in Instruction's field order: keywords cost more.
+        self._instructions.append(Instruction(
+            op, rd, rs1, rs2, imm, width, target, len(self._instructions),
+            self._annotation))
         self._annotation = ""
-        self._instructions.append(inst)
         return self
 
     # --- register-register ALU -------------------------------------------

@@ -40,6 +40,11 @@ HALT, JMP, RDCYCLE, FENCE = Op.HALT, Op.JMP, Op.RDCYCLE, Op.FENCE
 NUM_ARCH_REGS = 32
 SILENT_DEQUEUE_WIDTH = 4  # consecutive silent stores retired per cycle
 
+#: Plug-in class tuple -> {hook name: positions of the plug-ins whose
+#: class overrides that hook}, for the hooks any of them overrides;
+#: filled by ``CPU.__init__``.
+_HOOK_TABLES = {}
+
 
 class SimulationError(Exception):
     """Raised when a simulation exceeds its cycle budget or deadlocks."""
@@ -111,14 +116,26 @@ class CPU:
         self.hierarchy = hierarchy
         self.memory = hierarchy.memory
         self.config = config if config is not None else CPUConfig()
-        self.plugins = list(plugins)
-        # Hook name -> the plug-ins whose class overrides it, in order.
-        # A base-class hook does nothing, so the stages call only these.
-        self._hooked = {
-            hook: [plugin for plugin in self.plugins
-                   if getattr(type(plugin), hook)
-                   is not getattr(OptimizationPlugin, hook)]
-            for hook in HOOKS}
+        self.plugins = plugins = list(plugins)
+        # Hook name -> the plug-ins whose class overrides it, in order
+        # (an empty tuple for a hook none overrides).  A base-class hook
+        # does nothing, so the stages call only these.  Which plug-ins
+        # they are depends only on their classes, so the positions come
+        # from a table built once per tuple of plug-in classes.
+        kinds = tuple(map(type, plugins))
+        table = _HOOK_TABLES.get(kinds)
+        if table is None:
+            table = {}
+            for hook in HOOKS:
+                indices = [index for index, kind in enumerate(kinds)
+                           if getattr(kind, hook)
+                           is not getattr(OptimizationPlugin, hook)]
+                if indices:
+                    table[hook] = indices
+            _HOOK_TABLES[kinds] = table
+        self._hooked = hooked = dict.fromkeys(HOOKS, ())
+        for hook, indices in table.items():
+            hooked[hook] = [plugins[index] for index in indices]
         self._end_of_cycle = self._hooked["end_of_cycle"]
         self.stats = CPUStats()
         self.metrics = metrics if metrics is not None else NULL_STATS

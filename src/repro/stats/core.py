@@ -189,20 +189,29 @@ class SimStats:
         """
         if not other:
             return self
-        if isinstance(other, dict):
-            other = SimStats.from_dict(other)
-        for name, amount in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + amount
-        for name, value in other.maxima.items():
-            if value > self.maxima.get(name, value - 1):
-                self.maxima[name] = value
-        for name, hist in other.histograms.items():
+        payload = isinstance(other, dict)
+        if payload:
+            # Merged as it stands, with no intermediate record.
+            counters = other.get("counters", {})
+            maxima = other.get("maxima", {})
+            histograms = other.get("histograms", {})
+        else:
+            counters, maxima = other.counters, other.maxima
+            histograms = other.histograms
+        totals, peaks = self.counters, self.maxima
+        for name, amount in counters.items():
+            totals[name] = totals.get(name, 0) + amount
+        for name, value in maxima.items():
+            if value > peaks.get(name, value - 1):
+                peaks[name] = value
+        for name, hist in histograms.items():
+            if payload:
+                hist = Histogram.from_dict(hist)
             mine = self.histograms.get(name)
             if mine is None:
-                self.histograms[name] = Histogram.from_dict(
-                    hist.as_dict())
-            else:
-                mine.merge(hist)
+                # A histogram of its own, never the source's.
+                mine = self.histograms[name] = Histogram(hist.bin_width)
+            mine.merge(hist)
         return self
 
     # -- serialization -------------------------------------------------

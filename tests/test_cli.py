@@ -218,6 +218,13 @@ def test_lint_command_rejects_bad_input(tmp_path, capsys):
     bad.write_text("    frobnicate x1, x2\n")
     assert main(["lint", str(bad)]) == 2
     assert "lint:" in capsys.readouterr().out
+    # A file that is not UTF-8 text is bad input too, not a traceback.
+    binary = tmp_path / "binary.s"
+    binary.write_bytes(b"\xff\xfe")
+    assert main(["lint", str(binary)]) == 2
+    captured = capsys.readouterr()
+    assert f"lint: {binary}: " in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_lint_command_sticky_flag_restores_baseline(tmp_path, capsys):

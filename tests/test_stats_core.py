@@ -1,5 +1,6 @@
 """Unit tests for the repro.stats record types and merge semantics."""
 
+import copy
 import pickle
 
 import pytest
@@ -114,6 +115,31 @@ def test_merge_accepts_dict_payloads_and_empties():
                        .merge(sample_stats())
     assert merged.counters["pipeline.cycles"] == 200
     assert merged.histograms["mem.miss_latency"].count == 4
+
+
+def test_merging_a_payload_equals_merging_its_record():
+    payloads = [sample_stats(scale).as_dict() for scale in (1, 2, 3)]
+    extra = SimStats()
+    extra.inc("engine.trials")
+    extra.peak("pipeline.sq.high_water", 5)
+    extra.observe("pipeline.sq.stall", 40, bin_width=16)
+    payloads.append(extra.as_dict())
+    for start in (SimStats(), sample_stats(4)):
+        direct = copy.deepcopy(start)
+        via_record = copy.deepcopy(start)
+        for payload in payloads:
+            direct.merge(payload)
+            via_record.merge(SimStats.from_dict(payload))
+        assert direct == via_record
+        assert direct.to_json() == via_record.to_json()
+    # The merged record owns its histograms: changing it leaves every
+    # payload as it was.
+    kept = copy.deepcopy(payloads)
+    direct.observe("mem.miss_latency", 500, bin_width=8)
+    direct.observe("pipeline.sq.stall", 3, bin_width=16)
+    direct.inc("pipeline.cycles", 7)
+    direct.peak("pipeline.rob.high_water", 1_000)
+    assert payloads == kept
 
 
 def test_merge_does_not_alias_source_histograms():
