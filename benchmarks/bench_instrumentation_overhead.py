@@ -1,12 +1,16 @@
 """Disabled-path overhead of the two per-spec instrumentation layers.
 
-Stats and trace are always compiled in, and each has a disabled mode
-that the hot paths skip behind a single ``enabled`` check:
+Stats and trace are always compiled in, and each has a disabled mode:
 
 * **stats** — per spec, ``collect_stats=False`` swaps the record for
-  the no-op ``NULL_STATS``;
+  the no-op ``NULL_STATS``.  The simulator counts its events either
+  way (plain attributes and dicts of the core, hierarchy, plug-ins and
+  trace buffer); recording adds only the core's per-cycle occupancy
+  sample, behind its one ``enabled`` test, and the record that
+  ``Session.run`` writes from the counts once, at the end of the run;
 * **trace** — per spec, ``trace=None`` (instead of ``TraceSpec()``)
-  keeps the no-op ``NULL_TRACE``.
+  keeps the no-op ``NULL_TRACE``, which emission sites skip behind an
+  ``enabled`` check.
 
 For each layer this bench runs the same Figure 6 trial batch through
 :func:`~repro.engine.runner.run_batch` with the layer on and off,

@@ -90,17 +90,26 @@ class BSAESSilentStoreAttack:
         self.last_cpu = None
         self.last_histogram_stats = None
         self._thresholds = {}
+        #: :meth:`_template` results by everything they depend on.
+        self._templates = {}
 
     # ------------------------------------------------------------------
     # the simulated encryption tail (spill stage + gadget)
     # ------------------------------------------------------------------
 
     def _build_program(self, planes, target_slot, l1_spec):
+        """Assemble the spill stage and gadget for ``planes``.
+
+        Returns ``(program, layout, plane_pcs)``: ``plane_pcs[slot]`` is
+        the pc of the ``li`` that loads ``planes[slot]``, the only
+        instructions whose immediates depend on the planes.
+        """
         cfg = self.config
         layout = GadgetLayout(
             target_addr=cfg.slot_addr(target_slot),
             delay_ptr_addr=cfg.delay_ptr_addr,
             flush_area_base=cfg.flush_area_base)
+        plane_pcs = [0] * NUM_SLOTS
         asm = Assembler()
         asm.li(1, cfg.stack_base)
         asm.annotate("warm the worker-stack slot lines")
@@ -108,18 +117,43 @@ class BSAESSilentStoreAttack:
             asm.load(2, 1, cfg.slot_stride * slot)
         asm.fence()
         for slot in range(target_slot):
+            plane_pcs[slot] = len(asm)
             asm.li(3, planes[slot])
             asm.store(3, 1, cfg.slot_stride * slot, width=2)
         emit_gadget(asm, layout, l1_spec)
         asm.annotate("target store: spills the attacked plane")
+        plane_pcs[target_slot] = len(asm)
         asm.li(6, planes[target_slot])
         asm.store(6, 1, cfg.slot_stride * target_slot, width=2)
         for slot in range(target_slot + 1, NUM_SLOTS):
+            plane_pcs[slot] = len(asm)
             asm.li(3, planes[slot])
             asm.store(3, 1, cfg.slot_stride * slot, width=2)
         asm.fence()
         asm.halt()
-        return asm.assemble(), layout
+        return asm.assemble(), layout, plane_pcs
+
+    def _template(self, target_slot, l1_spec):
+        """``(program, plane_pcs, flush_write, slot_addrs)`` for
+        ``target_slot`` on ``l1_spec``: the program of all-zero planes,
+        the pcs of its plane ``li`` instructions, the flush-pointer
+        memory write and the slot addresses.
+
+        Assembled once per key; the key holds everything
+        :meth:`_build_program` reads, config fields included (the config
+        is mutable), so a changed config gets a template of its own.
+        """
+        cfg = self.config
+        key = (target_slot, l1_spec, cfg.stack_base, cfg.slot_stride,
+               cfg.delay_ptr_addr, cfg.flush_area_base)
+        template = self._templates.get(key)
+        if template is None:
+            program, layout, plane_pcs = self._build_program(
+                [0] * NUM_SLOTS, target_slot, l1_spec)
+            template = self._templates[key] = (
+                program, plane_pcs, flush_pointer_write(layout, l1_spec),
+                [cfg.slot_addr(slot) for slot in range(NUM_SLOTS)])
+        return template
 
     def _spec_parts(self):
         """The frozen parts every measure spec of this configuration
@@ -151,17 +185,21 @@ class BSAESSilentStoreAttack:
         """:meth:`measure_spec` on ``parts`` from :meth:`_spec_parts`.
 
         Only the program, memory image, label, seed and config are the
-        spec's own; the config is mutable, so each spec gets one.
+        spec's own; the config is mutable, so each spec gets one.  The
+        program is the template's with the attacker's planes swapped
+        in: what :meth:`_build_program` would assemble, without running
+        the assembler.
         """
         cfg = self.config
         if leftover_planes is None:
             leftover_planes = self.server.leftover_planes
         hierarchy, plugins, taint = parts
-        program, layout = self._build_program(
-            [int(p) for p in attacker_planes], target_slot, hierarchy.l1)
-        mem_writes = [(cfg.slot_addr(slot), int(leftover_planes[slot]), 2)
-                      for slot in range(NUM_SLOTS)]
-        mem_writes.append(flush_pointer_write(layout, hierarchy.l1))
+        program, plane_pcs, flush_write, slot_addrs = self._template(
+            target_slot, hierarchy.l1)
+        program = program.with_immediates(zip(plane_pcs, attacker_planes))
+        mem_writes = [(addr, int(plane), 2)
+                      for addr, plane in zip(slot_addrs, leftover_planes)]
+        mem_writes.append(flush_write)
         return SimSpec(
             program=program,
             config=CPUConfig(store_queue_size=cfg.store_queue_size),

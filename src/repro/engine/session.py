@@ -15,9 +15,10 @@ hierarchy, plug-ins and core.  Sessions come from two places:
 core's statistics, and a generic observation record (hierarchy
 counters, plug-in counters, requested architectural registers) that is
 JSON-serializable — the unit the result cache stores and benches dump
-under ``benchmarks/results/*.json``.  The counts the core, hierarchy
-and plug-ins keep reach a spec-built run's :mod:`repro.stats` record
-once, copied at the end of the run.
+under ``benchmarks/results/*.json``.  ``Session.run`` is the only
+writer of a spec-built run's :mod:`repro.stats` record: the core,
+hierarchy, plug-ins and trace buffer only count, and the record is
+written once from their counts at the end of the run.
 
 A trial the engine runs (:func:`~repro.engine.backends.execute_spec`)
 is released with :meth:`Session.release` right after its run, so
@@ -98,9 +99,7 @@ class Session:
                                          extra_seed=spec.seed)
         plugins = [plugin_spec.build() for plugin_spec in spec.plugins]
         metrics = SimStats() if spec.collect_stats else NULL_STATS
-        hierarchy.metrics = metrics
-        trace = (spec.trace.build(metrics=metrics)
-                 if spec.trace is not None else None)
+        trace = spec.trace.build() if spec.trace is not None else None
         cpu_cls = FastPathCPU if getattr(spec, "fastpath", True) else CPU
         cpu = cpu_cls(spec.program, hierarchy, config=spec.config,
                       plugins=plugins, metrics=metrics, trace=trace)
@@ -166,8 +165,9 @@ class Session:
 
         The cycle limit is ``max_cycles``, else the spec's
         ``max_cycles``, else the core config's default.  A spec-built
-        run's stats record gets the counts the core (occupancy
-        included), hierarchy and plug-ins kept, copied in once here.
+        run's stats record is written here, once, from the counts the
+        core (occupancy included), hierarchy, plug-ins and trace buffer
+        kept; nothing writes it during the run.
         """
         spec = self.spec
         cpu = self.cpu
@@ -187,38 +187,50 @@ class Session:
                 for index in spec.record_regs}
         metrics = cpu.metrics
         if metrics.enabled:
-            inc, peak = metrics.inc, metrics.peak
-            inc("engine.trials")
-            # The core's and plug-ins' whole-run counts, with the key
-            # presence per-cycle and per-event writes gave them: every
+            # The record is empty until here, so the core's and
+            # plug-ins' counts are written straight into it: every
             # occupancy integral and peak, other counts when non-zero,
-            # and squashed instructions with every flush.
-            inc("pipeline.rob.occupancy_integral", cpu.rob_integral)
-            inc("pipeline.rs.occupancy_integral", cpu.rs_integral)
-            inc("pipeline.lq.occupancy_integral", cpu.lq_integral)
-            inc("pipeline.sq.occupancy_integral", cpu.sq_integral)
-            peak("pipeline.rob.high_water", cpu.rob_peak)
-            peak("pipeline.rs.high_water", cpu.rs_peak)
-            peak("pipeline.lq.high_water", cpu.lq_peak)
-            peak("pipeline.sq.high_water", cpu.sq_peak)
-            if stats.cycles:
-                inc("pipeline.cycles", stats.cycles)
-            if stats.silent_stores:
-                inc("pipeline.sq.silent_dequeues", stats.silent_stores)
-            if cpu.sq_head_committed_cycles:
-                inc("pipeline.sq.head_committed_cycles",
-                    cpu.sq_head_committed_cycles)
+            # squashed instructions whenever there was a flush, and one
+            # histogram entry per distinct store-fill latency.
+            counters, maxima = metrics.counters, metrics.maxima
+            counters["engine.trials"] = 1
+            counters["pipeline.rob.occupancy_integral"] = cpu.rob_integral
+            counters["pipeline.rs.occupancy_integral"] = cpu.rs_integral
+            counters["pipeline.lq.occupancy_integral"] = cpu.lq_integral
+            counters["pipeline.sq.occupancy_integral"] = cpu.sq_integral
+            maxima["pipeline.rob.high_water"] = cpu.rob_peak
+            maxima["pipeline.rs.high_water"] = cpu.rs_peak
+            maxima["pipeline.lq.high_water"] = cpu.lq_peak
+            maxima["pipeline.sq.high_water"] = cpu.sq_peak
+            for name, count in (
+                    ("pipeline.cycles", stats.cycles),
+                    ("pipeline.sq.silent_dequeues", stats.silent_stores),
+                    ("pipeline.sq.head_committed_cycles",
+                     cpu.sq_head_committed_cycles),
+                    ("pipeline.sq.head_of_line_stall_cycles",
+                     cpu.hol_stall_cycles),
+                    ("trace.dropped_events", cpu.trace.dropped)):
+                if count:
+                    counters[name] = count
             for kind, count in stats.dispatch_stalls.items():
                 if count:
-                    inc("pipeline.dispatch_stall." + kind, count)
+                    counters["pipeline.dispatch_stall." + kind] = count
+            if cpu.flushes:
+                counters["pipeline.flushes"] = cpu.flushes
+                counters["pipeline.squashed_instructions"] = \
+                    stats.squashed_instructions
+            fills = cpu.store_fill_latencies
+            if fills:
+                counters["pipeline.sq.store_fills"] = sum(fills.values())
+                for latency, count in fills.items():
+                    metrics.observe("pipeline.sq.store_fill_latency",
+                                    latency, bin_width=8, count=count)
             for plugin in cpu.plugins:
                 counts = plugin.stats
                 for key, name in plugin.metric_names.items():
                     if counts[key]:
-                        inc(name, counts[key])
-            if "pipeline.flushes" in metrics.counters:
-                inc("pipeline.squashed_instructions",
-                    stats.squashed_instructions)
+                        # Two plug-ins of one class share their names.
+                        counters[name] = counters.get(name, 0) + counts[key]
             self.hierarchy.snapshot_into(metrics)
         traced = spec is not None and spec.trace is not None
         return RunResult(

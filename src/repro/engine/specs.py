@@ -210,12 +210,12 @@ class TraceSpec:
     categories: tuple = ()
     sample: int = 1
 
-    def build(self, metrics=None):
+    def build(self):
         from repro.trace.buffer import TraceBuffer
         return TraceBuffer(
             capacity=self.capacity,
             categories=self.categories if self.categories else None,
-            sample=self.sample, metrics=metrics)
+            sample=self.sample)
 
 
 # ----------------------------------------------------------------------
@@ -310,8 +310,7 @@ class SimSpec:
         memory = FlatMemory(self.hierarchy.memory_size)
         for addr, data in self.mem_blobs:
             memory.write_bytes(addr, bytes(data))
-        for addr, value, width in self.mem_writes:
-            memory.write(addr, value, width)
+        memory.write_words(self.mem_writes)
         return memory
 
     def build(self):

@@ -120,6 +120,24 @@ class Program:
             self._encoding = "\n".join(records).encode()
         return self._encoding
 
+    def with_immediates(self, immediates):
+        """A copy of this program with new immediates.
+
+        ``immediates`` is an iterable of ``(pc, imm)`` pairs; each named
+        instruction is replaced by one with ``imm`` as its immediate.
+        Labels, taint directives and every other instruction are shared
+        with this program: nothing changes an assembled instruction.
+        """
+        instructions = list(self.instructions)
+        for pc, imm in immediates:
+            inst = instructions[pc]
+            instructions[pc] = Instruction(
+                inst.op, inst.rd, inst.rs1, inst.rs2, int(imm), inst.width,
+                inst.target, pc, inst.annotation)
+        return Program(instructions, self.labels,
+                       secret_regions=self.secret_regions,
+                       public_regions=self.public_regions)
+
     def listing(self):
         """Human-readable disassembly, one line per instruction."""
         pc_to_labels = {}

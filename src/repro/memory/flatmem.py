@@ -52,6 +52,22 @@ class FlatMemory:
         self._data[addr:addr + width] = (
             (value & _WORD_MASK).to_bytes(8, "little")[:width])
 
+    def write_words(self, writes):
+        """:meth:`write` each ``(addr, value, width)`` of ``writes``, in
+        order, so a later write to the same bytes wins.
+
+        Every write is bounds-checked before any is made: one outside
+        memory raises :class:`MemoryError_` with nothing written.
+        """
+        size = self.size
+        for addr, _value, width in writes:
+            if addr < 0 or addr + width > size:
+                self._check(addr, width)
+        data = self._data
+        for addr, value, width in writes:
+            data[addr:addr + width] = (
+                (value & _WORD_MASK).to_bytes(8, "little")[:width])
+
     def read_bytes(self, addr, length):
         self._check(addr, length)
         return self._data[addr:addr + length]

@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass, field
 
 from repro.memory.cache import Cache
-from repro.stats import NULL_STATS
 from repro.trace.buffer import NULL_TRACE
 
 
@@ -27,7 +26,8 @@ class MemoryLatencies:
     ``jitter`` adds seeded, uniform ±jitter cycles to every *memory*
     access (DRAM scheduling, refresh, bus contention), the dominant
     source of timing spread on real systems; the simulator stays
-    reproducible because the stream is seeded.
+    reproducible because the stream is seeded.  ``draws`` counts the
+    jittered latencies handed out: latency -> how many accesses got it.
     """
 
     l1_hit: int = 2
@@ -37,6 +37,8 @@ class MemoryLatencies:
     jitter: int = 0
     seed: int = 0
     _rng: object = field(default=None, repr=False, compare=False)
+    draws: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def memory_latency(self):
         """The (possibly jittered) DRAM access latency."""
@@ -44,7 +46,9 @@ class MemoryLatencies:
             return self.memory
         if self._rng is None:
             self._rng = random.Random(self.seed)
-        return self.memory + self._rng.randint(-self.jitter, self.jitter)
+        latency = self.memory + self._rng.randint(-self.jitter, self.jitter)
+        self.draws[latency] = self.draws.get(latency, 0) + 1
+        return latency
 
 
 class MemoryHierarchy:
@@ -68,13 +72,12 @@ class MemoryHierarchy:
         #: Section IV-D2).
         self.tlb = tlb
         self._prefetch_buffer = []  # FIFO of line addresses
-        #: Shared :class:`repro.stats.SimStats`; the engine's Session
-        #: replaces this with the run's record.  Counted events live in
-        #: ``stats`` below and reach the record via :meth:`snapshot_into`.
-        self.metrics = NULL_STATS
         #: Shared :class:`repro.trace.TraceBuffer` (the attached core
         #: installs it via :meth:`CPU.install_trace`).
         self.trace = NULL_TRACE
+        #: Every event is counted here, in a cache's or the TLB's
+        #: ``stats``, or in the latencies' jitter ``draws``; a spec-built
+        #: run's stats record gets them via :meth:`snapshot_into`.
         self.stats = {
             "reads": 0, "writes": 0, "prefetches": 0,
             "l1_hits": 0, "l2_hits": 0, "memory_accesses": 0,
@@ -121,8 +124,8 @@ class MemoryHierarchy:
         :class:`MemoryError_` with no state changed, where per-line reads
         raise only after the earlier lines changed it.  With an L1 alone
         (no L2, no TLB, nothing in the prefetch buffer) and the trace
-        and stats record disabled, the reads are L1 lookups and fills;
-        anything else takes the per-line step that :meth:`read` takes.
+        disabled, the reads are L1 lookups and fills; anything else
+        takes the per-line step that :meth:`read` takes.
         """
         if not addrs:
             return []
@@ -132,8 +135,7 @@ class MemoryHierarchy:
         stats = self.stats
         stats["reads"] += len(addrs)
         if (self.l2 is not None or self.tlb is not None
-                or self._prefetch_buffer or self.trace.enabled
-                or self.metrics.enabled):
+                or self._prefetch_buffer or self.trace.enabled):
             step = self._access_for_latency
             return [step(addr, True)[0] for addr in addrs]
         lookup = self.l1.lookup
@@ -180,7 +182,6 @@ class MemoryHierarchy:
 
     def _cache_access(self, addr, fill):
         lat = self.latencies
-        metrics_on = self.metrics.enabled
         trace_on = self.trace.enabled
         if self.l1.lookup(addr):
             self.stats["l1_hits"] += 1
@@ -194,9 +195,6 @@ class MemoryHierarchy:
             self._prefetch_buffer.remove(line)
             if fill:
                 self._fill_l1(addr)
-            if metrics_on:
-                self.metrics.observe("mem.miss_latency", lat.l1_hit + 1,
-                                     bin_width=8)
             if trace_on:
                 self.trace.emit("mem", "pb_hit", addr=addr,
                                 info=f"latency={lat.l1_hit + 1}")
@@ -205,9 +203,6 @@ class MemoryHierarchy:
             self.stats["l2_hits"] += 1
             if fill:
                 self._fill_l1(addr)
-            if metrics_on:
-                self.metrics.observe("mem.miss_latency", lat.l2_hit,
-                                     bin_width=8)
             if trace_on:
                 self.trace.emit("mem", "l2_hit", addr=addr,
                                 info=f"latency={lat.l2_hit}")
@@ -218,8 +213,6 @@ class MemoryHierarchy:
                 self._fill_l2(addr)
             self._fill_l1(addr)
         latency = lat.memory_latency()
-        if metrics_on:
-            self.metrics.observe("mem.miss_latency", latency, bin_width=8)
         if trace_on:
             self.trace.emit("mem", "dram_access", addr=addr,
                             info=f"latency={latency}")
@@ -286,8 +279,24 @@ class MemoryHierarchy:
         or the :class:`TLB`'s own; the record gets whole-run totals,
         non-zero ones only, evictions always.  Counters sum under merge,
         so per-trial snapshots aggregate correctly across a batch.
+
+        ``mem.miss_latency`` is the latency of every demand access that
+        missed L1, from the same counts: each prefetch-buffer hit took
+        ``l1_hit + 1`` cycles and each L2 hit ``l2_hit``; each DRAM
+        access took ``memory``, or with jitter the latency it drew
+        (``latencies.draws``).  It is absent when no access missed.
         """
         stats = self.stats
+        lat = self.latencies
+        dram = (lat.draws if lat.jitter
+                else {lat.memory: stats["memory_accesses"]})
+        for latency, count in ((lat.l1_hit + 1,
+                                stats["prefetch_buffer_hits"]),
+                               (lat.l2_hit, stats["l2_hits"]),
+                               *dram.items()):
+            if count:
+                metrics.observe("mem.miss_latency", latency, bin_width=8,
+                                count=count)
         copied = {
             "mem.l1.hits": stats["l1_hits"],
             "mem.l1.misses": (stats["prefetch_buffer_hits"]

@@ -95,6 +95,8 @@ class SilentStorePlugin(OptimizationPlugin):
         self._pending.append((entry, self.cpu.cycle))
 
     def end_of_cycle(self, free_load_ports):
+        if not self._pending:
+            return 0
         used = 0
         keep = []
         for entry, resolved_cycle in self._pending:

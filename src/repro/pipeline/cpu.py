@@ -96,10 +96,11 @@ class CPU:
     plugins:
         Iterable of :class:`repro.pipeline.plugins.OptimizationPlugin`.
     metrics:
-        A :class:`repro.stats.SimStats` shared with the hierarchy;
-        defaults to the disabled :data:`~repro.stats.NULL_STATS`
-        (per-cycle recording is skipped behind one ``enabled`` check).
-        :class:`CPUStats` counts are copied in after the run.
+        The run's :class:`repro.stats.SimStats` record, or the disabled
+        :data:`~repro.stats.NULL_STATS` (the default).  The core never
+        writes it: it keeps its counts as plain attributes, and
+        ``Session.run`` copies them in after the run.  Its ``enabled``
+        flag gates the one per-cycle occupancy sample.
     trace:
         A :class:`repro.trace.TraceBuffer` receiving cycle-accurate
         pipeline events, shared with the hierarchy and plug-ins;
@@ -188,6 +189,13 @@ class CPU:
         self.lq_integral = self.sq_integral = 0
         self.rob_peak = self.rs_peak = self.lq_peak = self.sq_peak = 0
         self.sq_head_committed_cycles = 0
+        # Squash flushes, the cycles a committed SQ head waited for its
+        # line (the Figure 5 amplification), and each store fill's
+        # latency -> how many fills took it.  Counted on every run;
+        # Session.run copies them into a spec-built run's stats record.
+        self.flushes = 0
+        self.hol_stall_cycles = 0
+        self.store_fill_latencies = {}
 
         for plugin in self.plugins:
             plugin.attach(self)
@@ -298,7 +306,8 @@ class CPU:
                 self.stats.cycles = self.cycle
 
     def _record_cycle_metrics(self):
-        """Count this cycle's structure occupancy (enabled-mode only).
+        """Count this cycle's structure occupancy (recorded runs only:
+        the core's one stats test, in :meth:`step`, gates the call).
 
         :meth:`Session.run` copies the counts into the stats record:
         integrals as counters paired with ``pipeline.cycles`` (a merged
@@ -330,8 +339,7 @@ class CPU:
     def _apply_squash(self):
         seq, redirect = self._squash_req
         self._squash_req = None
-        if self.metrics.enabled:
-            self.metrics.inc("pipeline.flushes")
+        self.flushes += 1
         trace_on = self.trace.enabled
         if trace_on:
             self.trace.emit("inst", "flush", cycle=self.cycle,
@@ -440,7 +448,6 @@ class CPU:
         # same cycle (Section V-A1); at most one store performs to memory.
         silent_budget = SILENT_DEQUEUE_WIDTH
         dequeue_delay = self.config.store_dequeue_delay
-        metrics_on = self.metrics.enabled
         trace_on = self.trace.enabled
         while self.store_queue and self.store_queue[0].committed:
             head = self.store_queue[0]
@@ -468,9 +475,7 @@ class CPU:
             # amplification to the store queue.
             if head.fill_requested:
                 if self.cycle < head.fill_ready_cycle:
-                    if metrics_on:
-                        self.metrics.inc(
-                            "pipeline.sq.head_of_line_stall_cycles")
+                    self.hol_stall_cycles += 1
                     if trace_on:
                         self.trace.emit("sq", "hol_stall",
                                         cycle=self.cycle,
@@ -481,12 +486,9 @@ class CPU:
                 head.fill_requested = True
                 fill_latency = self.hierarchy.request_line_for_store(head.addr)
                 head.fill_ready_cycle = self.cycle + fill_latency
-                if metrics_on:
-                    self.metrics.inc("pipeline.sq.store_fills")
-                    self.metrics.inc(
-                        "pipeline.sq.head_of_line_stall_cycles")
-                    self.metrics.observe("pipeline.sq.store_fill_latency",
-                                         fill_latency, bin_width=8)
+                self.hol_stall_cycles += 1
+                fills = self.store_fill_latencies
+                fills[fill_latency] = fills.get(fill_latency, 0) + 1
                 if trace_on:
                     self.trace.emit("sq", "fill_request",
                                     cycle=self.cycle, seq=head.dyn.seq,

@@ -36,12 +36,12 @@ declared wakeup
 (:attr:`~repro.pipeline.plugins.OptimizationPlugin.ff_policy`).  The
 clock jumps to the earliest of those, charging the skipped span's
 per-cycle accounting exactly as if ticked: the core's occupancy
-integrals and committed-SQ-head count (copied into the stats record at
-the end of the run, like every stepped cycle's),
-``pipeline.sq.head_of_line_stall_cycles`` (the Figure 5 amplification
-counter — the >100-cycle gap must survive fast-forward bit-exactly),
-per-cycle ``sq/hol_stall`` trace events with explicit cycle stamps, and
-dispatch-stall attribution.  A plug-in that makes no declaration
+integrals, committed-SQ-head count and head-of-line stall cycles
+(copied into the stats record at the end of the run, like every
+stepped cycle's; the last is ``pipeline.sq.head_of_line_stall_cycles``,
+the Figure 5 amplification counter — the >100-cycle gap must survive
+fast-forward bit-exactly), per-cycle ``sq/hol_stall`` trace events with
+explicit cycle stamps, and dispatch-stall attribution.  A plug-in that makes no declaration
 defaults to ``FF_EVERY_CYCLE``, which pins the jump target to the next
 cycle — fast-forward around unknown plug-ins is *disabled*, never
 approximate.
@@ -193,19 +193,19 @@ class FastPathCPU(CPU):
         stall_kind = self._cycle_stall
         if stall_kind is not None:
             self.stats.dispatch_stalls[stall_kind] += skipped
-        metrics = self.metrics
-        if metrics.enabled:
-            self.rob_integral += len(self.rob) * skipped
-            self.rs_integral += len(self.rs) * skipped
-            self.lq_integral += len(self.load_queue) * skipped
-            self.sq_integral += len(self.store_queue) * skipped
-            # High-water peaks were already recorded this cycle at the
-            # same occupancies; re-peaking would be a no-op.
-            if head_waiting:
-                self.sq_head_committed_cycles += skipped
-            if hol_stall:
-                metrics.inc("pipeline.sq.head_of_line_stall_cycles",
-                            skipped)
+        # The occupancy counts, like the core's other counts, are read
+        # only from a recorded run (whose stepped cycles sample them
+        # too), so the span is charged whether or not one is attached.
+        # High-water peaks were already recorded this cycle at the
+        # same occupancies; re-peaking would be a no-op.
+        self.rob_integral += len(self.rob) * skipped
+        self.rs_integral += len(self.rs) * skipped
+        self.lq_integral += len(self.load_queue) * skipped
+        self.sq_integral += len(self.store_queue) * skipped
+        if head_waiting:
+            self.sq_head_committed_cycles += skipped
+        if hol_stall:
+            self.hol_stall_cycles += skipped
         if hol_stall and self.trace.enabled:
             dyn = head.dyn
             for when in range(cycle + 1, target):

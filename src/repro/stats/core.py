@@ -3,12 +3,14 @@
 Every distributional claim in the paper — the Figure 4/5 timing
 deltas, the Figure 6 bsAES histogram, replay-trial convergence — is a
 statement about *why* a run took the cycles it did.  :class:`SimStats`
-is the run's one record of them: the pipeline logs store-queue
-head-of-line stalls, the memory hierarchy its miss-latency histogram,
-and the engine trial bookkeeping.  Counts a component already keeps
-(``CPUStats``, the core's per-stage occupancy integrals and peaks, the
-hierarchy's, caches', TLB's and plug-ins' ``stats``) are copied in
-once, at the end of the run, by the engine's ``Session.run``.
+is the run's one record of them: store-queue head-of-line stalls and
+store-fill latencies, the memory hierarchy's miss-latency histogram,
+per-stage occupancy, and the engine trial bookkeeping.  The simulator
+never writes a record while it runs.  Every component counts its own
+events (``CPUStats``, the core's occupancy, flush, stall and fill
+counts, the hierarchy's, caches', TLB's, jitter draws' and plug-ins'
+``stats``, a trace buffer's drops), and the engine's ``Session.run``
+writes the record once, at the end of the run, from those counts.
 
 Three value kinds with fixed merge semantics:
 
@@ -25,9 +27,9 @@ associative and commutative, so a 4-worker fan-out aggregates to the
 same record as a serial run.
 
 Disabled mode: :data:`NULL_STATS` (a :class:`NullStats`) accepts every
-recording call as a no-op, so instrumented code needs no conditionals
-— though per-cycle hot loops additionally guard on :attr:`enabled` to
-keep the disabled overhead to a single attribute test.
+recording call as a no-op.  A run without a record skips the copy at
+its end and the core's per-cycle occupancy sample, which is guarded by
+the one :attr:`enabled` test left in the simulator.
 """
 
 import json
@@ -80,20 +82,34 @@ class Histogram:
         return max(self.bins)
 
     def merge(self, other):
-        if other.bin_width != self.bin_width:
+        """Fold ``other`` into this histogram; returns ``self``.
+
+        ``other`` is a :class:`Histogram` or an :meth:`as_dict` payload,
+        which is folded as it stands (its string bin keys read as
+        ints), with no intermediate histogram.
+        """
+        if isinstance(other, dict):
+            width, bins = other["bin_width"], other["bins"]
+            count, total = other["count"], other["total"]
+            low, high = other["min"], other["max"]
+        else:
+            width, bins = other.bin_width, other.bins
+            count, total, low, high = (other.count, other.total,
+                                       other.min, other.max)
+        if width != self.bin_width:
             raise ValueError(
                 f"cannot merge histograms with bin widths "
-                f"{self.bin_width} and {other.bin_width}")
-        for bin_lo, weight in other.bins.items():
-            self.bins[bin_lo] = self.bins.get(bin_lo, 0) + weight
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None
-                                      or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None
-                                      or other.max > self.max):
-            self.max = other.max
+                f"{self.bin_width} and {width}")
+        mine = self.bins
+        for bin_lo, weight in bins.items():
+            bin_lo = int(bin_lo)
+            mine[bin_lo] = mine.get(bin_lo, 0) + weight
+        self.count += count
+        self.total += total
+        if low is not None and (self.min is None or low < self.min):
+            self.min = low
+        if high is not None and (self.max is None or high > self.max):
+            self.max = high
         return self
 
     def as_dict(self):
@@ -111,14 +127,7 @@ class Histogram:
 
     @classmethod
     def from_dict(cls, data):
-        hist = cls(bin_width=data["bin_width"])
-        hist.bins = {int(bin_lo): count
-                     for bin_lo, count in data["bins"].items()}
-        hist.count = data["count"]
-        hist.total = data["total"]
-        hist.min = data["min"]
-        hist.max = data["max"]
-        return hist
+        return cls(bin_width=data["bin_width"]).merge(data)
 
     def __eq__(self, other):
         if not isinstance(other, Histogram):
@@ -154,15 +163,16 @@ class SimStats:
         if value > self.maxima.get(name, value - 1):
             self.maxima[name] = value
 
-    def observe(self, name, value, bin_width=16):
-        """Add ``value`` to histogram ``name`` (merge: per-bin sum).
+    def observe(self, name, value, bin_width=16, count=1):
+        """Add ``count`` observations of ``value`` to histogram ``name``
+        (merge: per-bin sum).
 
         ``bin_width`` only applies when the histogram is first created.
         """
         hist = self.histograms.get(name)
         if hist is None:
             hist = self.histograms[name] = Histogram(bin_width=bin_width)
-        hist.add(value)
+        hist.add(value, count)
 
     # -- reading -------------------------------------------------------
 
@@ -191,7 +201,8 @@ class SimStats:
             return self
         payload = isinstance(other, dict)
         if payload:
-            # Merged as it stands, with no intermediate record.
+            # Merged as it stands, with no intermediate record or
+            # histograms.
             counters = other.get("counters", {})
             maxima = other.get("maxima", {})
             histograms = other.get("histograms", {})
@@ -205,12 +216,11 @@ class SimStats:
             if value > peaks.get(name, value - 1):
                 peaks[name] = value
         for name, hist in histograms.items():
-            if payload:
-                hist = Histogram.from_dict(hist)
             mine = self.histograms.get(name)
             if mine is None:
                 # A histogram of its own, never the source's.
-                mine = self.histograms[name] = Histogram(hist.bin_width)
+                mine = self.histograms[name] = Histogram(
+                    hist["bin_width"] if payload else hist.bin_width)
             mine.merge(hist)
         return self
 
@@ -276,7 +286,7 @@ class NullStats(SimStats):
     def peak(self, name, value):
         pass
 
-    def observe(self, name, value, bin_width=16):
+    def observe(self, name, value, bin_width=16, count=1):
         pass
 
     def merge(self, other):

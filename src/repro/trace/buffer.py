@@ -15,10 +15,10 @@ string (instruction text at dispatch, an MLD outcome tag on plug-in
 firings, a latency on cache fills).
 
 The buffer is a bounded ring: when ``capacity`` is reached the oldest
-event is overwritten and the overwrite is counted (``dropped``, plus
-the ``trace.dropped_events`` counter of the attached
-:class:`~repro.stats.SimStats`), so a full trace never grows without
-bound and truncation is always visible.  Per-category filters and
+event is overwritten and the overwrite is counted (``dropped``, which
+a spec-built run's :class:`~repro.stats.SimStats` record gets as
+``trace.dropped_events``), so a full trace never grows without bound
+and truncation is always visible.  Per-category filters and
 per-category sampling keep full-fleet traces affordable.
 
 Everything recorded here is derived from simulated state only (cycle
@@ -34,8 +34,6 @@ per site.
 """
 
 from collections import deque
-
-from repro.stats import NULL_STATS
 
 #: The event taxonomy.  See DESIGN.md ("The trace layer") for what each
 #: layer emits into which category.
@@ -75,18 +73,14 @@ class TraceBuffer:
         Keep every ``sample``-th event *per category* (1 = keep all).
         Sampling is positional over the (deterministic) event stream,
         so sampled traces stay reproducible.
-    metrics:
-        Optional :class:`~repro.stats.SimStats` that receives the
-        ``trace.dropped_events`` counter.
     """
 
     enabled = True
 
-    __slots__ = ("capacity", "categories", "sample", "metrics", "_clock",
+    __slots__ = ("capacity", "categories", "sample", "_clock",
                  "_events", "_sampled", "emitted", "dropped", "filtered")
 
-    def __init__(self, capacity=65536, categories=None, sample=1,
-                 metrics=None):
+    def __init__(self, capacity=65536, categories=None, sample=1):
         if capacity <= 0:
             raise TraceError("capacity must be positive")
         if sample <= 0:
@@ -101,7 +95,6 @@ class TraceBuffer:
             self.categories = None
         self.capacity = capacity
         self.sample = sample
-        self.metrics = metrics if metrics is not None else NULL_STATS
         self._clock = None
         self._events = deque(maxlen=capacity)
         self._sampled = {}
@@ -132,7 +125,6 @@ class TraceBuffer:
             cycle = self._clock() if self._clock is not None else 0
         if len(self._events) == self.capacity:
             self.dropped += 1
-            self.metrics.inc("trace.dropped_events")
         self._events.append((cycle, category, name, seq, pc, addr, info))
         self.emitted += 1
 

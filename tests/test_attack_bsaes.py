@@ -1,9 +1,11 @@
 """End-to-end BSAES key recovery through silent stores (Section V-A3)."""
 
+import random
+
 import pytest
 
 from repro.attacks.bsaes_attack import (
-    BSAESSilentStoreAttack, BSAESVictimServer, NUM_SLOTS,
+    BSAESAttackConfig, BSAESSilentStoreAttack, BSAESVictimServer, NUM_SLOTS,
 )
 from repro.crypto.batch import batch_last_round_planes, random_plaintexts
 
@@ -86,3 +88,59 @@ def test_wrong_attacker_key_still_recovers(server):
                                    seed=5)
     value, _tries = other.recover_plane(0, oracle="functional")
     assert value == server.leftover_planes[0]
+
+
+# ----------------------------------------------------------------------
+# the assembled-once program template
+# ----------------------------------------------------------------------
+
+
+def template_mismatches(attack, rounds=3, seed=0):
+    """``(target_slot, round)`` pairs whose spec program differs from the
+    one the assembler builds for the same random planes, in encoding,
+    labels or listing (which shows annotations)."""
+    rng = random.Random(seed)
+    l1 = attack._spec_parts()[0].l1
+    mismatches = []
+    for target_slot in range(NUM_SLOTS):
+        for index in range(rounds):
+            planes = [rng.randrange(1 << 16) for _ in range(NUM_SLOTS)]
+            made = attack.measure_spec(planes, target_slot).program
+            assembled = attack._build_program(planes, target_slot, l1)[0]
+            if ((made.encode(), made.labels, made.listing())
+                    != (assembled.encode(), assembled.labels,
+                        assembled.listing())):
+                mismatches.append((target_slot, index))
+    return mismatches
+
+
+def test_template_programs_equal_assembled_programs(server):
+    """For every target slot and random planes, the program a spec gets
+    from the template is the one the assembler builds, also after the
+    (mutable) config changes its addresses and stride."""
+    attack = BSAESSilentStoreAttack(server, ATTACKER_KEY)
+    assert template_mismatches(attack) == []
+    other = BSAESSilentStoreAttack(server, ATTACKER_KEY, BSAESAttackConfig(
+        num_l1_sets=32, l1_ways=8, stack_base=0x9000, slot_stride=128))
+    assert template_mismatches(other, seed=1) == []
+    attack.config.slot_stride = 192
+    attack.config.delay_ptr_addr = 0x4_8000
+    assert template_mismatches(attack, seed=2) == []
+    assert len(attack._templates) == 2 * NUM_SLOTS
+
+
+def test_the_template_check_catches_a_stale_plane(server, monkeypatch):
+    """Committed mutant: a template that leaves the last slot's plane
+    immediate as assembled (all-zero planes) fails the check above for
+    every target slot."""
+    template = BSAESSilentStoreAttack._template
+
+    def stale(self, target_slot, l1_spec):
+        program, plane_pcs, flush_write, slot_addrs = template(
+            self, target_slot, l1_spec)
+        return program, plane_pcs[:-1], flush_write, slot_addrs
+
+    monkeypatch.setattr(BSAESSilentStoreAttack, "_template", stale)
+    attack = BSAESSilentStoreAttack(server, ATTACKER_KEY)
+    assert {slot for slot, _ in template_mismatches(attack)} == \
+        set(range(NUM_SLOTS))

@@ -64,9 +64,44 @@ def test_negative_value_write_wraps():
     assert mem.read(0) == (1 << 64) - 1
 
 
+WORD_WRITES = st.lists(st.tuples(
+    st.integers(min_value=0, max_value=56),
+    st.integers(min_value=-(1 << 63), max_value=(1 << 64) - 1),
+    st.sampled_from([1, 2, 4, 8])), max_size=16)
+
+
+@given(WORD_WRITES)
+def test_write_words_matches_per_word_writes(writes):
+    """Sixteen writes into 64 bytes overlap often; the later one wins,
+    as with one :meth:`write` after another."""
+    bulk, single = FlatMemory(64), FlatMemory(64)
+    bulk.write_words(writes)
+    for addr, value, width in writes:
+        single.write(addr, value, width)
+    assert bulk.read_bytes(0, 64) == single.read_bytes(0, 64)
+
+
+def test_write_words_later_overlapping_write_wins():
+    mem = FlatMemory(64)
+    mem.write_words([(0, 0x1111111111111111, 8), (2, 0xAB, 1),
+                     (6, 0xCDEF, 2), (7, 0x22, 1)])
+    assert mem.read(0) == 0x22EF1111_11AB1111
+
+
+def test_write_words_checks_every_bound_before_writing():
+    """Per-word writes would have made the first write before failing;
+    the bulk write fails with nothing written."""
+    for bad in ((60, 1, 8), (-8, 1, 8), (64, 1, 1)):
+        mem = FlatMemory(64)
+        with pytest.raises(MemoryError_):
+            mem.write_words([(0, (1 << 64) - 1, 8), bad, (8, 7, 8)])
+        assert mem.read_bytes(0, 64) == bytes(64)
+
+
 def test_zero_size_memory_builds_and_rejects_every_access():
     mem = FlatMemory(0)
     for access in (lambda: mem.read(0, 1), lambda: mem.write(0, 1, 1),
+                   lambda: mem.write_words([(0, 1, 1)]),
                    lambda: mem.read_bytes(0, 1),
                    lambda: mem.write_bytes(0, b"x"),
                    lambda: mem.fill(0, 1)):

@@ -124,10 +124,10 @@ POLICIES = (ReplacementPolicy.LRU, ReplacementPolicy.FIFO,
 
 
 def _random_hierarchy(rng, policy, l2, tlb, pb_lines, jitter, traced,
-                      recorded):
+                      l1_ways):
     hierarchy = MemoryHierarchy(
         FlatMemory(1 << 16),
-        l1=Cache(num_sets=4, ways=2, policy=policy,
+        l1=Cache(num_sets=4, ways=l1_ways, policy=policy,
                  seed=rng.randrange(1 << 16)),
         l2=(Cache(num_sets=8, ways=4, policy=rng.choice(POLICIES),
                   seed=rng.randrange(1 << 16)) if l2 else None),
@@ -135,10 +135,8 @@ def _random_hierarchy(rng, policy, l2, tlb, pb_lines, jitter, traced,
                                   seed=rng.randrange(1 << 16)),
         prefetch_buffer_size=pb_lines,
         tlb=TLB(entries=4, page_size=1024, walk_latency=30) if tlb else None)
-    if recorded:
-        hierarchy.metrics = SimStats()
     if traced:
-        hierarchy.trace = TraceBuffer(capacity=64, metrics=hierarchy.metrics)
+        hierarchy.trace = TraceBuffer(capacity=64)
     for _ in range(rng.randrange(8, 40)):
         addr = rng.randrange(0, (1 << 16) - 8, 8)
         kind = rng.random()
@@ -164,10 +162,13 @@ def _address_lists(rng, hierarchy):
 
 
 def _state(hierarchy):
-    """Everything a demand read can change."""
+    """Everything a demand read can change, and the stats record its
+    counts give (the miss-latency histogram covers the jitter draws)."""
     caches = [c for c in (hierarchy.l1, hierarchy.l2) if c is not None]
     tlb = hierarchy.tlb
     jitter_rng = hierarchy.latencies._rng
+    record = SimStats()
+    hierarchy.snapshot_into(record)
     return copy.deepcopy({
         "sets": [cache._sets for cache in caches],
         "cache_stats": [cache.stats for cache in caches],
@@ -179,18 +180,18 @@ def _state(hierarchy):
         "epoch": hierarchy.epoch,
         "jitter_rng": None if jitter_rng is None else jitter_rng.getstate(),
         "trace": hierarchy.trace.as_payload(),
-        "record": hierarchy.metrics.as_dict(),
+        "record": record.as_dict(),
     })
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_read_lines_matches_per_line_reads(policy):
-    """Every L2 / TLB / prefetch-buffer / jitter / trace / stats-record
+    """Every L2 / TLB / prefetch-buffer / jitter / trace / L1-ways
     combination, warmed up, then three address lists."""
     rng = random.Random(policy)
     cases = 0
     for shape in itertools.product((False, True), (False, True), (0, 2),
-                                   (0, 5), (False, True), (False, True)):
+                                   (0, 5), (False, True), (1, 2)):
         hierarchy = _random_hierarchy(rng, policy, *shape)
         for addrs in _address_lists(rng, hierarchy):
             batched, per_line = hierarchy, copy.deepcopy(hierarchy)

@@ -153,3 +153,13 @@ def test_retry_window_allows_late_port():
     cpu, plugin = run(warm_store(42), init_mem=[(0x1000, 42)],
                       plugin=plugin)
     assert cpu.stats.silent_stores == 1
+
+
+def test_idle_cycle_hook_returns_at_once():
+    """With nothing pending, ``end_of_cycle`` steals no port and keeps
+    its (empty) pending list rather than building a new one."""
+    cpu, plugin = run(warm_store(42), init_mem=[(0x1000, 42)])
+    pending = plugin._pending
+    assert pending == []
+    assert plugin.end_of_cycle(2) == 0
+    assert plugin._pending is pending

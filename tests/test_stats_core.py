@@ -47,6 +47,30 @@ def test_histogram_merge_rejects_mismatched_bin_width():
         Histogram(bin_width=10).merge(Histogram(bin_width=16))
 
 
+def test_histogram_merges_a_payload_as_it_merges_the_histogram():
+    source = Histogram(bin_width=8)
+    source.add(3)
+    source.add(200, weight=4)
+    source.add(-9)
+    seeded = Histogram(bin_width=8)
+    seeded.add(500)
+    for start in (Histogram(bin_width=8), seeded):
+        via_payload = copy.deepcopy(start).merge(source.as_dict())
+        assert via_payload == copy.deepcopy(start).merge(source)
+        assert set(via_payload.bins) <= {-16, 0, 200, 496}
+    with pytest.raises(ValueError, match="bin width"):
+        Histogram(bin_width=16).merge(source.as_dict())
+
+
+def test_observe_count_equals_repeated_observations():
+    once = SimStats()
+    once.observe("mem.miss_latency", 37, bin_width=8, count=3)
+    each = SimStats()
+    for _ in range(3):
+        each.observe("mem.miss_latency", 37, bin_width=8)
+    assert once == each
+
+
 def test_histogram_dict_roundtrip_and_equality():
     hist = Histogram(bin_width=8)
     hist.add(3)

@@ -6,9 +6,12 @@ batch telemetry, the Figure 5 head-of-line attribution, disabled-mode
 behaviour, result-cache persistence of metrics, and the ``stats`` CLI.
 """
 
+import ast
+import dataclasses
 import json
 import os
 
+import repro
 from repro.__main__ import main as cli_main
 from repro.attacks.amplification import amplified_probe_spec
 from repro.engine import (
@@ -16,6 +19,8 @@ from repro.engine import (
     merge_all, run_batch,
 )
 from repro.lint.progen import CaseGenerator
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.stats import Histogram
 from tests.spec_catalog import attack_specs
 from tests.test_fastpath_equivalence import _catalog_specs
 from tests.test_stats_payload_golden import (
@@ -116,6 +121,150 @@ def test_run_metrics_agree_with_legacy_stats():
             assert counters["pipeline.squashed_instructions"] == \
                 result.stats["squashed_instructions"], name
         assert counters["engine.trials"] == 1, name
+
+
+def jittered(spec, jitter=9):
+    """``spec`` with ±``jitter`` cycles of seeded DRAM jitter."""
+    return spec.replace(hierarchy=dataclasses.replace(
+        spec.hierarchy, latencies=dataclasses.replace(
+            spec.hierarchy.latencies, jitter=jitter)))
+
+
+def derived_histogram_corpus():
+    """Catalog specs, the bare probe and generated silent-store and
+    IMP cases, each jittered, jittered with an L2, a TLB and a prefetch
+    buffer, jittered on the narrow core, and with the deep memory at
+    fixed latencies."""
+    specs = _catalog_specs()
+    for plugin in ("silent-stores", "indirect-memory-prefetcher"):
+        for index, case in enumerate(
+                CaseGenerator(seed=0).cases_for(plugin, 3)):
+            specs.append(case.spec(plugins=(PluginSpec.of(plugin),))
+                         .replace(label=f"{plugin}/{index}"))
+    corpus = []
+    for spec in specs:
+        for shape, variant in (
+                ("jitter", jittered(spec)),
+                ("jitter+deep", with_deep_memory(jittered(spec))),
+                ("jitter+narrow", on_narrow_core(jittered(spec))),
+                ("deep", with_deep_memory(spec))):
+            corpus.append(variant.replace(label=f"{spec.label}/{shape}"))
+    return corpus
+
+
+def observed_latency_histograms(spec):
+    """Run ``spec`` with wrappers that histogram the latency each access
+    that missed L1 returned, and each store fill the core requested.
+
+    Returns ``(result, misses, fills)``: the run's result and the
+    two histograms the record's ``mem.miss_latency`` and
+    ``pipeline.sq.store_fill_latency`` must equal.
+    """
+    session = Session.from_spec(spec)
+    hierarchy = session.hierarchy
+    misses, fills = Histogram(bin_width=8), Histogram(bin_width=8)
+    cache_access = hierarchy._cache_access
+    request_line_for_store = hierarchy.request_line_for_store
+
+    def recorded_access(addr, fill):
+        latency, level = cache_access(addr, fill)
+        if level != "l1":
+            misses.add(latency)
+        return latency, level
+
+    def recorded_fill(addr):
+        latency = request_line_for_store(addr)
+        fills.add(latency)
+        return latency
+
+    hierarchy._cache_access = recorded_access
+    hierarchy.request_line_for_store = recorded_fill
+    return session.run(), misses, fills
+
+
+def derived_histogram_divergences(corpus):
+    """Labels of the specs whose recorded latency histograms differ
+    from the observed ones, plus what the corpus reached: prefetch
+    buffer hits, L2 hits, distinct DRAM latencies and store fills."""
+    diverging = []
+    reached = {"pb": 0, "l2": 0, "dram_latencies": set(), "fills": 0}
+    for spec in corpus:
+        result, misses, fills = observed_latency_histograms(spec)
+        recorded = result.metrics.get("histograms", {})
+        for name, observed in (("mem.miss_latency", misses),
+                               ("pipeline.sq.store_fill_latency", fills)):
+            expected = observed.as_dict() if observed.count else None
+            if recorded.get(name) != expected:
+                diverging.append(f"{spec.label}:{name}")
+        hier = result.observations["hierarchy"]
+        reached["pb"] += hier["prefetch_buffer_hits"]
+        reached["l2"] += hier["l2_hits"]
+        reached["fills"] += fills.count
+        reached["dram_latencies"].update(
+            bin_lo for bin_lo in misses.bins if bin_lo >= 96)
+    return diverging, reached
+
+
+def test_latency_histograms_match_the_latencies_accesses_returned():
+    """``mem.miss_latency`` and ``pipeline.sq.store_fill_latency`` are
+    derived at the end of the run from counts (hit levels, jitter
+    draws, the core's fill table); each must equal the histogram of
+    the latencies the accesses actually returned, on jittered, deep
+    and narrow machines."""
+    diverging, reached = derived_histogram_divergences(
+        derived_histogram_corpus())
+    assert diverging == []
+    # Not vacuous: every latency source occurred.
+    assert reached["pb"] and reached["l2"] and reached["fills"]
+    assert len(reached["dram_latencies"]) > 1
+
+
+def test_the_latency_oracle_catches_dropped_prefetch_buffer_hits(
+        monkeypatch):
+    """Committed mutant: a ``snapshot_into`` that leaves prefetch-buffer
+    hits out of the record makes the oracle above report specs."""
+    snapshot_into = MemoryHierarchy.snapshot_into
+
+    def drops_pb_hits(self, metrics):
+        hits = self.stats["prefetch_buffer_hits"]
+        self.stats["prefetch_buffer_hits"] = 0
+        snapshot_into(self, metrics)
+        self.stats["prefetch_buffer_hits"] = hits
+
+    monkeypatch.setattr(MemoryHierarchy, "snapshot_into", drops_pb_hits)
+    diverging, _ = derived_histogram_divergences(
+        derived_histogram_corpus())
+    assert diverging
+    assert all(label.endswith(":mem.miss_latency") for label in diverging)
+
+
+def test_only_the_session_writes_the_record():
+    """The pipeline, memory and trace layers count; only
+    ``Session.run`` writes a record, and the one method it calls to
+    do so (``MemoryHierarchy.snapshot_into``) is the only record writer
+    there."""
+    package = os.path.dirname(repro.__file__)
+    writers = []
+    for layer in ("pipeline", "memory", "trace"):
+        directory = os.path.join(package, layer)
+        for filename in sorted(os.listdir(directory)):
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(directory, filename)
+            with open(path) as handle:
+                tree = ast.parse(handle.read())
+            for function in ast.walk(tree):
+                if (not isinstance(function, ast.FunctionDef)
+                        or function.name == "snapshot_into"):
+                    continue
+                for node in ast.walk(function):
+                    if (isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr in ("inc", "observe",
+                                                   "peak")):
+                        writers.append(f"{layer}/{filename}:"
+                                       f"{function.name}")
+    assert writers == []
 
 
 def test_occupancy_and_high_water_metrics():

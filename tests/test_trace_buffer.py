@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.stats import SimStats
+from repro.attacks.amplification import amplified_probe_spec
+from repro.engine import TraceSpec, execute_spec
 from repro.trace import (
     CATEGORIES, NULL_TRACE, TraceBuffer, TraceError, events_of,
 )
@@ -32,8 +33,7 @@ def test_clock_injection():
 
 
 def test_ring_drops_oldest_and_counts():
-    metrics = SimStats()
-    buffer = TraceBuffer(capacity=4, metrics=metrics)
+    buffer = TraceBuffer(capacity=4)
     for cycle in range(10):
         buffer.emit("mem", "l1_hit", cycle=cycle, addr=cycle)
     assert len(buffer) == 4
@@ -41,7 +41,20 @@ def test_ring_drops_oldest_and_counts():
     assert [event[0] for event in buffer.events()] == [6, 7, 8, 9]
     assert buffer.emitted == 10
     assert buffer.dropped == 6
-    assert metrics.counters["trace.dropped_events"] == 6
+
+
+def test_run_record_copies_the_dropped_count():
+    """A spec-built run's record carries the ring's drop count as
+    ``trace.dropped_events``, and no such counter when nothing was
+    dropped."""
+    spec = amplified_probe_spec(0x1234, 0x4321)
+    small = execute_spec(spec.replace(trace=TraceSpec(capacity=16)))
+    assert small.trace["dropped"] == small.trace["emitted"] - 16 > 0
+    assert small.metrics["counters"]["trace.dropped_events"] == \
+        small.trace["dropped"]
+    whole = execute_spec(spec.replace(trace=TraceSpec()))
+    assert whole.trace["dropped"] == 0
+    assert "trace.dropped_events" not in whole.metrics["counters"]
 
 
 def test_category_filter():
