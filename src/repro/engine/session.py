@@ -79,7 +79,7 @@ class Session:
     """One built simulation: program + memory system + core + plug-ins.
 
     The plug-ins hold the core (``plugin.cpu``) and the core's event
-    wheel holds closures over it, so a session is a reference cycle
+    wheel holds bound methods of it, so a session is a reference cycle
     until :meth:`release` breaks it.
     """
 

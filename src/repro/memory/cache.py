@@ -78,6 +78,14 @@ class Cache:
             tags.append(tag)
         return True
 
+    def _victim(self, tags):
+        """The position in the full set ``tags`` of the line to evict."""
+        if self.policy == ReplacementPolicy.RANDOM:
+            if self._rng is None:
+                self._rng = random.Random(self.seed)
+            return self._rng.randrange(len(tags))
+        return 0  # LRU and FIFO both evict the head.
+
     def access(self, addr, fill=True):
         """Look up ``addr``; on a miss optionally fill its line.
 
@@ -97,13 +105,7 @@ class Cache:
             return False, None
         evicted = None
         if len(tags) >= self.ways:
-            if self.policy == ReplacementPolicy.RANDOM:
-                if self._rng is None:
-                    self._rng = random.Random(self.seed)
-                victim = self._rng.randrange(len(tags))
-            else:
-                victim = 0  # LRU and FIFO both evict the head.
-            evicted_tag = tags.pop(victim)
+            evicted_tag = tags.pop(self._victim(tags))
             evicted = (evicted_tag * self.num_sets + index) * self.line_size
             self.stats["evictions"] += 1
         tags.append(tag)
@@ -113,6 +115,43 @@ class Cache:
         """Install ``addr``'s line (used for prefetch and write fills)."""
         hit, evicted = self.access(addr, fill=True)
         return evicted if not hit else None
+
+    def touch_lines(self, addrs):
+        """Touch each of ``addrs`` in order as :meth:`lookup` and, on a
+        miss, :meth:`fill_line` would: promote a resident line, or
+        install a missing one, counting the miss and any eviction.
+
+        Returns one hit flag per address.  The geometry is powers of
+        two, so set and tag come from a shift and a mask.
+        """
+        line_shift = self.line_size.bit_length() - 1
+        set_mask = self.num_sets - 1
+        set_shift = self.num_sets.bit_length() - 1
+        sets = self._sets
+        ways = self.ways
+        lru = self.policy == ReplacementPolicy.LRU
+        hits = []
+        misses = evictions = 0
+        for addr in addrs:
+            line = addr >> line_shift
+            tags = sets[line & set_mask]
+            tag = line >> set_shift
+            if tag in tags:
+                if lru:
+                    tags.remove(tag)
+                    tags.append(tag)
+                hits.append(True)
+                continue
+            misses += 1
+            if len(tags) >= ways:
+                del tags[self._victim(tags)]
+                evictions += 1
+            tags.append(tag)
+            hits.append(False)
+        stats = self.stats
+        stats["misses"] += misses
+        stats["evictions"] += evictions
+        return hits
 
     def invalidate(self, addr):
         """Remove ``addr``'s line if resident; returns True if removed."""

@@ -18,7 +18,12 @@ _WORD_MASK = (1 << 64) - 1
 
 
 class MemoryError_(Exception):
-    """Raised on out-of-range physical accesses."""
+    """Raised on out-of-range physical accesses and on word accesses
+    whose width is not 1 to 8 bytes."""
+
+
+def _bad_width(width):
+    return MemoryError_(f"access width {width!r} is not 1 to 8 bytes")
 
 
 class FlatMemory:
@@ -42,12 +47,18 @@ class FlatMemory:
                 f"memory of size {self.size:#x}")
 
     def read(self, addr, width=8):
-        """Read ``width`` bytes at ``addr``, zero-extended to a word."""
+        """Read ``width`` (1 to 8) bytes at ``addr``, zero-extended to a
+        word."""
+        if not 0 < width <= 8:
+            raise _bad_width(width)
         self._check(addr, width)
         return int.from_bytes(self._data[addr:addr + width], "little")
 
     def write(self, addr, value, width=8):
-        """Write the low ``width`` bytes of ``value`` at ``addr``."""
+        """Write the low ``width`` (1 to 8) bytes of ``value`` at
+        ``addr``."""
+        if not 0 < width <= 8:
+            raise _bad_width(width)
         self._check(addr, width)
         self._data[addr:addr + width] = (
             (value & _WORD_MASK).to_bytes(8, "little")[:width])
@@ -56,11 +67,14 @@ class FlatMemory:
         """:meth:`write` each ``(addr, value, width)`` of ``writes``, in
         order, so a later write to the same bytes wins.
 
-        Every write is bounds-checked before any is made: one outside
-        memory raises :class:`MemoryError_` with nothing written.
+        Every write is checked before any is made: one outside memory,
+        or one whose width is not 1 to 8 bytes, raises
+        :class:`MemoryError_` with nothing written.
         """
         size = self.size
         for addr, _value, width in writes:
+            if not 0 < width <= 8:
+                raise _bad_width(width)
             if addr < 0 or addr + width > size:
                 self._check(addr, width)
         data = self._data

@@ -124,8 +124,10 @@ class MemoryHierarchy:
         :class:`MemoryError_` with no state changed, where per-line reads
         raise only after the earlier lines changed it.  With an L1 alone
         (no L2, no TLB, nothing in the prefetch buffer) and the trace
-        disabled, the reads are L1 lookups and fills; anything else
-        takes the per-line step that :meth:`read` takes.
+        disabled, the reads are one :meth:`Cache.touch_lines` call whose
+        hit flags map to latencies, a miss drawing its DRAM latency in
+        order; anything else takes the per-line step that :meth:`read`
+        takes.
         """
         if not addrs:
             return []
@@ -138,20 +140,13 @@ class MemoryHierarchy:
                 or self._prefetch_buffer or self.trace.enabled):
             step = self._access_for_latency
             return [step(addr, True)[0] for addr in addrs]
-        lookup = self.l1.lookup
-        fill = self.l1.fill_line
-        lat = self.latencies
-        l1_hit = lat.l1_hit
-        latencies = []
-        for addr in addrs:
-            if lookup(addr):
-                stats["l1_hits"] += 1
-                latencies.append(l1_hit)
-            else:
-                stats["memory_accesses"] += 1
-                fill(addr)
-                latencies.append(lat.memory_latency())
-        return latencies
+        hits = self.l1.touch_lines(addrs)
+        l1_hits = hits.count(True)
+        stats["l1_hits"] += l1_hits
+        stats["memory_accesses"] += len(hits) - l1_hits
+        l1_hit = self.latencies.l1_hit
+        memory_latency = self.latencies.memory_latency
+        return [l1_hit if hit else memory_latency() for hit in hits]
 
     def access_latency(self, addr, fill=True):
         """Latency-only access (used for instruction-less probes)."""

@@ -170,7 +170,8 @@ class CPU:
         self.ports = {"alu": 0, "load": 0, "store": 0}
         self._owns_ports = True
 
-        # Event queue: cycle -> list of zero-arg callables.
+        # Event wheel: cycle -> list of ``(fn, args)`` calls, in
+        # scheduling order.
         self._events = {}
         self.cycle = 0
         self.halted = False
@@ -237,14 +238,15 @@ class CPU:
     # event machinery
     # ------------------------------------------------------------------
 
-    def schedule(self, delay, fn):
-        """Run ``fn`` at ``self.cycle + delay`` (delay >= 1)."""
+    def schedule(self, delay, fn, *args):
+        """Call ``fn(*args)`` at ``self.cycle + delay`` (delay >= 1);
+        events due in one cycle run in the order they were scheduled."""
         when = self.cycle + (delay if delay > 1 else 1)
         due = self._events.get(when)
         if due is None:
-            self._events[when] = [fn]
+            self._events[when] = [(fn, args)]
         else:
-            due.append(fn)
+            due.append((fn, args))
 
     def request_squash(self, seq, redirect_pc):
         """Squash everything younger than ``seq``; refetch at ``redirect_pc``."""
@@ -278,8 +280,8 @@ class CPU:
             self._record_cycle_metrics()
         if self._owns_ports:
             self.refill_ports()
-        for fn in self._events.pop(self.cycle, ()):  # scheduling order
-            fn()
+        for fn, args in self._events.pop(self.cycle, ()):
+            fn(*args)
         if self._squash_req is not None:
             self._apply_squash()
         if self.rob:
@@ -392,25 +394,23 @@ class CPU:
                 plugin.on_commit(dyn)
             if dyn.pdst is not None and dyn.old_pdst is not None:
                 self._free_preg(dyn.old_pdst)
-            if op.is_store:
-                for entry in self.store_queue:
-                    if entry.dyn is dyn:
-                        entry.committed = True
-                        entry.committed_cycle = self.cycle
-                        break
-            elif op.is_load:
-                for index, entry in enumerate(self.load_queue):
-                    if entry.dyn is dyn:
-                        del self.load_queue[index]
-                        # Plug-ins (e.g. the IMP) train on the retired
-                        # load stream: program order, no wrong paths.
-                        # Forwarded loads never reached the memory
-                        # system, so they stay invisible.
-                        if not entry.forwarded:
-                            for plugin in self._hooked["on_load_response"]:
-                                plugin.on_load_response(
-                                    dyn, entry.addr, dyn.result)
-                        break
+            entry = dyn.lsq
+            if entry is not None:
+                # Unlinked, the pair is freed without the cyclic GC.
+                dyn.lsq = None
+                if op.is_store:
+                    entry.committed = True
+                    entry.committed_cycle = self.cycle
+                else:
+                    self.load_queue.remove(entry)
+                    # Plug-ins (e.g. the IMP) train on the retired load
+                    # stream: program order, no wrong paths.  Forwarded
+                    # loads never reached the memory system, so they
+                    # stay invisible.
+                    if not entry.forwarded:
+                        for plugin in self._hooked["on_load_response"]:
+                            plugin.on_load_response(dyn, entry.addr,
+                                                    dyn.result)
             if op is HALT:
                 self.halted = True
                 return
@@ -528,19 +528,6 @@ class CPU:
     # issue
     # ------------------------------------------------------------------
 
-    def _sources_ready(self, dyn):
-        sources = dyn.inst.op.issue_sources
-        src_pregs = dyn.src_pregs
-        for index in sources:
-            preg = src_pregs[index]
-            if preg is not None and not self.prf_ready[preg]:
-                return False
-        for index in sources:
-            preg = src_pregs[index]
-            dyn.src_values[index] = (
-                self.prf_value[preg] if preg is not None else 0)
-        return True
-
     def refill_ports(self):
         """Reset per-cycle issue bandwidth (called once per cycle by
         the owner of the port state — this core, or an SMT wrapper)."""
@@ -560,14 +547,31 @@ class CPU:
         issued_alu_ops = ports["alu_issued"]
         packed_partners = ports["packed"]
         rs = self.rs
+        prf_ready = self.prf_ready
+        prf_value = self.prf_value
         taken = []
 
         for dyn in rs:
             if issued >= cfg.issue_width:
                 break
-            if not self._sources_ready(dyn):
-                continue
+            # An entry issues once every issue-gating source is ready;
+            # then it reads their values (an x0 or unused source is 0).
             op = dyn.inst.op
+            sources = op.issue_sources
+            src_pregs = dyn.src_pregs
+            waiting = False
+            for index in sources:
+                preg = src_pregs[index]
+                if preg is not None and not prf_ready[preg]:
+                    waiting = True
+                    break
+            if waiting:
+                continue
+            src_values = dyn.src_values
+            for index in sources:
+                preg = src_pregs[index]
+                src_values[index] = (prf_value[preg] if preg is not None
+                                     else 0)
             if op.is_load:
                 if ports["load"] <= 0:
                     self._issue_blocked = True
@@ -651,7 +655,7 @@ class CPU:
             dyn.reused = True
             self.stats.reuse_hits += 1
             value = self._compute_result(dyn)
-            self.schedule(1, lambda d=dyn, v=value: self._writeback(d, v))
+            self.schedule(1, self._writeback, dyn, value)
             return True
         unit_index = None
         for index, until in enumerate(busy_until):
@@ -664,7 +668,7 @@ class CPU:
         for plugin in self._hooked["execute_latency"]:
             latency = plugin.execute_latency(dyn, latency)
         busy_until[unit_index] = self.cycle + latency
-        self.schedule(latency, lambda d=dyn, v=value: self._writeback(d, v))
+        self.schedule(latency, self._writeback, dyn, value)
         return True
 
     def _issue_alu(self, dyn):
@@ -673,7 +677,7 @@ class CPU:
         for plugin in self._hooked["execute_latency"]:
             latency = plugin.execute_latency(dyn, latency)
         if op.is_branch:
-            self.schedule(latency, lambda d=dyn: self._resolve_branch(d))
+            self.schedule(latency, self._resolve_branch, dyn)
             return
         if op is RDCYCLE:
             value = mask(self.cycle)
@@ -688,7 +692,7 @@ class CPU:
                 self.stats.reuse_hits += 1
                 latency = 1
             value = self._compute_result(dyn)
-        self.schedule(latency, lambda d=dyn, v=value: self._writeback(d, v))
+        self.schedule(latency, self._writeback, dyn, value)
 
     def _compute_result(self, dyn):
         inst = dyn.inst
@@ -697,23 +701,20 @@ class CPU:
 
     def _issue_store_agen(self, dyn):
         addr = effective_address(dyn.src_values[0], dyn.inst.imm)
-        self.schedule(self.config.latency_agen,
-                      lambda d=dyn, a=addr: self._store_addr_resolved(d, a))
+        self.schedule(self.config.latency_agen, self._store_addr_resolved,
+                      dyn, addr)
 
     def _store_addr_resolved(self, dyn, addr):
         if dyn.squashed:
             return
-        for entry in self.store_queue:
-            if entry.dyn is dyn:
-                entry.addr = addr
-                entry.addr_ready = True
-                if self.trace.enabled:
-                    self.trace.emit("sq", "address_resolved",
-                                    cycle=self.cycle, seq=dyn.seq,
-                                    pc=dyn.pc, addr=addr)
-                for plugin in self._hooked["on_store_address_resolved"]:
-                    plugin.on_store_address_resolved(entry)
-                return
+        entry = dyn.lsq
+        entry.addr = addr
+        entry.addr_ready = True
+        if self.trace.enabled:
+            self.trace.emit("sq", "address_resolved", cycle=self.cycle,
+                            seq=dyn.seq, pc=dyn.pc, addr=addr)
+        for plugin in self._hooked["on_store_address_resolved"]:
+            plugin.on_store_address_resolved(entry)
 
     def _try_issue_load(self, dyn):
         """Disambiguate and launch a load; False if it must wait."""
@@ -733,33 +734,20 @@ class CPU:
                     forward_entry = entry
                     break
                 return False  # partial overlap or data not ready: wait
-        lq_entry = None
-        for candidate in self.load_queue:
-            if candidate.dyn is dyn:
-                lq_entry = candidate
-                break
-        if lq_entry is not None:
-            lq_entry.addr = addr
+        lq_entry = dyn.lsq
+        lq_entry.addr = addr
         if forward_entry is not None:
             value = forward_entry.data & ((1 << (8 * width)) - 1)
-            if lq_entry is not None:
-                lq_entry.forwarded = True
+            lq_entry.forwarded = True
             self.stats.loads_forwarded += 1
-            self.schedule(self.config.latency_forward,
-                          lambda d=dyn, v=value: self._writeback(d, v))
+            self.schedule(self.config.latency_forward, self._writeback,
+                          dyn, value)
             return True
         value, mem_latency, _level = self.hierarchy.read(addr, width)
         self.stats.loads_from_memory += 1
-        total = self.config.latency_agen + mem_latency
-        self.schedule(total, lambda d=dyn, v=value, a=addr:
-                      self._load_response(d, a, v))
+        self.schedule(self.config.latency_agen + mem_latency,
+                      self._writeback, dyn, value)
         return True
-
-    def _load_response(self, dyn, addr, value):
-        del addr
-        if dyn.squashed:
-            return
-        self._writeback(dyn, value)
 
     # ------------------------------------------------------------------
     # writeback
@@ -885,9 +873,11 @@ class CPU:
                 dyn.state = InstState.DONE
                 dyn.done_cycle = self.cycle
             if op.is_load:
-                self.load_queue.append(LQEntry(dyn))
-            if op.is_store:
-                self.store_queue.append(SQEntry(dyn))
+                dyn.lsq = entry = LQEntry(dyn)
+                self.load_queue.append(entry)
+            elif op.is_store:
+                dyn.lsq = entry = SQEntry(dyn)
+                self.store_queue.append(entry)
             for plugin in self._hooked["on_dispatch"]:
                 plugin.on_dispatch(dyn)
             self.stats.dispatched += 1

@@ -36,7 +36,7 @@ class DynInst:
         "seq", "inst", "pc", "state", "squashed",
         "src_pregs", "src_values", "pdst", "old_pdst", "result",
         "pred_taken", "pred_target", "issue_cycle", "done_cycle",
-        "vp_predicted", "vp_value", "reused", "exec_info",
+        "vp_predicted", "vp_value", "reused", "exec_info", "lsq",
     )
 
     def __init__(self, seq, inst):
@@ -60,6 +60,8 @@ class DynInst:
         self.vp_value = None
         self.reused = False
         self.exec_info = None  # free-form tag set by optimization plug-ins
+        # A load's or store's queue entry, from dispatch to commit.
+        self.lsq = None
 
     def __repr__(self):
         return (f"<DynInst #{self.seq} pc={self.pc} {self.inst.op.value} "

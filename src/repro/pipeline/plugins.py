@@ -32,6 +32,11 @@ changes no result.  Each core lists a hook's overriders once, in attach
 order, when it is built: a plug-in must not count on a base hook being
 called, and must not be added to ``cpu.plugins`` afterwards.
 
+A plug-in that needs a later cycle (an SS-Load returning, say) puts a
+call on the core's event wheel with ``self.cpu.schedule(delay, fn,
+*args)``: ``fn(*args)`` runs ``delay`` (at least 1) cycles later, after
+the events scheduled for that cycle before it.
+
 Fast-forward contract
 ---------------------
 

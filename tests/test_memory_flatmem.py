@@ -98,6 +98,43 @@ def test_write_words_checks_every_bound_before_writing():
         assert mem.read_bytes(0, 64) == bytes(64)
 
 
+BAD_WIDTHS = (0, -1, 9, 16)
+
+
+def _patterned():
+    mem = FlatMemory(64)
+    mem.write_bytes(0, bytes(range(64)))
+    return mem
+
+
+@pytest.mark.parametrize("width", BAD_WIDTHS)
+def test_read_rejects_a_bad_width(width):
+    """A width outside 1 to 8 used to read past the word: ``-1`` read
+    63 bytes as one integer."""
+    mem = _patterned()
+    with pytest.raises(MemoryError_):
+        mem.read(0, width)
+    assert mem.read_bytes(0, 64) == bytes(range(64))
+
+
+@pytest.mark.parametrize("width", BAD_WIDTHS)
+def test_write_rejects_a_bad_width_before_writing(width):
+    mem = _patterned()
+    with pytest.raises(MemoryError_):
+        mem.write(0, 1, width)
+    assert mem.read_bytes(0, 64) == bytes(range(64))
+
+
+@pytest.mark.parametrize("width", BAD_WIDTHS)
+def test_write_words_rejects_a_bad_width_before_writing(width):
+    """A spec's ``mem_writes`` arrive as JSON; a bad width fails before
+    the good writes ahead of it are made."""
+    mem = _patterned()
+    with pytest.raises(MemoryError_):
+        mem.write_words([(0, 5, 8), (8, 1, width)])
+    assert mem.read_bytes(0, 64) == bytes(range(64))
+
+
 def test_zero_size_memory_builds_and_rejects_every_access():
     mem = FlatMemory(0)
     for access in (lambda: mem.read(0, 1), lambda: mem.write(0, 1, 1),
