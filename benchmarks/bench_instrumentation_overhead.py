@@ -1,28 +1,21 @@
-"""Disabled-path overhead of the two per-spec instrumentation layers.
+"""Disabled-path overhead of the per-spec trace layer.
 
-Stats and trace are always compiled in, and each has a disabled mode:
+Tracing is always compiled in and off by default: per spec,
+``trace=None`` (instead of ``TraceSpec()``) keeps the no-op
+``NULL_TRACE``, which emission sites skip behind an ``enabled`` check.
+The stats record has no disabled mode: every spec-built run records.
 
-* **stats** — per spec, ``collect_stats=False`` swaps the record for
-  the no-op ``NULL_STATS``.  The simulator counts its events either
-  way (plain attributes and dicts of the core, hierarchy, plug-ins and
-  trace buffer); recording adds only the core's per-cycle occupancy
-  sample, behind its one ``enabled`` test, and the record that
-  ``Session.run`` writes from the counts once, at the end of the run;
-* **trace** — per spec, ``trace=None`` (instead of ``TraceSpec()``)
-  keeps the no-op ``NULL_TRACE``, which emission sites skip behind an
-  ``enabled`` check.
-
-For each layer this bench runs the same Figure 6 trial batch through
-:func:`~repro.engine.runner.run_batch` with the layer on and off,
+This bench runs the same Figure 6 trial batch through
+:func:`~repro.engine.runner.run_batch` traced and untraced,
 interleaved to cancel thermal and scheduling drift, and keeps the best
 of ``BEST_OF`` runs per mode.  Every run is timed inside
 :func:`repro.analysis.throughput.measurement_conditions`, the same GC
 conditions the KIPS harness uses.  The gates: the disabled mode may
 cost no more than noise against the mode that does strictly more work
-(``GATES``), both modes simulate the same cycles, and a disabled run
-leaves no payload — empty ``metrics``, empty ``trace``.  The gates
-bound the disabled path against the enabled one; what recording costs
-is the reported ``enabled overhead``, which no gate bounds.
+(``GATES``), both modes simulate the same cycles, and an untraced run
+leaves an empty ``trace`` payload.  The gate bounds the disabled path
+against the enabled one; what tracing costs is the reported
+``enabled overhead``, which no gate bounds.
 """
 
 import time
@@ -41,7 +34,7 @@ ATTACKER_KEY = bytes(range(16, 32))
 
 #: Layer -> the factor the disabled mode's best wall time may reach
 #: against the enabled mode's.
-GATES = {"stats": 1.05, "trace": 1.05}
+GATES = {"trace": 1.05}
 
 BEST_OF = 5
 
@@ -62,11 +55,8 @@ def measured(specs):
         emit_report(len(specs), rows)
 
 
-def batches(layer, specs):
-    """The (enabled, disabled) batches for ``layer``."""
-    if layer == "stats":
-        return ([spec.replace(collect_stats=True) for spec in specs],
-                [spec.replace(collect_stats=False) for spec in specs])
+def batches(specs):
+    """The (traced, untraced) batches."""
     return ([spec.replace(trace=TraceSpec()) for spec in specs],
             [spec.replace(trace=None) for spec in specs])
 
@@ -91,13 +81,6 @@ def measure(enabled_batch, disabled_batch):
     return min(times[True]), min(times[False]), results
 
 
-def disabled_payloads(layer, results):
-    """What a disabled run left behind in each result."""
-    if layer == "stats":
-        return [result.metrics for result in results]
-    return [result.trace for result in results]
-
-
 def emit_report(trials, rows):
     lines = [f"fig6 workload, {trials} trials through run_batch, best of "
              f"{BEST_OF}, each run after gc.collect() + gc.freeze():",
@@ -117,10 +100,9 @@ def emit_report(trials, rows):
 
 @pytest.mark.parametrize("layer", GATES)
 def test_disabled_path_overhead(layer, specs, measured, once):
-    enabled_batch, disabled_batch = batches(layer, specs)
+    enabled_batch, disabled_batch = batches(specs)
     enabled_s, disabled_s, results = once(
         measure, enabled_batch, disabled_batch)
-    payloads = disabled_payloads(layer, results[False])
 
     measured[layer] = {"enabled_seconds": enabled_s,
                        "disabled_seconds": disabled_s,
@@ -133,7 +115,6 @@ def test_disabled_path_overhead(layer, specs, measured, once):
     # The disabled mode is the baseline: it may cost no more than noise
     # against the mode that does strictly more work.
     assert disabled_s <= enabled_s * GATES[layer]
-    # A disabled run leaves nothing behind.
-    assert all(payload == {} for payload in payloads)
-    if layer == "trace":
-        assert all(result.trace["events"] for result in results[True])
+    # An untraced run leaves no events behind.
+    assert all(result.trace == {} for result in results[False])
+    assert all(result.trace["events"] for result in results[True])

@@ -9,14 +9,15 @@ hierarchy, plug-ins and core.  Sessions come from two places:
 * :meth:`Session.from_parts` — the escape hatch for callers that must
   run on a *persistent* hierarchy (the sandbox runtime's Prime+Probe
   receiver state lives in the hierarchy across phases).  Such sessions
-  carry no stats record.
+  carry no stats record, and their cores skip the per-cycle occupancy
+  sample that only a record reads.
 
 ``Session.run`` returns a :class:`RunResult`: the cycle count, the
 core's statistics, and a generic observation record (hierarchy
 counters, plug-in counters, requested architectural registers) that is
 JSON-serializable — the unit the result cache stores and benches dump
-under ``benchmarks/results/*.json``.  ``Session.run`` is the only
-writer of a spec-built run's :mod:`repro.stats` record: the core,
+under ``benchmarks/results/*.json``.  ``Session.run`` builds and
+writes every spec-built run's :mod:`repro.stats` record: the core,
 hierarchy, plug-ins and trace buffer only count, and the record is
 written once from their counts at the end of the run.
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from repro.isa.bits import mask
 from repro.pipeline.cpu import CPU
 from repro.pipeline.fastpath import FastPathCPU
-from repro.stats import NULL_STATS, SimStats
+from repro.stats import SimStats
 
 
 @dataclass
@@ -98,11 +99,11 @@ class Session:
         hierarchy = spec.hierarchy.build(memory=memory,
                                          extra_seed=spec.seed)
         plugins = [plugin_spec.build() for plugin_spec in spec.plugins]
-        metrics = SimStats() if spec.collect_stats else NULL_STATS
         trace = spec.trace.build() if spec.trace is not None else None
-        cpu_cls = FastPathCPU if getattr(spec, "fastpath", True) else CPU
+        cpu_cls = FastPathCPU if spec.fastpath else CPU
         cpu = cpu_cls(spec.program, hierarchy, config=spec.config,
-                      plugins=plugins, metrics=metrics, trace=trace)
+                      plugins=plugins, trace=trace,
+                      sample_occupancy=True)
         for index, value in spec.regs:
             cpu.prf_value[cpu.rename_map[index]] = mask(value)
         if fingerprint is None:
@@ -115,7 +116,8 @@ class Session:
         """Wrap pre-built simulator parts (persistent-state callers).
 
         Runs carry no stats record: reused parts hold earlier runs'
-        counts, which a whole-run copy would charge to this run.
+        counts, which a whole-run copy would charge to this run.  So
+        the core is built without the per-cycle occupancy sample.
         """
         cpu_cls = FastPathCPU if fastpath else CPU
         cpu = cpu_cls(program, hierarchy, config=config,
@@ -185,8 +187,9 @@ class Session:
             observations["regs"] = {
                 str(index): cpu.arch_reg(index)
                 for index in spec.record_regs}
-        metrics = cpu.metrics
-        if metrics.enabled:
+        payload = {}
+        if spec is not None:
+            metrics = SimStats()
             # The record is empty until here, so the core's and
             # plug-ins' counts are written straight into it: every
             # occupancy integral and peak, other counts when non-zero,
@@ -232,6 +235,7 @@ class Session:
                         # Two plug-ins of one class share their names.
                         counters[name] = counters.get(name, 0) + counts[key]
             self.hierarchy.snapshot_into(metrics)
+            payload = metrics.as_dict()
         traced = spec is not None and spec.trace is not None
         return RunResult(
             fingerprint=self._fingerprint,
@@ -240,5 +244,5 @@ class Session:
             cycles=stats.cycles,
             stats=stats.as_dict(),
             observations=observations,
-            metrics=metrics.as_dict() if metrics.enabled else {},
+            metrics=payload,
             trace=cpu.trace.as_payload() if traced else {})

@@ -266,14 +266,13 @@ class SimSpec:
     how the trial runner derives independent-but-reproducible trials.
     ``record_regs`` names architectural registers whose final values
     are captured into the run's observations.  ``label`` and ``meta``
-    are presentation-only and excluded from the fingerprint;
-    ``collect_stats`` toggles the run's :mod:`repro.stats` record and
-    never changes simulated behaviour (it enters the fingerprint only
-    when False — see :meth:`fingerprint`).  ``trace`` optionally
-    attaches a :class:`TraceSpec`; a traced run's
+    are presentation-only and excluded from the fingerprint.  A run
+    built from a spec always returns its :mod:`repro.stats` record as
+    ``RunResult.metrics``.  ``trace`` optionally attaches a
+    :class:`TraceSpec`; a traced run's
     :class:`~repro.engine.session.RunResult` carries the deterministic
     event payload, so a non-``None`` trace is its own fingerprint
-    dimension (again see :meth:`fingerprint`).  ``fastpath`` selects
+    dimension (see :meth:`fingerprint`).  ``fastpath`` selects
     the :class:`~repro.pipeline.fastpath.FastPathCPU` kernel (the
     default) or the reference :class:`~repro.pipeline.cpu.CPU` loop;
     the two are bitwise-equivalent by contract, so the toggle never
@@ -296,7 +295,6 @@ class SimSpec:
     record_regs: tuple = ()
     label: str = ""
     meta: tuple = ()                  # free-form (key, value) pairs
-    collect_stats: bool = True
     trace: object = None              # TraceSpec or None (tracing off)
     fastpath: bool = True             # fast-path kernel (bitwise-equal)
     taint: object = None              # TaintSpec or None (lint metadata)
@@ -355,7 +353,6 @@ class SimSpec:
             "record_regs": _canonical(self.record_regs),
             "label": self.label,
             "meta": _canonical(self.meta),
-            "collect_stats": self.collect_stats,
             "trace": (None if self.trace is None
                       else _canonical(self.trace)),
             "fastpath": self.fastpath,
@@ -371,7 +368,8 @@ class SimSpec:
         """Rebuild a spec from :meth:`to_json_dict` output.
 
         Keys this version no longer writes (the retired ``backend``
-        scheduling hint) are ignored, so older spec JSON still loads.
+        scheduling hint and ``collect_stats`` switch) are ignored, so
+        older spec JSON still loads.
         """
         instructions = [
             Instruction(op=Op(op), rd=rd, rs1=rs1, rs2=rs2, imm=imm,
@@ -400,7 +398,6 @@ class SimSpec:
             record_regs=_from_canonical(data["record_regs"]),
             label=data.get("label", ""),
             meta=_from_canonical(data.get("meta", [])),
-            collect_stats=data.get("collect_stats", True),
             trace=_from_canonical(data.get("trace")),
             fastpath=data.get("fastpath", True),
             taint=_from_canonical(data.get("taint")))
@@ -417,19 +414,16 @@ class SimSpec:
         ``result_version`` stamps the :class:`RunResult` schema, not
         the simulation: bumping it orphans persisted cache entries
         whose payloads predate a new result field (version 2 added
-        ``metrics``, version 3 added ``trace``).  ``collect_stats``
-        enters the hash only when False, so the default keeps one
-        fingerprint per simulation while a metrics-less run can never
-        satisfy a metrics-wanting cache lookup.  Symmetrically,
-        ``trace`` enters the hash only when not None: the default keeps
-        one fingerprint per simulation while a traced run (whose result
-        carries the event payload) caches separately per trace
-        configuration.  ``fastpath`` never enters the hash: the
-        fast-path kernel is bitwise-equivalent to the reference loop
-        (enforced by ``tests/test_fastpath_equivalence.py``), so a
-        result computed by either kernel satisfies both — which is
-        also what lets the differential suite compare cached goldens
-        across kernels at all.  ``taint`` likewise never enters the
+        ``metrics``, version 3 added ``trace``).  ``trace`` enters the
+        hash only when not None: the default keeps one fingerprint per
+        simulation while a traced run (whose result carries the event
+        payload) caches separately per trace configuration.
+        ``fastpath`` never enters the hash: the fast-path kernel is
+        bitwise-equivalent to the reference loop (enforced by
+        ``tests/test_fastpath_equivalence.py``), so a result computed
+        by either kernel satisfies both — which is also what lets the
+        differential suite compare cached goldens across kernels at
+        all.  ``taint`` likewise never enters the
         hash: it only seeds the static checker, so annotating a spec
         with lint metadata keeps every previously cached result (and
         golden-fingerprint pin) valid.
@@ -473,8 +467,6 @@ class SimSpec:
                  '"plugins":' + plugins_text,
                  '"program":"' + self.program.encode().hex() + '"',
                  tail[1:-1]]
-        if not self.collect_stats:
-            pairs.insert(0, '"collect_stats":false')
         if self.trace is not None:
             pairs.append('"trace":' + _fp_text(self.trace))
         blob = "{" + ",".join(pairs) + "}"

@@ -107,10 +107,12 @@ class MemoryHierarchy:
         """Demand read: returns ``(value, latency_cycles, hit_level)``.
 
         ``hit_level`` is one of ``"l1"``, ``"pb"``, ``"l2"``, ``"mem"``.
+        A read that memory rejects (:class:`MemoryError_`) raises with no
+        state changed.
         """
+        value = self.memory.read(addr, width)
         self.epoch += 1
         self.stats["reads"] += 1
-        value = self.memory.read(addr, width)
         latency, level = self._access_for_latency(addr, fill)
         return value, latency, level
 
@@ -228,10 +230,14 @@ class MemoryHierarchy:
         return latency
 
     def write(self, addr, value, width=8):
-        """Architecturally perform a store (line must already be in L1)."""
+        """Architecturally perform a store (line must already be in L1).
+
+        A write that memory rejects (:class:`MemoryError_`) raises with
+        no state changed.
+        """
+        self.memory.write(addr, value, width)
         self.epoch += 1
         self.stats["writes"] += 1
-        self.memory.write(addr, value, width)
         self.l1.lookup(addr)  # promotes the written line under LRU
 
     # -- prefetches -----------------------------------------------------------

@@ -30,7 +30,6 @@ from repro.pipeline.dyninst import (
     DynInst, InstState, LQEntry, SilentState, SQEntry,
 )
 from repro.pipeline.plugins import HOOKS, OptimizationPlugin
-from repro.stats import NULL_STATS
 from repro.trace.buffer import NULL_TRACE
 
 # The opcodes the stage loops test by identity, bound once: a module
@@ -95,21 +94,21 @@ class CPU:
         A :class:`CPUConfig`; defaults model the paper's Baseline.
     plugins:
         Iterable of :class:`repro.pipeline.plugins.OptimizationPlugin`.
-    metrics:
-        The run's :class:`repro.stats.SimStats` record, or the disabled
-        :data:`~repro.stats.NULL_STATS` (the default).  The core never
-        writes it: it keeps its counts as plain attributes, and
-        ``Session.run`` copies them in after the run.  Its ``enabled``
-        flag gates the one per-cycle occupancy sample.
     trace:
         A :class:`repro.trace.TraceBuffer` receiving cycle-accurate
         pipeline events, shared with the hierarchy and plug-ins;
         defaults to the disabled :data:`~repro.trace.NULL_TRACE`
         (emission sites are skipped behind one ``enabled`` check).
+    sample_occupancy:
+        Count structure occupancy on every stepped cycle (see
+        :meth:`_record_cycle_metrics`).  Only ``Session.from_spec``
+        sets it: a spec-built run's stats record reads the counts.  The
+        core keeps all its counts as plain attributes and never sees
+        the record, which ``Session.run`` writes from them.
     """
 
     def __init__(self, program, hierarchy, config=None, plugins=(),
-                 metrics=None, trace=None):
+                 trace=None, sample_occupancy=False):
         self.program = program
         # Fetch reads the (immutable) instruction list directly.
         self._instructions = program.instructions
@@ -139,7 +138,7 @@ class CPU:
             hooked[hook] = [plugins[index] for index in indices]
         self._end_of_cycle = self._hooked["end_of_cycle"]
         self.stats = CPUStats()
-        self.metrics = metrics if metrics is not None else NULL_STATS
+        self.sample_occupancy = sample_occupancy
         self.trace = NULL_TRACE
         self.install_trace(trace if trace is not None else NULL_TRACE)
         self.branch_predictor = BranchPredictor(self.config.use_branch_predictor)
@@ -276,7 +275,7 @@ class CPU:
         buffer; halted fetch; no ``end_of_cycle`` override) is not
         called: it would do nothing."""
         self.cycle += 1
-        if self.metrics.enabled:
+        if self.sample_occupancy:
             self._record_cycle_metrics()
         if self._owns_ports:
             self.refill_ports()
@@ -308,8 +307,8 @@ class CPU:
                 self.stats.cycles = self.cycle
 
     def _record_cycle_metrics(self):
-        """Count this cycle's structure occupancy (recorded runs only:
-        the core's one stats test, in :meth:`step`, gates the call).
+        """Count this cycle's structure occupancy (cores built with
+        ``sample_occupancy`` only: :meth:`step` tests it per cycle).
 
         :meth:`Session.run` copies the counts into the stats record:
         integrals as counters paired with ``pipeline.cycles`` (a merged

@@ -93,11 +93,12 @@ class FastPathCPU(CPU):
     """The reference core with idle-cycle fast-forward."""
 
     def __init__(self, program, hierarchy, config=None, plugins=(),
-                 metrics=None, trace=None):
+                 trace=None, sample_occupancy=False):
         self.fastpath = FastPathStats()
         self._cycle_stall = None
         super().__init__(program, hierarchy, config=config,
-                         plugins=plugins, metrics=metrics, trace=trace)
+                         plugins=plugins, trace=trace,
+                         sample_occupancy=sample_occupancy)
 
     def _dispatch_stall(self, kind):
         self._cycle_stall = kind
@@ -194,8 +195,8 @@ class FastPathCPU(CPU):
         if stall_kind is not None:
             self.stats.dispatch_stalls[stall_kind] += skipped
         # The occupancy counts, like the core's other counts, are read
-        # only from a recorded run (whose stepped cycles sample them
-        # too), so the span is charged whether or not one is attached.
+        # only from a spec-built run (whose stepped cycles sample them
+        # too), so the span is charged whether or not the core samples.
         # High-water peaks were already recorded this cycle at the
         # same occupancies; re-peaking would be a no-op.
         self.rob_integral += len(self.rob) * skipped

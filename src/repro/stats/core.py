@@ -25,11 +25,6 @@ it back inside each :class:`~repro.engine.session.RunResult` and the
 parent merges trial records with :meth:`SimStats.merge` — merging is
 associative and commutative, so a 4-worker fan-out aggregates to the
 same record as a serial run.
-
-Disabled mode: :data:`NULL_STATS` (a :class:`NullStats`) accepts every
-recording call as a no-op.  A run without a record skips the copy at
-its end and the core's per-cycle occupancy sample, which is guarded by
-the one :attr:`enabled` test left in the simulator.
 """
 
 import json
@@ -143,9 +138,6 @@ class SimStats:
     """One mergeable metrics record (see module docstring)."""
 
     __slots__ = ("counters", "maxima", "histograms")
-
-    #: Recording calls are live; hot loops may skip work when False.
-    enabled = True
 
     def __init__(self):
         self.counters = {}
@@ -266,36 +258,6 @@ class SimStats:
         return (f"SimStats(counters={len(self.counters)}, "
                 f"maxima={len(self.maxima)}, "
                 f"histograms={len(self.histograms)})")
-
-
-class NullStats(SimStats):
-    """Disabled-mode stats: every recording call is a no-op.
-
-    Shares the :class:`SimStats` read/merge/serialize interface (it is
-    always empty), so instrumented code never branches on the mode —
-    except per-cycle hot loops, which check :attr:`enabled` once.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def inc(self, name, amount=1):
-        pass
-
-    def peak(self, name, value):
-        pass
-
-    def observe(self, name, value, bin_width=16, count=1):
-        pass
-
-    def merge(self, other):
-        return self
-
-
-#: Shared disabled-mode instance.  Recording is a no-op, so one global
-#: record is safe to hand to every component.
-NULL_STATS = NullStats()
 
 
 def merge_all(records):

@@ -34,7 +34,7 @@ def test_pooled_results_bitwise_identical_to_serial():
     assert len(serial) == len(pooled) == len(specs)
     for spec, one, many in zip(specs, serial, pooled):
         assert one.to_json() == many.to_json(), spec.label
-        assert one.metrics, spec.label  # collect_stats=True by default
+        assert one.metrics, spec.label  # every spec-built run records
 
     merged_serial = merge_all(result.metrics for result in serial)
     merged_pooled = merge_all(result.metrics for result in pooled)

@@ -61,8 +61,6 @@ def oracle(spec):
         "seed": spec.seed,
         "record_regs": _canonical(spec.record_regs),
     }
-    if not spec.collect_stats:
-        payload["collect_stats"] = False
     if spec.trace is not None:
         payload["trace"] = _canonical(spec.trace)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -96,7 +94,6 @@ def test_fixed_cases_match_the_oracle():
                             PluginSpec.of("value-prediction")))
     cases = {
         "base": base,
-        "no-stats": base.replace(collect_stats=False),
         "traced": base.replace(trace=TraceSpec(categories=("sq", "inst"),
                                                sample=2)),
         "image": base.replace(

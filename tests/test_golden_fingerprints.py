@@ -67,12 +67,17 @@ def test_fingerprint_ignores_presentation_fields(name):
                         meta=(("phase", 1),)).fingerprint() == GOLDEN[name]
 
 
-def test_fingerprint_depends_on_collect_stats_only_when_disabled():
-    spec = attack_specs()["amplification"]
-    assert spec.replace(collect_stats=True).fingerprint() == \
-        GOLDEN["amplification"]
-    assert spec.replace(collect_stats=False).fingerprint() != \
-        GOLDEN["amplification"]
+@pytest.mark.parametrize("collect_stats", [True, False])
+def test_spec_json_with_the_retired_stats_switch_loads(collect_stats):
+    """Spec JSON written while ``collect_stats`` existed still loads,
+    fingerprints as the spec without it, and is written back without
+    the key: every spec-built run records its stats now."""
+    from repro.engine import SimSpec
+    data = attack_specs()["amplification"].to_json_dict()
+    data["collect_stats"] = collect_stats
+    loaded = SimSpec.from_json_dict(data)
+    assert loaded.fingerprint() == GOLDEN["amplification"]
+    assert "collect_stats" not in loaded.to_json_dict()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

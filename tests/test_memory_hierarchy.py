@@ -247,3 +247,17 @@ def test_read_lines_checks_every_bound_before_reading():
         with pytest.raises(MemoryError_):
             hierarchy.read_lines(addrs)
         assert _state(hierarchy) == before
+
+
+def test_an_access_memory_rejects_changes_no_count():
+    """A demand read or write that memory rejects (outside a 4 KiB
+    memory, or a width outside 1 to 8) raises before it is counted."""
+    hierarchy = MemoryHierarchy(FlatMemory(1 << 12), l1=Cache())
+    for access in (lambda: hierarchy.read(0xffc),
+                   lambda: hierarchy.read(0, 16),
+                   lambda: hierarchy.write(0xffc, 1),
+                   lambda: hierarchy.write(0, 1, 9)):
+        with pytest.raises(MemoryError_):
+            access()
+    assert hierarchy.epoch == 0
+    assert hierarchy.stats == dict.fromkeys(hierarchy.stats, 0)

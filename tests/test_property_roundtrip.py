@@ -185,8 +185,7 @@ def sim_specs(draw):
         label=draw(st.sampled_from(["", "probe", "trial/0"])),
         meta=tuple(sorted(draw(st.dictionaries(
             st.sampled_from(["phase", "guess"]),
-            st.integers(0, 255), max_size=2)).items())),
-        collect_stats=draw(st.booleans()))
+            st.integers(0, 255), max_size=2)).items())))
 
 
 @BOUNDED
@@ -199,7 +198,6 @@ def test_spec_json_roundtrip_preserves_fingerprint(spec):
     assert json.loads(rebuilt.to_json()) == json.loads(text)
     # Presentation fields survive too (they are outside the hash).
     assert rebuilt.label == spec.label
-    assert rebuilt.collect_stats == spec.collect_stats
     # Lint metadata round-trips but never re-fingerprints a result.
     assert rebuilt.taint == spec.taint
     assert rebuilt.program.secret_regions == spec.program.secret_regions

@@ -5,9 +5,7 @@ import pickle
 
 import pytest
 
-from repro.stats import (
-    NULL_STATS, Histogram, NullStats, SimStats, merge_all,
-)
+from repro.stats import Histogram, SimStats, merge_all
 from repro.stats.report import (
     extract_stats_blocks, render_stats, sparkline,
 )
@@ -195,29 +193,6 @@ def test_merge_all_over_mixed_records():
     assert merged.counters["pipeline.cycles"] == 300
     assert merged.maxima["pipeline.rob.high_water"] == 20
     assert merge_all([]) == SimStats()
-
-
-# ----------------------------------------------------------------------
-# NullStats / disabled mode
-# ----------------------------------------------------------------------
-
-
-def test_null_stats_is_a_noop_record():
-    null = NullStats()
-    null.inc("a", 5)
-    null.peak("b", 5)
-    null.observe("c", 5)
-    null.merge(sample_stats())
-    assert not null
-    assert null.as_dict() == {}
-    assert not null.enabled and SimStats.enabled
-    assert not NULL_STATS  # the shared singleton stays empty too
-
-
-def test_enabled_stats_can_absorb_null():
-    stats = sample_stats()
-    stats.merge(NULL_STATS)
-    assert stats == sample_stats()
 
 
 # ----------------------------------------------------------------------

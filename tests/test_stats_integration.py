@@ -2,8 +2,8 @@
 
 Covers the observability tentpole end to end — pipeline and memory
 instrumentation consistency, plug-in counters, engine aggregation and
-batch telemetry, the Figure 5 head-of-line attribution, disabled-mode
-behaviour, result-cache persistence of metrics, and the ``stats`` CLI.
+batch telemetry, the Figure 5 head-of-line attribution, which sessions
+record, result-cache persistence of metrics, and the ``stats`` CLI.
 """
 
 import ast
@@ -238,33 +238,55 @@ def test_the_latency_oracle_catches_dropped_prefetch_buffer_hits(
     assert all(label.endswith(":mem.miss_latency") for label in diverging)
 
 
+def simulator_modules():
+    """``(name, syntax tree)`` of every module of the layers that only
+    count: ``repro.pipeline``, ``repro.memory`` and ``repro.trace``."""
+    package = os.path.dirname(repro.__file__)
+    for layer in ("pipeline", "memory", "trace"):
+        directory = os.path.join(package, layer)
+        for filename in sorted(os.listdir(directory)):
+            if filename.endswith(".py"):
+                with open(os.path.join(directory, filename)) as handle:
+                    yield f"{layer}/{filename}", ast.parse(handle.read())
+
+
 def test_only_the_session_writes_the_record():
     """The pipeline, memory and trace layers count; only
     ``Session.run`` writes a record, and the one method it calls to
     do so (``MemoryHierarchy.snapshot_into``) is the only record writer
     there."""
-    package = os.path.dirname(repro.__file__)
     writers = []
-    for layer in ("pipeline", "memory", "trace"):
-        directory = os.path.join(package, layer)
-        for filename in sorted(os.listdir(directory)):
-            if not filename.endswith(".py"):
+    for name, tree in simulator_modules():
+        for function in ast.walk(tree):
+            if (not isinstance(function, ast.FunctionDef)
+                    or function.name == "snapshot_into"):
                 continue
-            path = os.path.join(directory, filename)
-            with open(path) as handle:
-                tree = ast.parse(handle.read())
-            for function in ast.walk(tree):
-                if (not isinstance(function, ast.FunctionDef)
-                        or function.name == "snapshot_into"):
-                    continue
-                for node in ast.walk(function):
-                    if (isinstance(node, ast.Call)
-                            and isinstance(node.func, ast.Attribute)
-                            and node.func.attr in ("inc", "observe",
-                                                   "peak")):
-                        writers.append(f"{layer}/{filename}:"
-                                       f"{function.name}")
+            for node in ast.walk(function):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("inc", "observe", "peak")):
+                    writers.append(f"{name}:{function.name}")
     assert writers == []
+
+
+def test_the_simulator_does_not_import_the_stats_layer():
+    """``Session`` is the one place that builds a record, so no module
+    of the layers that only count imports ``repro.stats``."""
+    importers = []
+    for name, tree in simulator_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}"
+                           for alias in node.names]
+            else:
+                continue
+            if any(module == "repro.stats"
+                   or module.startswith("repro.stats.")
+                   for module in modules):
+                importers.append(name)
+    assert importers == []
 
 
 def test_occupancy_and_high_water_metrics():
@@ -349,25 +371,18 @@ def test_fig5_amplification_attributed_to_head_of_line_stalls():
 
 
 # ----------------------------------------------------------------------
-# disabled mode
+# which sessions record
 # ----------------------------------------------------------------------
 
 
-def test_disabled_stats_change_nothing_but_the_payload():
-    enabled = execute_spec(amp_spec(False))
-    disabled = execute_spec(amp_spec(False).replace(collect_stats=False))
-    assert disabled.cycles == enabled.cycles
-    assert disabled.stats == enabled.stats
-    assert disabled.observations == enabled.observations
-    assert disabled.metrics == {}
-    assert enabled.metrics
-
-
 def test_from_parts_session_defaults_to_disabled():
+    """Only a spec-built core samples occupancy; a session on reused
+    parts neither samples nor records."""
     spec = amp_spec(False)
     session = Session.from_spec(spec)
+    assert session.cpu.sample_occupancy
     bare = Session.from_parts(session.cpu.program, session.hierarchy)
-    assert not bare.cpu.metrics.enabled
+    assert not bare.cpu.sample_occupancy
     assert bare.run().metrics == {}
     # A second run on the same (now warm) hierarchy has no record
     # either: whole-run totals would include the first run's events.
@@ -465,15 +480,6 @@ def test_legacy_cached_results_without_metrics_still_load():
     loaded = RunResult.from_json(json.dumps(payload))
     assert loaded.metrics == {}
     assert merge_all([loaded.metrics]) == SimStats()
-
-
-def test_collect_stats_false_gets_its_own_fingerprint(tmp_path):
-    """A metrics-less run must never satisfy a metrics-wanting lookup."""
-    cache = ResultCache(path=str(tmp_path / "cache"))
-    spec = amp_spec(False)
-    run_batch([spec.replace(collect_stats=False)], cache=cache)
-    hit = cache.get(spec.fingerprint())
-    assert hit is None
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,9 @@ import dataclasses
 import hashlib
 import json
 
-from repro.engine import CacheSpec, PluginSpec, TLBSpec, execute_spec
+from repro.engine import (
+    CacheSpec, PluginSpec, Session, TLBSpec, execute_spec,
+)
 from repro.lint.perturb import secret_variants
 from repro.lint.progen import CaseGenerator
 from repro.pipeline.config import CPUConfig
@@ -114,3 +116,19 @@ def test_metrics_payload_matches_golden():
     assert set(COPIED_NAMES) <= recorded, \
         sorted(set(COPIED_NAMES) - recorded)
     assert corpus_digest(payloads) == GOLDEN_DIGEST
+
+
+def test_the_golden_catches_a_spec_built_core_that_skips_sampling(
+        monkeypatch):
+    """Committed mutant: a ``Session.from_spec`` whose core is built
+    with ``sample_occupancy=False`` leaves every stepped cycle out of
+    the occupancy counts, and the digest moves."""
+    from_spec = Session.from_spec.__func__
+
+    def unsampled(cls, spec, fingerprint=None):
+        session = from_spec(cls, spec, fingerprint)
+        session.cpu.sample_occupancy = False
+        return session
+
+    monkeypatch.setattr(Session, "from_spec", classmethod(unsampled))
+    assert corpus_digest() != GOLDEN_DIGEST
