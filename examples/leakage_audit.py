@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.engine import PluginSpec, SimSpec, TaintSpec
 from repro.isa.text import assemble_file
-from repro.lint import check_soundness, lint_program, lint_spec
+from repro.lint import check_soundness, lint_program
 
 PROGRAMS = os.path.join(os.path.dirname(__file__), "programs")
 
@@ -101,7 +101,7 @@ def code_review_audit():
         mem_writes=((0x1000, 1, 8), (0x2000, 0x4321, 8)),
         taint=TaintSpec.of(secret=((0x1000, 0x1008),)),
         label="leaky_window/ss")
-    result = check_soundness(spec, report=lint_spec(spec))
+    result = check_soundness(spec)
     print(f"  statically flagged: {', '.join(result.flagged) or 'none'}")
     print(f"  dynamically divergent over {result.variants} secret-pair "
           f"variants: {', '.join(result.divergent) or 'none'}")

@@ -24,7 +24,7 @@ import enum
 import hashlib
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.isa.assembler import Program, normalize_regions
 from repro.isa.instruction import Instruction
@@ -301,6 +301,13 @@ class SimSpec:
 
     def replace(self, **changes):
         return dataclasses.replace(self, **changes)
+
+    def __getstate__(self):
+        # Only the fields are pickled: the memos kept on the instance
+        # (the fingerprint digest, lint reports) stay in this process,
+        # so a spec shipped to a pool worker carries none of them.
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)}
 
     # -- building ------------------------------------------------------
 

@@ -202,16 +202,15 @@ def lint_program(program: Program,
                 plugin=row.plugin, mld=row.mld,
                 taps=tuple(tainted_taps), witness=tuple(witness),
                 detail=row.detail))
-    report = LintReport(
+    return LintReport(
         program_name=program_name,
-        instructions=rendered,
-        findings=findings,
+        instructions=tuple(rendered),
+        findings=tuple(findings),
         contracts=tuple(dict.fromkeys(row.plugin
                                       for row in contracts)),
         secret_regions=tuple(sorted(set(secret))),
         public_regions=tuple(sorted(set(public))),
         unreachable=tuple(unreachable))
-    return report
 
 
 def lint_spec(spec: SimSpec, opts: Iterable[str] | None = None,
@@ -225,6 +224,12 @@ def lint_spec(spec: SimSpec, opts: Iterable[str] | None = None,
     constants.  The returned verdicts predict exactly which enabled
     MLDs the engine can observe diverging under secret-pair trials —
     the property :mod:`repro.lint.soundness` enforces.
+
+    The report is memoized on the spec instance, as
+    :meth:`SimSpec.fingerprint` memoizes its digest, under the
+    compiled contract rows, ``program_name`` and ``path_sensitive``.
+    The rows are compiled on every call, so a contract edit lints
+    again.
     """
     if not isinstance(spec, SimSpec):
         raise LintError(f"lint_spec wants a SimSpec, got "
@@ -233,8 +238,13 @@ def lint_spec(spec: SimSpec, opts: Iterable[str] | None = None,
         contracts = rows_for_names(tuple(opts))
     else:
         contracts = rows_for_specs(spec.plugins)
-    return lint_program(
-        spec.program, contracts=contracts,
-        taint=spec.taint if spec.taint is not None else TaintSpec(),
-        program_name=program_name or spec.label,
-        reg_consts=dict(spec.regs), path_sensitive=path_sensitive)
+    memo = spec.__dict__.setdefault("_lint_memo", {})
+    key = (contracts, program_name, path_sensitive)
+    report = memo.get(key)
+    if report is None:
+        report = memo[key] = lint_program(
+            spec.program, contracts=contracts,
+            taint=spec.taint if spec.taint is not None else TaintSpec(),
+            program_name=program_name or spec.label,
+            reg_consts=dict(spec.regs), path_sensitive=path_sensitive)
+    return report

@@ -1,7 +1,7 @@
 """Verdict structures and rendering for the static leakage checker."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -31,13 +31,16 @@ class Finding:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class LintReport:
-    """Full checker output for one program under one contract set."""
+    """Full checker output for one program under one contract set.
+
+    Frozen: :func:`~repro.lint.checker.lint_spec` hands one memoized
+    report to every caller."""
 
     program_name: str
-    instructions: list          # rendered instruction texts, by pc
-    findings: list = field(default_factory=list)
+    instructions: tuple         # rendered instruction texts, by pc
+    findings: tuple = ()
     contracts: tuple = ()       # plug-in names that were checked
     secret_regions: tuple = ()
     public_regions: tuple = ()

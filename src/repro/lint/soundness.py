@@ -32,7 +32,6 @@ from repro import telemetry
 from repro.engine.cache import ResultCache
 from repro.engine.session import RunResult
 from repro.engine.specs import SimSpec
-from repro.lint.report import LintReport
 from repro.engine.runner import run_batch
 from repro.lint.checker import lint_spec
 from repro.lint.perturb import (
@@ -109,20 +108,17 @@ class SoundnessResult:
 def check_soundness(spec: SimSpec,
                     patterns: Sequence[int] = DEFAULT_PATTERNS,
                     workers: int = 1,
-                    cache: ResultCache | None = None,
-                    report: LintReport | None = None) -> SoundnessResult:
+                    cache: ResultCache | None = None) -> SoundnessResult:
     """Differential no-false-negatives check for one spec.
 
     Runs the secret-pair variants through the engine, diffs every
     variant against the baseline, and compares the dynamically
-    divergent plug-in set against the statically flagged one.  Pass a
-    precomputed ``report`` (from :func:`~repro.lint.checker.lint_spec`)
-    to skip re-linting.  ``workers`` picks the serial or pool backend;
-    results are bitwise identical either way.
+    divergent plug-in set against the statically flagged one.
+    ``workers`` picks the serial or pool backend; results are bitwise
+    identical either way.
     """
     tel = telemetry.REGISTRY
-    report = report if report is not None else lint_spec(spec)
-    flagged = set(report.leaking_plugins())
+    flagged = set(lint_spec(spec).leaking_plugins())
     variants = secret_variants(spec, patterns=patterns)
     tel.inc("repro_soundness_checks_total",
             help="Differential soundness checks run")
