@@ -8,9 +8,9 @@ one fan-out point, and it does exactly three things:
 
 1. derive each spec's content fingerprint once (shared by the cache
    probe, the session build and the stored result);
-2. probe the optional :class:`~repro.engine.cache.ResultCache` once,
-   in bulk (:meth:`~repro.engine.cache.ResultCache.probe_many`), so
-   the store is scanned per batch, not stat'ed per trial;
+2. probe the optional :class:`~repro.engine.cache.ResultCache` once
+   per batch (:meth:`~repro.engine.cache.ResultCache.probe_many`),
+   which opens only the entries the batch asks for;
 3. build one idempotent :class:`~repro.engine.backends.TrialJob` per
    *distinct* missing fingerprint, hand those to the selected
    :class:`~repro.engine.backends.ExecutionBackend` — serial or process

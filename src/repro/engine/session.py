@@ -66,14 +66,21 @@ class RunResult:
     cached: bool = False
 
     def to_json(self, **kwargs):
-        return json.dumps(dataclasses.asdict(self), sort_keys=True,
+        # The fields as they stand: every one is already JSON data, so
+        # a deep copy first (``dataclasses.asdict``, about five times
+        # the cost of the dump) would only be thrown away.
+        return json.dumps({name: getattr(self, name)
+                           for name in _RESULT_FIELDS}, sort_keys=True,
                           **kwargs)
 
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        return cls(**{f.name: data[f.name]
-                      for f in dataclasses.fields(cls) if f.name in data})
+        return cls(**{name: data[name]
+                      for name in _RESULT_FIELDS if name in data})
+
+
+_RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(RunResult))
 
 
 class Session:

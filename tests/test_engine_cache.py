@@ -1,7 +1,12 @@
 """Content-addressed result cache: hits, misses, persistence."""
 
 import dataclasses
+import os
+import shutil
 
+import pytest
+
+from repro import telemetry
 from repro.engine import (
     CacheSpec, HierarchySpec, PluginSpec, ResultCache, SimSpec,
     run_batch, run_spec,
@@ -125,3 +130,80 @@ def test_clear_empties_cache():
     cache.clear()
     assert len(cache) == 0
     assert not run_spec(probe_spec(), cache=cache).cached
+
+
+# ----------------------------------------------------------------------
+# probing a persisted store: entries are opened by name, never listed
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def registry():
+    telemetry.REGISTRY.reset()
+    try:
+        yield telemetry.REGISTRY
+    finally:
+        telemetry.REGISTRY.reset()
+
+
+def _no_listing(*_args, **_kwargs):
+    raise AssertionError("the result cache listed its store")
+
+
+def test_probes_open_entries_without_listing_the_store(
+        tmp_path, monkeypatch, registry):
+    """``probe_many`` and ``get`` answer hits, plain misses and corrupt
+    misses from the entries they ask for, with ``os.listdir`` broken."""
+    store = str(tmp_path / "cache")
+    first = run_spec(probe_spec(), cache=ResultCache(path=store))
+    good = first.fingerprint
+    with open(os.path.join(store, f"{good}.json"), "rb") as handle:
+        stored = len(handle.read())
+    missing, non_utf8, truncated, directory = (
+        digit * 64 for digit in "1234")
+    with open(os.path.join(store, f"{non_utf8}.json"), "wb") as handle:
+        handle.write(b"\xff\xfe\x00garbage\x80")
+    with open(os.path.join(store, f"{truncated}.json"), "w") as handle:
+        handle.write(first.to_json()[:40])
+    os.mkdir(os.path.join(store, f"{directory}.json"))
+    registry.reset()
+    monkeypatch.setattr(os, "listdir", _no_listing)
+
+    cache = ResultCache(path=store)
+    probe = cache.probe_many(
+        [good, missing, non_utf8, truncated, directory, good])
+    assert [result is not None for result in probe] == \
+        [True, False, False, False, False, True]
+    for hit in (probe[0], probe[5]):
+        assert hit.cached
+        assert hit.to_json() == \
+            dataclasses.replace(first, cached=True).to_json()
+    assert (cache.hits, cache.misses, cache.corrupt) == (2, 4, 3)
+
+    # get() is the same lookup: the good entry now answers from memory,
+    # and a corrupt one is read, and counted, again.
+    assert cache.get(good).cached
+    assert cache.get(missing) is None
+    assert cache.get(truncated) is None
+    assert (cache.hits, cache.misses, cache.corrupt) == (3, 6, 4)
+    assert registry.total("repro_cache_hits_total") == 3
+    assert registry.total("repro_cache_misses_total") == 6
+    assert registry.total("repro_cache_corrupt_total") == 4
+    assert registry.total("repro_cache_read_bytes_total") == stored
+
+
+def test_a_removed_store_answers_plain_misses(tmp_path, monkeypatch,
+                                              registry):
+    """A store directory removed after the cache opened it reads as
+    empty: every probe is a plain miss, none is corrupt."""
+    store = str(tmp_path / "cache")
+    fingerprint = run_spec(probe_spec(),
+                           cache=ResultCache(path=store)).fingerprint
+    cache = ResultCache(path=store)
+    shutil.rmtree(store)
+    registry.reset()
+    monkeypatch.setattr(os, "listdir", _no_listing)
+    assert cache.probe_many([fingerprint, "0" * 64]) == [None, None]
+    assert cache.get(fingerprint) is None
+    assert (cache.hits, cache.misses, cache.corrupt) == (0, 3, 0)
+    assert registry.total("repro_cache_misses_total") == 3
+    assert registry.total("repro_cache_corrupt_total") == 0

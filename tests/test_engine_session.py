@@ -5,7 +5,9 @@ its run: building the same spec twice — in this process or across a
 worker pool — must produce identical statistics and observations.
 """
 
+import dataclasses
 import gc
+import json
 import weakref
 
 import pytest
@@ -223,3 +225,19 @@ def test_finished_trials_free_their_sessions(monkeypatch, fastpath):
             gc.enable()
     assert len(cores) == len(specs)
     assert alive == 0
+
+
+def test_result_json_is_byte_identical_to_the_asdict_form():
+    """``RunResult.to_json`` dumps the fields as they stand; its bytes
+    equal the ``dataclasses.asdict`` form, which deep-copied first,
+    over the stats golden's corpus, traced and untraced, fresh and
+    as a cache hit."""
+    from tests.test_stats_payload_golden import corpus
+    for spec in corpus():
+        for run in (spec, spec.replace(trace=TraceSpec())):
+            result = execute_spec(run)
+            for form in (result, dataclasses.replace(result, cached=True)):
+                assert form.to_json() == json.dumps(
+                    dataclasses.asdict(form), sort_keys=True)
+    assert result.to_json(indent=1) == json.dumps(
+        dataclasses.asdict(result), sort_keys=True, indent=1)
