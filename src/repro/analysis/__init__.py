@@ -1,15 +1,11 @@
-"""Measurement analysis: histograms, distinguishability, replay drivers."""
+"""Measurement analysis: histograms, distinguishability, leakage."""
 
-from repro.analysis.experiments import (
-    ReplaySeries, distinguishability, run_replay,
-)
 from repro.analysis.histogram import TimingHistogram, apply_receiver_noise
 from repro.analysis.information import (
     capacity_achieved, leakage_per_observation, mutual_information,
 )
 
 __all__ = [
-    "ReplaySeries", "distinguishability", "run_replay",
     "TimingHistogram", "apply_receiver_noise", "capacity_achieved",
     "leakage_per_observation", "mutual_information",
 ]

@@ -359,12 +359,12 @@ class BSAESSilentStoreAttack:
         return specs
 
     def histogram_runs(self, runs_per_type=30, target_slot=4, seed=7,
-                       workers=1, cache=None):
+                       cache=None):
         """Timed runs for correct vs incorrect guesses (Figure 6).
 
         Returns ``{"correct": [cycles...], "incorrect": [cycles...]}``.
-        The trials are independent replays, so ``workers > 1`` fans
-        them across processes with identical aggregated results.
+        The trials are independent replays, so ``REPRO_BACKEND=pool``
+        fans them across processes with identical aggregated results.
 
         The per-guess-type simulator metrics, merged across trials, land
         in :attr:`last_histogram_stats` as ``{"correct": ...,
@@ -374,7 +374,7 @@ class BSAESSilentStoreAttack:
         """
         specs = self.histogram_specs(runs_per_type=runs_per_type,
                                      target_slot=target_slot, seed=seed)
-        outcomes = run_batch(specs, workers=workers, cache=cache)
+        outcomes = run_batch(specs, cache=cache)
         self.timed_queries += len(outcomes)
         results = {"correct": [], "incorrect": []}
         merged = {"correct": SimStats(), "incorrect": SimStats()}

@@ -10,16 +10,15 @@ Four layers (Section II-2's replay-attack structure, industrialized):
   a spec into a ready core and packages each run as a structured,
   JSON-serializable :class:`RunResult`.
 * **Runner + cache** (:mod:`repro.engine.runner`,
-  :mod:`repro.engine.cache`) — :func:`run_batch` builds idempotent
-  trial jobs keyed by the spec fingerprint, bulk-probes the optional
-  content-addressed :class:`ResultCache`, and hands only misses to the
+  :mod:`repro.engine.cache`) — :func:`run_batch` fingerprints each
+  spec once, bulk-probes the optional content-addressed
+  :class:`ResultCache`, and hands only distinct misses to the
   selected execution backend.
-* **Backends** (:mod:`repro.engine.backends`) — the
-  *how-trials-execute* layer behind the :class:`ExecutionBackend`
-  protocol: :class:`SerialBackend` (in-process, trace-friendly) and
-  :class:`PoolBackend` (process-pool fan-out).  Both are
-  bitwise-equivalent; pick one per call (``backend="pool"``), per
-  environment (``REPRO_BACKEND=pool``), or through ``workers``.
+* **Backends** (:mod:`repro.engine.backends`) — how misses execute:
+  one ``map`` of :func:`execute_spec`, in process (``"serial"``,
+  trace-friendly) or on a process pool (``"pool"``).  Both are
+  bitwise-equivalent; pick one through ``workers`` or per process
+  (``REPRO_BACKEND=pool``).
 
 Typical use::
 
@@ -34,10 +33,7 @@ Typical use::
     cycles = [result.cycles for result in results]
 """
 
-from repro.engine.backends import (
-    BACKEND_NAMES, ExecutedTrial, ExecutionBackend, PoolBackend,
-    REPRO_BACKEND_ENV, SerialBackend, TrialJob, resolve_backend,
-)
+from repro.engine.backends import BACKEND_NAMES, REPRO_BACKEND_ENV
 from repro.engine.cache import ResultCache
 from repro.engine.runner import (
     derive_seed, execute_spec, run_batch, run_spec,
@@ -50,11 +46,9 @@ from repro.engine.specs import (
 from repro.stats import SimStats, merge_all
 
 __all__ = [
-    "BACKEND_NAMES", "CacheSpec", "ExecutedTrial", "ExecutionBackend",
-    "HierarchySpec", "LatencySpec", "PluginSpec", "PoolBackend",
-    "REPRO_BACKEND_ENV", "ResultCache", "RunResult", "SerialBackend",
+    "BACKEND_NAMES", "CacheSpec", "HierarchySpec", "LatencySpec",
+    "PluginSpec", "REPRO_BACKEND_ENV", "ResultCache", "RunResult",
     "Session", "SimSpec", "SimStats", "SpecError", "TLBSpec",
-    "TaintSpec", "TraceSpec", "TrialJob", "derive_seed",
-    "execute_spec", "merge_all", "register_plugin", "resolve_backend",
-    "run_batch", "run_spec",
+    "TaintSpec", "TraceSpec", "derive_seed", "execute_spec",
+    "merge_all", "register_plugin", "run_batch", "run_spec",
 ]

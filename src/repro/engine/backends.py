@@ -1,89 +1,41 @@
-"""Trial-execution backends for the engine runner.
+"""How a batch's cache misses execute: in process or on a process pool.
 
-The runner's job is *what* to run — building idempotent
-:class:`TrialJob` descriptors, probing the result cache, depositing
-results.  *How* cache misses execute is this layer's job, behind the
-small :class:`ExecutionBackend` protocol:
+The runner decides *what* runs (fingerprints, the cache probe, one
+simulation per distinct missing fingerprint); this module runs it.
+Both backends are one ``map`` of :func:`execute_spec` over the missing
+specs:
 
-* :class:`SerialBackend` — everything in the submitting process, in
-  input order.  Debugger- and trace-friendly; the reference scheduling
-  the pool must match bitwise.
-* :class:`PoolBackend` — ``ProcessPoolExecutor`` fan-out: an ephemeral
-  pool per submit unless the caller :meth:`~ExecutionBackend.open`\\ s
-  the backend to keep one warm across batches.
+* ``"serial"`` — the builtin ``map`` in the calling process, in input
+  order.  Debugger- and trace-friendly; the reference the pool must
+  match bitwise.
+* ``"pool"`` — the same ``map`` on a ``ProcessPoolExecutor`` built for
+  the one batch and shut down after it.
 
-Both obey the same contract: ``submit(jobs)`` returns one
-:class:`ExecutedTrial` per job, in input order, with results **bitwise
-identical** across backends (every randomness source in a spec is
-seeded, and cores never share mutable simulation state).  The trial's
-wall time rides in the :class:`ExecutedTrial` envelope and never inside
-a :class:`~repro.engine.session.RunResult`.
+Results come back in input order and **bitwise identical** across
+backends: every randomness source in a spec is seeded, and cores
+never share mutable simulation state.
 
-Selection, in priority order: an explicit ``backend=`` argument to
-:func:`repro.engine.runner.run_batch` (``"serial"``, ``"pool"`` or a
-:class:`PoolBackend` the caller opened), the ``REPRO_BACKEND``
-environment variable (the ``python -m repro --backend`` flag), and
-finally the ``workers`` heuristic (serial for ``workers <= 1`` or
-singleton batches, pool otherwise).
+:func:`backend_for` picks the backend: the ``REPRO_BACKEND``
+environment variable (the ``python -m repro --backend`` flag) if set,
+else serial for ``workers <= 1`` or a singleton batch and pool
+otherwise.
 """
 
 import os
-import time
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
-from repro import telemetry
-
-#: Environment variable naming the default backend for every
-#: :func:`repro.engine.runner.run_batch` call that doesn't pass one
-#: explicitly.  Empty or unset means "no override".
+#: Environment variable naming the backend every
+#: :func:`repro.engine.runner.run_batch` call uses.  Empty or unset
+#: means "no override".
 REPRO_BACKEND_ENV = "REPRO_BACKEND"
 
-#: The backends ``backend=`` and ``REPRO_BACKEND`` select by name.
+#: The backends ``REPRO_BACKEND`` selects by name.
 BACKEND_NAMES = ("serial", "pool")
 
-#: Worker count used when a pool backend is forced by name without an
-#: explicit ``workers`` (e.g. ``REPRO_BACKEND=pool`` on a serial call).
+#: Worker count used when the pool backend is forced by name without
+#: ``workers > 1`` (e.g. ``REPRO_BACKEND=pool`` on a serial call).
 DEFAULT_POOL_WORKERS = 4
-
-
-def _now_us():
-    return time.perf_counter_ns() // 1000
-
-
-# ----------------------------------------------------------------------
-# jobs and outcomes
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrialJob:
-    """One idempotent unit of trial work.
-
-    ``fingerprint`` is the spec's content hash — the job's identity:
-    submitting the same job twice (to any backend, in any process)
-    yields byte-identical results, which is what lets the runner probe
-    the cache once up front and hand only misses to the backend.
-    ``index`` is the job's position in the submitting batch, where the
-    runner deposits its result.
-    """
-
-    index: int
-    spec: object
-    fingerprint: str
-
-
-@dataclass
-class ExecutedTrial:
-    """One finished trial plus its wall time.
-
-    ``elapsed_us`` feeds the ``repro_trial_seconds`` histogram; it is
-    scheduling-dependent and never enters the
-    :class:`~repro.engine.session.RunResult`.
-    """
-
-    result: object
-    elapsed_us: int
 
 
 def execute_spec(spec, fingerprint=None):
@@ -96,157 +48,43 @@ def execute_spec(spec, fingerprint=None):
 
     This is the one trial path of both backends and of
     :func:`~repro.engine.runner.run_spec`.  The session it builds is
-    released (:meth:`Session.release`) once it has produced its
-    result, so reference counting frees the core, hierarchy and memory
-    at once instead of leaving them to the cyclic collector.
+    released (:meth:`Session.release`) once the run returns or raises,
+    so reference counting frees the core, hierarchy and memory at once
+    instead of leaving them to the cyclic collector.
     """
     from repro.engine.session import Session
     session = Session.from_spec(spec, fingerprint=fingerprint)
-    result = session.run()
-    session.release()
-    return result
+    try:
+        return session.run()
+    finally:
+        session.release()
 
 
-def _timed_execute(job):
-    """The job function of both backends (module-level: picklable for
-    the pool): ``(spec, fingerprint) -> (result, start_us,
-    elapsed_us)``.
-
-    The timing never enters the :class:`RunResult` — wall time is
-    scheduling-dependent, and results must stay bitwise identical
-    across backends.
-    """
-    spec, fingerprint = job
-    start_us = _now_us()
-    result = execute_spec(spec, fingerprint)
-    return result, start_us, max(1, _now_us() - start_us)
-
-
-# ----------------------------------------------------------------------
-# the protocol
-# ----------------------------------------------------------------------
-
-class ExecutionBackend:
-    """How a batch of cache-missing :class:`TrialJob`\\ s executes.
-
-    Lifecycle: :meth:`open` acquires long-lived resources (a warm
-    process pool), :meth:`close` releases them; both are optional and
-    idempotent, and the class is a context manager.  ``submit`` must
-    work on a backend that was never opened — it then acquires and
-    releases per call.  The runner never opens backends it resolves by
-    name; persistence is the caller's choice.
-    """
-
-    name = "abstract"
-
-    def open(self):
-        return self
-
-    def close(self):
-        pass
-
-    def __enter__(self):
-        return self.open()
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def submit(self, jobs):
-        """Execute ``jobs``; one timed :class:`ExecutedTrial` each, in
-        input order."""
-        raise NotImplementedError
-
-
-class SerialBackend(ExecutionBackend):
-    """In-process, in-order execution — the reference scheduling."""
-
-    name = "serial"
-
-    def submit(self, jobs):
-        out = []
-        for job in jobs:
-            result, _, elapsed_us = _timed_execute(
-                (job.spec, job.fingerprint))
-            out.append(ExecutedTrial(result, elapsed_us))
-        return out
-
-
-class PoolBackend(ExecutionBackend):
-    """Process-pool fan-out (the engine's ``workers > 1``).
-
-    Without :meth:`open`, every submit builds and tears down its own
-    ``ProcessPoolExecutor``.  :meth:`open` keeps one pool warm across
-    submits for callers with many batches.
-    """
-
-    name = "pool"
-
-    def __init__(self, workers=DEFAULT_POOL_WORKERS):
-        self.workers = max(2, int(workers))
-        self._pool = None
-
-    def open(self):
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def _map(self, pool, jobs):
-        payload = [(job.spec, job.fingerprint) for job in jobs]
-        chunksize = max(1, len(payload) // (4 * self.workers))
-        # Time from batch submission until the worker picked the job
-        # up: the pool's queueing delay (includes pool spawn for
-        # ephemeral pools, amortized for warm ones).
-        queue_wait = telemetry.REGISTRY.histogram(
-            "repro_backend_queue_wait_seconds",
-            help="Seconds a trial waited between batch submit and "
-                 "worker pickup",
-            backend=self.name)
-        submit_us = _now_us()
-        out = []
-        for result, start_us, elapsed_us in pool.map(
-                _timed_execute, payload, chunksize=chunksize):
-            queue_wait.observe(max(0, start_us - submit_us) / 1e6)
-            out.append(ExecutedTrial(result, elapsed_us))
-        return out
-
-    def submit(self, jobs):
-        if self._pool is not None:
-            return self._map(self._pool, jobs)
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            return self._map(pool, jobs)
-
-
-# ----------------------------------------------------------------------
-# selection
-# ----------------------------------------------------------------------
-
-def resolve_backend(backend=None, workers=1, pending=0):
-    """The backend a batch should use (see the module docstring for the
-    priority order).  ``pending`` is the number of cache-missing jobs;
-    the ``workers`` heuristic keeps singleton batches in process."""
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    name = backend or os.environ.get(REPRO_BACKEND_ENV) or None
+def backend_for(workers, pending):
+    """The name of the backend a batch of ``pending`` cache misses
+    runs on (see the module docstring)."""
+    name = os.environ.get(REPRO_BACKEND_ENV) or None
     if name is None:
-        if workers <= 1 or pending <= 1:
-            return SerialBackend()
-        return PoolBackend(workers=workers)
-    if name == "serial":
-        return SerialBackend()
-    if name == "pool":
-        return PoolBackend(
-            workers=workers if workers > 1 else DEFAULT_POOL_WORKERS)
-    raise ValueError(f"unknown execution backend {name!r}; known: "
-                     f"{list(BACKEND_NAMES)}")
+        return "serial" if workers <= 1 or pending <= 1 else "pool"
+    if name not in BACKEND_NAMES:
+        raise ValueError(f"unknown execution backend {name!r}; known: "
+                         f"{list(BACKEND_NAMES)}")
+    return name
+
+
+def submit(backend, specs, fingerprints, workers):
+    """Run ``specs`` (with their precomputed ``fingerprints``) on
+    ``backend``; their results, in input order."""
+    if backend == "serial":
+        return list(map(execute_spec, specs, fingerprints))
+    workers = workers if workers > 1 else DEFAULT_POOL_WORKERS
+    chunksize = max(1, len(specs) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(execute_spec, specs, fingerprints,
+                             chunksize=chunksize))
 
 
 __all__ = [
-    "BACKEND_NAMES", "DEFAULT_POOL_WORKERS", "ExecutedTrial",
-    "ExecutionBackend", "PoolBackend", "REPRO_BACKEND_ENV",
-    "SerialBackend", "TrialJob", "execute_spec", "resolve_backend",
+    "BACKEND_NAMES", "DEFAULT_POOL_WORKERS", "REPRO_BACKEND_ENV",
+    "backend_for", "execute_spec", "submit",
 ]

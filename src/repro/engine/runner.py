@@ -1,4 +1,4 @@
-"""Trial fan-out: build jobs, probe the cache once, hand misses off.
+"""Trial fan-out: fingerprint once, probe the cache once, hand misses off.
 
 The paper's experiments are embarrassingly parallel — Figure 6 needs
 many encryption calls per guess type, replay narrowing issues hundreds
@@ -11,9 +11,8 @@ one fan-out point, and it does exactly three things:
 2. probe the optional :class:`~repro.engine.cache.ResultCache` once
    per batch (:meth:`~repro.engine.cache.ResultCache.probe_many`),
    which opens only the entries the batch asks for;
-3. build one idempotent :class:`~repro.engine.backends.TrialJob` per
-   *distinct* missing fingerprint, hand those to the selected
-   :class:`~repro.engine.backends.ExecutionBackend` — serial or process
+3. hand each *distinct* missing fingerprint to
+   :func:`~repro.engine.backends.submit` — in process or on a process
    pool — and deposit each fresh result back once.
 
 A fingerprint covers everything that affects a run, so specs that share
@@ -24,9 +23,9 @@ its own spec's label.  A cache hit likewise carries the label of the
 spec that asked for it, not of the one that deposited it; stored
 entries never change.  Results come back in input order, bitwise
 identical across backends, because every randomness source in a spec is
-seeded.  Backend selection priority: the explicit ``backend=`` argument
-(name or instance), the ``REPRO_BACKEND`` environment variable, then
-the ``workers`` heuristic.
+seeded.  The backend is the ``REPRO_BACKEND`` environment variable if
+set, else the ``workers`` heuristic
+(:func:`~repro.engine.backends.backend_for`).
 
 :func:`derive_seed` gives deterministic per-trial seeds: hash the base
 seed with the trial index, so trial *i* sees the same perturbation no
@@ -37,9 +36,8 @@ import dataclasses
 import hashlib
 
 from repro import telemetry
-from repro.engine.backends import (
-    TrialJob, execute_spec, resolve_backend,
-)
+from repro.engine import backends
+from repro.engine.backends import execute_spec
 
 __all__ = ["derive_seed", "execute_spec", "run_batch", "run_spec"]
 
@@ -84,17 +82,13 @@ def _probe(cache, fingerprints):
     return cache.probe_many(fingerprints)
 
 
-def run_batch(specs, workers=1, cache=None, backend=None):
+def run_batch(specs, workers=1, cache=None):
     """Run ``specs`` and return their results in input order.
 
-    ``backend`` selects the execution backend by name (``"serial"``,
-    ``"pool"``) or as a ready
-    :class:`~repro.engine.backends.ExecutionBackend` instance (which
-    the caller owns — the runner never opens or closes it).  With no
-    explicit backend, ``workers > 1`` fans cache misses across that
-    many pooled worker processes and ``workers <= 1`` (the default)
-    runs everything in process.  Results are identical whichever
-    backend runs them.
+    ``workers > 1`` fans cache misses across that many pooled worker
+    processes and ``workers <= 1`` (the default) runs everything in
+    process, unless ``REPRO_BACKEND`` names a backend.  Results are
+    identical whichever backend runs them.
 
     Each distinct missing fingerprint runs once.  The cache probe still
     counts every occurrence, and each fresh result is deposited once;
@@ -105,13 +99,12 @@ def run_batch(specs, workers=1, cache=None, backend=None):
     The process-wide :data:`repro.telemetry.REGISTRY` records every
     batch: per-backend batch counters
     (``repro_backend_batches_total{backend=...}``), executed-trial
-    counters (``repro_backend_trials_total``, one per job), the
-    per-trial wall-clock histogram ``repro_trial_seconds``, the cache's
-    hit/miss counters, and a phase profile of this function's four
-    steps — fingerprinting, cache probe and job build, backend submit,
-    result merge — under
-    ``repro_phase_seconds{layer="engine.runner"}``.  These quantities
-    depend on scheduling, which is why they live there and never in a
+    counters (``repro_backend_trials_total``, one per simulation), the
+    cache's hit/miss counters, and a phase profile of this function's
+    four steps — fingerprinting, cache probe, backend submit, result
+    merge — under ``repro_phase_seconds{layer="engine.runner"}``, the
+    one record of a batch's wall time.  These quantities depend on
+    scheduling, which is why they live there and never in a
     :class:`RunResult`.
     """
     tel = telemetry.REGISTRY
@@ -125,7 +118,8 @@ def run_batch(specs, workers=1, cache=None, backend=None):
 
     with tel.phase("engine.runner", "probe"):
         hits = _probe(cache, fingerprints)
-        jobs = []
+        # Indices of the distinct misses, in input order.
+        misses = []
         # Fingerprint -> index of its first missing occurrence; each
         # later occurrence copies that index's result.
         first = {}
@@ -140,33 +134,29 @@ def run_batch(specs, workers=1, cache=None, backend=None):
                 repeats.append((index, first[fingerprint]))
                 continue
             first[fingerprint] = index
-            jobs.append(TrialJob(index=index, spec=spec,
-                                 fingerprint=fingerprint))
+            misses.append(index)
 
-    chosen = resolve_backend(backend, workers=workers, pending=len(jobs))
+    backend = backends.backend_for(workers, len(misses))
     tel.inc("repro_backend_batches_total",
             help="Batches submitted per execution backend",
-            backend=chosen.name)
-    if jobs:
-        tel.inc("repro_backend_trials_total", len(jobs),
+            backend=backend)
+    if misses:
+        tel.inc("repro_backend_trials_total", len(misses),
                 help="Cache-missing trials executed per backend",
-                backend=chosen.name)
+                backend=backend)
         with tel.phase("engine.runner", "submit"):
-            executed = chosen.submit(jobs)
+            executed = backends.submit(
+                backend, [specs[index] for index in misses],
+                [fingerprints[index] for index in misses], workers)
         with tel.phase("engine.runner", "merge"):
-            trial_seconds = tel.histogram(
-                "repro_trial_seconds",
-                help="Wall-clock seconds per executed trial",
-                backend=chosen.name)
-            for job, trial in zip(jobs, executed):
-                results[job.index] = trial.result
-                trial_seconds.observe(trial.elapsed_us / 1e6)
+            for index, result in zip(misses, executed):
+                results[index] = result
             for index, source in repeats:
                 results[index] = dataclasses.replace(
                     results[source], label=specs[index].label)
 
     if cache is not None:
         with tel.phase("engine.runner", "merge"):
-            for job in jobs:
-                cache.put(results[job.index])
+            for index in misses:
+                cache.put(results[index])
     return results

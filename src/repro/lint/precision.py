@@ -243,7 +243,7 @@ def _flag_sets(case: GeneratedCase, spec: SimSpec,
 def check_precision(budget: int = DEFAULT_BUDGET, seed: int = 0,
                     opts: Iterable[str] | None = None,
                     patterns: tuple = DEFAULT_PATTERNS,
-                    workers: int = 1, cache: object = None,
+                    cache: object = None,
                     examples: str | None = None) -> PrecisionReport:
     """Classify every static LEAKS verdict over the corpus.
 
@@ -300,7 +300,7 @@ def check_precision(budget: int = DEFAULT_BUDGET, seed: int = 0,
     tel.inc("repro_precision_trials_total", len(trials),
             help="Differential precision trials run")
     with tel.phase("lint.precision", "fleet"):
-        results = run_batch(fleet, workers=workers, cache=cache)
+        results = run_batch(fleet, cache=cache)
     control_div = {}
     cursor = 0
     for name, specs in controls.items():

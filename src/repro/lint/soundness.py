@@ -107,15 +107,12 @@ class SoundnessResult:
 
 def check_soundness(spec: SimSpec,
                     patterns: Sequence[int] = DEFAULT_PATTERNS,
-                    workers: int = 1,
                     cache: ResultCache | None = None) -> SoundnessResult:
     """Differential no-false-negatives check for one spec.
 
     Runs the secret-pair variants through the engine, diffs every
     variant against the baseline, and compares the dynamically
     divergent plug-in set against the statically flagged one.
-    ``workers`` picks the serial or pool backend; results are bitwise
-    identical either way.
     """
     tel = telemetry.REGISTRY
     flagged = set(lint_spec(spec).leaking_plugins())
@@ -125,7 +122,7 @@ def check_soundness(spec: SimSpec,
     tel.inc("repro_soundness_variants_total", max(0, len(variants) - 1),
             help="Secret-perturbed variants executed by soundness checks")
     with tel.phase("lint.soundness", "variants"):
-        results = run_batch(variants, workers=workers, cache=cache)
+        results = run_batch(variants, cache=cache)
     baseline, rest = results[0], results[1:]
     enabled = tuple(plugin.name for plugin in spec.plugins)
     divergent: set[str] = set()

@@ -338,13 +338,13 @@ def _rows_under(plugin: str, candidate: WhenCandidate,
                                plugin))
 
 
-def _learn_when(plugin: str, plugin_spec: PluginSpec,
-                study: dict[frozenset, GeneratedCase],
-                declared_rows: tuple[ContractRow, ...] | None,
-                active_rows: tuple[ContractRow, ...],
-                declared: frozenset, patterns: tuple, runner: Runner,
-                minimize: bool,
-                ) -> tuple[tuple, tuple, tuple]:
+def _learn_conditions(plugin: str, plugin_spec: PluginSpec,
+                      study: dict[frozenset, GeneratedCase],
+                      declared_rows: tuple[ContractRow, ...] | None,
+                      active_rows: tuple[ContractRow, ...],
+                      declared: frozenset, patterns: tuple,
+                      runner: Runner, minimize: bool,
+                      ) -> tuple[tuple, tuple, tuple]:
     """Ablation study over explained divergent signatures.
 
     Returns ``(learned_rows, when_gaps, when_loose)`` — see the module
@@ -462,8 +462,7 @@ def check_synthesis(plugin: str, budget: int = DEFAULT_BUDGET,
                     workers: int = 1, cache: object = None,
                     declared_rows: tuple[ContractRow, ...]
                     | None = None,
-                    minimize: bool = True,
-                    learn_when: bool = True) -> SynthesisResult:
+                    minimize: bool = True) -> SynthesisResult:
     """Differential contract synthesis for one plug-in.
 
     Generates ``budget`` cases, runs control + plug-in secret-pair
@@ -471,8 +470,7 @@ def check_synthesis(plugin: str, budget: int = DEFAULT_BUDGET,
     attributable divergence to its static leakage signature, and diffs
     learned vs declared pairs.
     Explained divergences are then re-fuzzed under the descriptor's
-    ``"domains"`` ablations to learn minimal ``when`` conditions
-    (``learn_when=False`` skips that study).
+    ``"domains"`` ablations to learn minimal ``when`` conditions.
 
     ``declared_rows`` substitutes the compiled contract rows — the
     mutation hook the golden suite uses to prove the differ catches a
@@ -559,13 +557,9 @@ def check_synthesis(plugin: str, budget: int = DEFAULT_BUDGET,
                 plugins=(plugin_spec,),
                 label=f"{case.name}/witness").to_json()))
 
-    learned_rows: tuple = ()
-    when_gaps: tuple = ()
-    when_loose: tuple = ()
-    if learn_when:
-        learned_rows, when_gaps, when_loose = _learn_when(
-            plugin, plugin_spec, study, declared_rows, rows, declared,
-            patterns, runner, minimize)
+    learned_rows, when_gaps, when_loose = _learn_conditions(
+        plugin, plugin_spec, study, declared_rows, rows, declared,
+        patterns, runner, minimize)
     unwitnessed = tuple(
         ContractGap(kind="unwitnessed", plugin=plugin,
                     pairs=tuple(sorted(row_pairs(row))),
@@ -589,7 +583,7 @@ def synthesize_all(opts: Iterable[str] | None = None,
                    budget: int = DEFAULT_BUDGET, seed: int = 0,
                    patterns: tuple = DEFAULT_PATTERNS,
                    workers: int = 1, cache: object = None,
-                   minimize: bool = True, learn_when: bool = True,
+                   minimize: bool = True,
                    ) -> dict[str, SynthesisResult]:
     """Contract synthesis for every contracted plug-in (or ``opts``).
 
@@ -599,8 +593,7 @@ def synthesize_all(opts: Iterable[str] | None = None,
         else contracted_plugin_names()
     return {name: check_synthesis(
         name, budget=budget, seed=seed, patterns=patterns,
-        workers=workers, cache=cache, minimize=minimize,
-        learn_when=learn_when)
+        workers=workers, cache=cache, minimize=minimize)
         for name in sorted(names)}
 
 

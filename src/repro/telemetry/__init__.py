@@ -13,7 +13,9 @@ repro.telemetry  the engine             wall-clock seconds, totals
 * :mod:`repro.telemetry.registry` — :class:`MetricsRegistry`
   (label-aware counters and bounded wall-clock histograms) and the
   process-wide :data:`REGISTRY` every orchestration layer records
-  into.
+  into.  A batch's wall time is recorded once, as the
+  ``engine.runner`` phases of ``repro_phase_seconds``; there are no
+  per-trial samples.
 * :mod:`repro.telemetry.report` — the run report of one command
   (``python -m repro report <command> [args...]``), the registry's
   one front door.

@@ -21,9 +21,9 @@ Two metric kinds with Prometheus-compatible semantics:
 Every metric family may carry labels (``backend="pool"``,
 ``phase="probe"``), giving one naming scheme across the engine instead
 of ad-hoc dotted counters per subsystem.  It is the engine's only
-wall-clock recorder: per-backend batch and trial counts, per-trial
-seconds, pool queue waits, cache hits and misses, and the
-:data:`PHASE_METRIC` phase profile.
+wall-clock recorder: per-backend batch and trial counts, cache hits
+and misses, and the :data:`PHASE_METRIC` phase profile, whose
+``engine.runner`` layer is the one record of a batch's wall time.
 
 Process model: one module-level :data:`~repro.telemetry.REGISTRY` per
 process, and every recording site runs in the process that called
@@ -32,10 +32,8 @@ so a pool run records the same totals as a serial one.  ``python -m
 repro report <command>`` resets the registry, runs one command and
 renders what it recorded (:mod:`repro.telemetry.report`).
 
-The registry is always on.  A per-trial recording site fetches its
-histogram handle once per batch (:meth:`MetricsRegistry.histogram`)
-and calls the handle's ``observe`` per trial, so the lock and the
-label lookup are paid per batch.
+The registry is always on.  Its sites count events and time phases;
+none samples a per-trial duration.
 """
 
 import bisect
@@ -211,12 +209,6 @@ class MetricsRegistry:
         with self._lock:
             self._family(name, "counter", help).sample(
                 _label_key(labels)).inc(amount)
-
-    def observe(self, name, value, help="", **labels):
-        """Record ``value`` into histogram ``name`` with ``labels``."""
-        with self._lock:
-            self._family(name, "histogram", help).sample(
-                _label_key(labels)).observe(value)
 
     def phase(self, layer, phase):
         """Context manager timing one fleet phase into

@@ -1,8 +1,5 @@
-"""Histogram metrics and replay-experiment drivers."""
+"""Histogram metrics and receiver noise."""
 
-from repro.analysis.experiments import (
-    ReplaySeries, distinguishability, run_replay,
-)
 from repro.analysis.histogram import TimingHistogram, apply_receiver_noise
 
 
@@ -63,37 +60,3 @@ def test_channel_survives_moderate_noise():
     histogram.extend("incorrect", apply_receiver_noise([502] * 50, 8, 3))
     assert histogram.separation("correct", "incorrect") > 50
 
-
-def test_replay_series_outliers():
-    series = ReplaySeries("probe")
-    for guess in range(8):
-        series.add(guess, 200 if guess != 5 else 140)
-    assert series.fastest() == (5, 140)
-    assert series.outliers() == [(5, 140)]
-
-
-def test_replay_series_outliers_tie_break():
-    # Two cycle counts tie for the mode; the smallest one is the mode,
-    # so only the slower group is reported as outlying — regardless of
-    # insertion order.
-    series = ReplaySeries("tie")
-    for precondition, cycles in ((0, 300), (1, 140), (2, 300), (3, 140)):
-        series.add(precondition, cycles)
-    assert series.outliers() == [(0, 300), (2, 300)]
-    reversed_series = ReplaySeries("tie-reversed")
-    for precondition, cycles in ((0, 140), (1, 300), (2, 140), (3, 300)):
-        reversed_series.add(precondition, cycles)
-    assert reversed_series.outliers() == [(1, 300), (3, 300)]
-
-
-def test_run_replay_driver():
-    series = run_replay(lambda p: 100 + p % 2, [0, 1, 2, 3])
-    assert series.slowest()[1] == 101
-    assert len(series.observations) == 4
-
-
-def test_distinguishability():
-    result = distinguishability([380, 382], [500, 501])
-    assert result["separable"] and result["gap"] == 118
-    result = distinguishability([380, 505], [500, 501])
-    assert not result["separable"]

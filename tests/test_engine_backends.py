@@ -11,11 +11,9 @@ pins that three ways:
   tracing on, and as secret-variant cohorts); the gate is itself
   tested, by patching in a pool that returns its results reversed;
 * backend *selection* is deterministic and follows the documented
-  priority: explicit instance or name > ``REPRO_BACKEND`` env >
-  ``workers`` heuristic;
-* the mechanics underneath — bulk cache probes, job descriptors, pool
-  lifecycle, one simulation per distinct fingerprint — behave as
-  documented.
+  priority: ``REPRO_BACKEND`` env > ``workers`` heuristic;
+* the mechanics underneath — bulk cache probes, one simulation per
+  distinct fingerprint — behave as documented.
 """
 
 import os
@@ -24,11 +22,10 @@ import pytest
 
 from repro import telemetry
 from repro.engine import (
-    BACKEND_NAMES, PoolBackend, REPRO_BACKEND_ENV, ResultCache, SimSpec,
-    TaintSpec, TraceSpec, TrialJob, derive_seed, resolve_backend,
-    run_batch,
+    BACKEND_NAMES, REPRO_BACKEND_ENV, ResultCache, SimSpec, TaintSpec,
+    TraceSpec, backends, derive_seed, run_batch,
 )
-from repro.engine.backends import ExecutedTrial
+from repro.engine.backends import backend_for
 from repro.engine.runner import execute_spec, run_spec
 from repro.lint.soundness import secret_variants
 from tests.spec_catalog import attack_specs
@@ -47,15 +44,21 @@ def _serialized(results):
     return [result.to_json() for result in results]
 
 
+def _run_on(backend, specs, monkeypatch, **kwargs):
+    """``run_batch(specs)`` with ``REPRO_BACKEND`` naming ``backend``."""
+    monkeypatch.setenv(REPRO_BACKEND_ENV, backend)
+    return run_batch(specs, **kwargs)
+
+
 # ----------------------------------------------------------------------
 # the contract: bitwise identity across backends
 # ----------------------------------------------------------------------
 
-def _labels_differing_across_backends(specs):
+def _labels_differing_across_backends(specs, monkeypatch):
     """Labels of the specs whose pooled result differs from the serial
     one, byte for byte."""
-    serial = run_batch(specs, backend="serial")
-    pooled = run_batch(specs, backend="pool")
+    serial = _run_on("serial", specs, monkeypatch)
+    pooled = _run_on("pool", specs, monkeypatch)
     assert len(serial) == len(pooled) == len(specs)
     differing = []
     for spec, ref, pool in zip(specs, serial, pooled):
@@ -67,81 +70,78 @@ def _labels_differing_across_backends(specs):
     return differing
 
 
-def test_catalog_bitwise_identical_across_backends():
-    assert _labels_differing_across_backends(_catalog_specs()) == []
+def test_catalog_bitwise_identical_across_backends(monkeypatch):
+    assert _labels_differing_across_backends(_catalog_specs(),
+                                             monkeypatch) == []
 
 
 def test_the_backend_gate_catches_reordered_pool_results(monkeypatch):
     """The gate above fails when the pool hands results back out of
     input order."""
-    pool_map = PoolBackend._map
 
-    def reversed_map(self, pool, jobs):
-        return pool_map(self, pool, jobs)[::-1]
+    class ReversedPool(backends.ProcessPoolExecutor):
+        def map(self, *args, **kwargs):
+            return list(super().map(*args, **kwargs))[::-1]
 
-    monkeypatch.setattr(PoolBackend, "_map", reversed_map)
-    assert _labels_differing_across_backends(_catalog_specs())
+    monkeypatch.setattr(backends, "ProcessPoolExecutor", ReversedPool)
+    assert _labels_differing_across_backends(_catalog_specs(),
+                                             monkeypatch)
 
 
-def test_traced_catalog_identical_across_backends():
+def test_traced_catalog_identical_across_backends(monkeypatch):
     """Every per-cycle event a serially-run core emits must come back
     verbatim from a pooled one."""
     specs = _catalog_specs(trace=TraceSpec())
-    serial = run_batch(specs, backend="serial")
-    pooled = run_batch(specs, backend="pool")
+    serial = _run_on("serial", specs, monkeypatch)
+    pooled = _run_on("pool", specs, monkeypatch)
     for spec, ref, pool in zip(specs, serial, pooled):
         assert ref.to_json() == pool.to_json(), spec.label
         assert ref.trace["events"], spec.label
 
 
-def test_secret_variant_cohorts_identical_across_backends():
+def test_secret_variant_cohorts_identical_across_backends(monkeypatch):
     """The soundness harness's shape: N secret variants of one program
-    per batch, many batches through one warm pool."""
-    with PoolBackend(workers=2) as pool:
-        for name, spec in sorted(attack_specs().items()):
-            variants = secret_variants(spec)
-            serial = run_batch(variants, backend="serial")
-            pooled = run_batch(variants, backend=pool)
-            assert _serialized(serial) == _serialized(pooled), name
+    per batch, many batches, each on its own pool."""
+    for name, spec in sorted(attack_specs().items()):
+        variants = secret_variants(spec)
+        serial = _run_on("serial", variants, monkeypatch)
+        pooled = _run_on("pool", variants, monkeypatch, workers=2)
+        assert _serialized(serial) == _serialized(pooled), name
 
 
 # ----------------------------------------------------------------------
 # selection: the documented priority chain
 # ----------------------------------------------------------------------
 
-def test_resolve_explicit_instance_wins(monkeypatch):
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "serial")
-    mine = PoolBackend(workers=2)
-    assert resolve_backend(mine, workers=1) is mine
-
-
-def test_resolve_explicit_name_beats_env(monkeypatch):
+def test_environment_beats_the_workers_heuristic(monkeypatch):
     monkeypatch.setenv(REPRO_BACKEND_ENV, "pool")
-    assert resolve_backend("serial", workers=8).name == "serial"
-    # ... and the environment beats the workers heuristic.
-    assert resolve_backend(None, workers=1, pending=2).name == "pool"
+    assert backend_for(workers=1, pending=2) == "pool"
+    assert backend_for(workers=1, pending=1) == "pool"
+    monkeypatch.setenv(REPRO_BACKEND_ENV, "serial")
+    assert backend_for(workers=8, pending=8) == "serial"
+    # An empty value is no override.
+    monkeypatch.setenv(REPRO_BACKEND_ENV, "")
+    assert backend_for(workers=8, pending=8) == "pool"
 
 
 def test_resolve_legacy_workers_heuristic(monkeypatch):
     monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
-    assert resolve_backend(None, workers=1, pending=2).name == "serial"
-    assert resolve_backend(None, workers=4, pending=2).name == "pool"
+    assert backend_for(workers=1, pending=2) == "serial"
+    assert backend_for(workers=4, pending=2) == "pool"
     # Singleton batches stay in process whatever ``workers`` says.
-    assert resolve_backend(None, workers=4, pending=1).name == "serial"
+    assert backend_for(workers=4, pending=1) == "serial"
 
 
 def test_registry_names_and_unknown(monkeypatch):
     assert BACKEND_NAMES == ("serial", "pool")
-    with pytest.raises(ValueError, match="unknown execution backend"):
-        resolve_backend("lockstep")
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "gpu")
-    with pytest.raises(ValueError, match="unknown execution backend"):
-        resolve_backend(None)
+    for name in ("lockstep", "gpu"):
+        monkeypatch.setenv(REPRO_BACKEND_ENV, name)
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            backend_for(workers=1, pending=0)
 
 
 def test_env_override_drives_run_batch(monkeypatch):
-    """``REPRO_BACKEND`` reroutes batches that pass no explicit
-    backend — bitwise-identically."""
+    """``REPRO_BACKEND`` reroutes batches bitwise-identically."""
     specs = _catalog_specs()[:3]
     monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
     reference = run_batch(specs)
@@ -163,37 +163,8 @@ def test_backend_hint_stays_outside_fingerprint():
 
 
 # ----------------------------------------------------------------------
-# mechanics: jobs, pool lifecycle, bulk cache probes
+# mechanics: bulk cache probes, one simulation per fingerprint
 # ----------------------------------------------------------------------
-
-def test_trial_job_is_frozen():
-    spec = _catalog_specs()[0]
-    job = TrialJob(index=0, spec=spec, fingerprint=spec.fingerprint())
-    with pytest.raises(AttributeError):
-        job.index = 1
-    with pytest.raises(TypeError):
-        ExecutedTrial(result=None)        # every trial is timed
-    assert ExecutedTrial(result=None, elapsed_us=1).elapsed_us == 1
-
-
-def test_pool_backend_lifecycle():
-    """An opened pool persists across submits; close is idempotent."""
-    spec = _catalog_specs()[0]
-    job = TrialJob(index=0, spec=spec, fingerprint=spec.fingerprint())
-    expected = execute_spec(spec).to_json()
-    with PoolBackend(workers=2) as pool:
-        warm = pool._pool
-        assert warm is not None
-        first = pool.submit([job])
-        second = pool.submit([job])
-        assert pool._pool is warm
-    assert pool._pool is None
-    pool.close()                       # idempotent
-    assert first[0].result.to_json() == expected
-    assert second[0].result.to_json() == expected
-    assert first[0].elapsed_us >= 1
-    assert second[0].elapsed_us >= 1
-
 
 def test_probe_many_matches_get_semantics(tmp_path):
     spec = _catalog_specs()[0]
@@ -265,7 +236,6 @@ def _shared_fingerprint_batch():
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_one_simulation_per_distinct_fingerprint(backend, monkeypatch,
                                                  tmp_path):
-    monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
     specs = _shared_fingerprint_batch()
     expected = [execute_spec(spec) for spec in specs]
     distinct = {spec.fingerprint() for spec in specs}
@@ -277,7 +247,8 @@ def test_one_simulation_per_distinct_fingerprint(backend, monkeypatch,
     try:
         for batch_cache in (None, cache):
             registry.reset()
-            results = run_batch(specs, backend=backend, cache=batch_cache)
+            results = _run_on(backend, specs, monkeypatch,
+                              cache=batch_cache)
             assert _serialized(results) == _serialized(expected)
             assert len({id(result) for result in results}) == len(specs)
             assert not any(result.cached for result in results)

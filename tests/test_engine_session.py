@@ -176,28 +176,13 @@ def test_cycle_limit_resolution(max_cycles, spec_limit, expected):
         (expected, f"exceeded {expected} cycles without halting")}
 
 
-def test_run_replay_accepts_specs():
-    """run_replay drives SimSpec-producing measures through the engine.
-
-    A lone silent store is timing-invisible (Figure 5's point), so the
-    replayed probe is the amplification gadget: only the matching
-    store value times fast.
-    """
-    from repro.analysis.experiments import run_replay
-    from repro.attacks.amplification import amplified_probe_spec
-    series = run_replay(
-        lambda value: amplified_probe_spec(42, value),
-        [41, 42, 43], name="equality-probe", workers=2)
-    fast_precondition, _cycles = series.fastest()
-    assert fast_precondition == 42          # the silent (matching) store
-    assert series.outliers() == [series.fastest()]
-
-
 @pytest.mark.parametrize("fastpath", [True, False])
 def test_finished_trials_free_their_sessions(monkeypatch, fastpath):
     """A trial's core, hierarchy and memory are freed by reference
-    counting as soon as its result is returned: with the cyclic
-    collector off, no core built by ``execute_spec`` stays alive."""
+    counting as soon as its result is returned, or its run raises past
+    the cycle limit (synthesis's witness minimization catches that for
+    every non-halting candidate): with the cyclic collector off, no
+    core built by ``execute_spec`` stays alive."""
     cores = []
     build = Session.from_spec.__func__
 
@@ -214,16 +199,22 @@ def test_finished_trials_free_their_sessions(monkeypatch, fastpath):
         specs += [case.spec((PluginSpec.of(plugin),))
                   for case in CaseGenerator(seed=0).cases_for(plugin,
                                                               budget)]
+    spin = _spin_spec(300, None, fastpath)
+    spinning = [spin, spin.replace(plugins=(PluginSpec.of("silent-stores"),)),
+                spin.replace(trace=TraceSpec())]
     collecting = gc.isenabled()
     gc.disable()
     try:
         for spec in specs:
             execute_spec(spec.replace(fastpath=fastpath))
+        for spec in spinning:
+            with pytest.raises(SimulationError):
+                execute_spec(spec)
         alive = sum(core() is not None for core in cores)
     finally:
         if collecting:
             gc.enable()
-    assert len(cores) == len(specs)
+    assert len(cores) == len(specs) + len(spinning)
     assert alive == 0
 
 

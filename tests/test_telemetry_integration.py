@@ -4,14 +4,14 @@ Three contracts:
 
 * **totals** — a 4-worker pool fan-out's snapshot agrees with a serial
   run on every scheduling-independent total (trials, batches, cache
-  traffic, phase observation counts); only durations and the backend
-  label differ, and the pool adds its queue-wait histogram.
+  traffic, phase observation counts) and records the same families;
+  only durations and the backend label differ.
 * **isolation** — what the registry already holds changes *nothing*
   simulated: a batch recorded into an empty registry and the same
   batch recorded after another one give bitwise-identical fingerprints
   and results, on the serial and the pool backend alike; the gate is
-  itself tested with a job function that leaks a registry total into
-  its results.
+  itself tested with an ``execute_spec`` that leaks a registry total
+  into its results.
 * **self-healing cache** — a corrupted persisted entry is a counted
   miss, never an exception mid-batch, and the re-executed result
   overwrites it.
@@ -25,7 +25,7 @@ import pytest
 from tests.spec_catalog import attack_specs
 
 from repro import telemetry
-from repro.engine import ResultCache, backends, run_batch
+from repro.engine import REPRO_BACKEND_ENV, ResultCache, backends, run_batch
 from repro.telemetry import PHASE_METRIC
 
 
@@ -37,7 +37,6 @@ def registry(monkeypatch):
     suite-wide): these tests assert on per-backend labels, so they
     must control backend selection themselves.
     """
-    from repro.engine import REPRO_BACKEND_ENV
     monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
     telemetry.REGISTRY.reset()
     try:
@@ -87,8 +86,7 @@ def test_serial_and_pool_snapshots_agree_on_totals(registry):
     # Scheduling-independent totals are identical...
     for name in ("repro_backend_trials_total",
                  "repro_backend_batches_total",
-                 "repro_cache_hits_total", "repro_cache_misses_total",
-                 "repro_trial_seconds"):
+                 "repro_cache_hits_total", "repro_cache_misses_total"):
         assert _totals(serial_snap, name) == _totals(pool_snap, name), \
             name
     assert _phase_counts(serial_snap) == _phase_counts(pool_snap)
@@ -101,24 +99,17 @@ def test_serial_and_pool_snapshots_agree_on_totals(registry):
         == [[[["backend", "pool"]], specs]]
 
 
-def test_pool_snapshot_adds_only_the_queue_wait(registry):
+def test_pool_records_the_serial_families(registry):
+    """Workers only simulate, so a pool run records exactly the
+    families a serial run does, and no per-trial sample."""
     serial_snap, _ = _run_catalog(workers=1)
     pool_snap, _ = _run_catalog(workers=4)
-    specs = len(attack_specs())
-
-    # Workers only simulate, so the pool records the serial families
-    # plus the queue wait it observes in this process.
-    assert sorted(pool_snap) == sorted(
-        [*serial_snap, "repro_backend_queue_wait_seconds"])
-
-    # The parent observed one queue-wait sample per executed trial.
-    waits = pool_snap["repro_backend_queue_wait_seconds"]["samples"]
-    ((key, value),) = waits
-    assert dict(tuple(item) for item in key) == {"backend": "pool"}
-    assert value["count"] == specs
+    assert sorted(pool_snap) == sorted(serial_snap)
+    assert [name for name, family in pool_snap.items()
+            if family["kind"] == "histogram"] == [PHASE_METRIC]
 
 
-def _labels_changed_by_prior_recording(backend):
+def _labels_changed_by_prior_recording(backend, monkeypatch):
     """Catalog labels whose result differs between a batch recorded
     into an empty registry and the same batch recorded after a
     different batch (every seed +1)."""
@@ -126,12 +117,12 @@ def _labels_changed_by_prior_recording(backend):
     specs = [spec for _, spec in catalog]
     fingerprints = [spec.fingerprint() for spec in specs]
 
+    monkeypatch.setenv(REPRO_BACKEND_ENV, backend)
     telemetry.REGISTRY.reset()
-    fresh = run_batch(specs, backend=backend)
+    fresh = run_batch(specs)
     telemetry.REGISTRY.reset()
-    run_batch([spec.replace(seed=spec.seed + 1) for spec in specs],
-              backend=backend)
-    after = run_batch(specs, backend=backend)
+    run_batch([spec.replace(seed=spec.seed + 1) for spec in specs])
+    after = run_batch(specs)
 
     assert [spec.fingerprint() for spec in specs] == fingerprints
     changed = []
@@ -144,25 +135,25 @@ def _labels_changed_by_prior_recording(backend):
 
 
 @pytest.mark.parametrize("backend", ["serial", "pool"])
-def test_telemetry_never_changes_simulated_outcomes(registry, backend):
-    assert _labels_changed_by_prior_recording(backend) == []
+def test_telemetry_never_changes_simulated_outcomes(registry, backend,
+                                                    monkeypatch):
+    assert _labels_changed_by_prior_recording(backend, monkeypatch) == []
 
 
 def test_the_isolation_gate_catches_a_leaking_job(registry, monkeypatch):
     """The gate above fails when a trial reads the registry.  Serial
     only: a local function cannot be pickled to pool workers."""
-    timed_execute = backends._timed_execute
+    execute_spec = backends.execute_spec
 
-    def leaking_execute(job):
-        result, start_us, elapsed_us = timed_execute(job)
+    def leaking_execute(spec, fingerprint=None):
+        result = execute_spec(spec, fingerprint)
         observations = dict(
             result.observations,
             trials=telemetry.REGISTRY.total("repro_backend_trials_total"))
-        return (dataclasses.replace(result, observations=observations),
-                start_us, elapsed_us)
+        return dataclasses.replace(result, observations=observations)
 
-    monkeypatch.setattr(backends, "_timed_execute", leaking_execute)
-    assert _labels_changed_by_prior_recording("serial")
+    monkeypatch.setattr(backends, "execute_spec", leaking_execute)
+    assert _labels_changed_by_prior_recording("serial", monkeypatch)
 
 
 def test_corrupt_cache_entry_is_a_counted_miss(registry, tmp_path):

@@ -63,7 +63,7 @@ def test_registry_rejects_bad_names_and_kind_clashes():
         registry.inc("repro_test_total", **{"bad-label": "x"})
     registry.inc("repro_kind_total")
     with pytest.raises(ValueError):
-        registry.observe("repro_kind_total", 0.1)
+        registry.histogram("repro_kind_total")
 
 
 def test_phase_times_into_the_phase_histogram():
@@ -83,7 +83,8 @@ def test_histogram_handle_records_into_its_sample():
     assert registry.histogram("repro_test_seconds",
                               backend="serial") is handle
     handle.observe(0.002)
-    registry.observe("repro_test_seconds", 0.004, backend="serial")
+    registry.histogram("repro_test_seconds",
+                       backend="serial").observe(0.004)
     value = registry.value("repro_test_seconds", backend="serial")
     assert value["count"] == 2
     assert value["total"] == pytest.approx(0.006)
@@ -97,7 +98,7 @@ def _loaded_registry():
     registry = MetricsRegistry()
     registry.inc("repro_test_total", 3, help="a counter",
                  backend="serial")
-    registry.observe("repro_test_seconds", 0.002)
+    registry.histogram("repro_test_seconds").observe(0.002)
     with registry.phase("lint.soundness", "variants"):
         pass
     return registry
